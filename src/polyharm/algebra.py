@@ -243,6 +243,16 @@ class Expr:
         term = Term(GaussianRational.coerce(coeff), tuple(exps), weight, log)
         return Expr(atoms, _canonical(atoms, [term]))
 
+    @staticmethod
+    def sum(atoms: AtomSet, exprs: Iterable["Expr"]) -> "Expr":
+        """Sum of many expressions in one canonicalisation pass."""
+        raw = []
+        for e in exprs:
+            if e.atoms != atoms:
+                raise UsageError("operands live in different chart algebras")
+            raw.extend(e.terms)
+        return Expr(atoms, _canonical(atoms, raw))
+
     # -- ring operations ---------------------------------------------------
 
     def _require_same_atoms(self, other: "Expr") -> None:

@@ -56,11 +56,10 @@ def _leading_signature(e: Expr):
 
 
 def _operator_matrix(images: Sequence[Expr]) -> tuple[ExactMatrix, tuple]:
-    signatures = sorted({t.signature() for img in images for t in img.terms})
+    columns = [img.coefficients() for img in images]
+    signatures = sorted({sig for col in columns for sig in col})
     zero = GaussianRational.coerce(0)
-    rows = []
-    for sig in signatures:
-        rows.append([img.coefficients().get(sig, zero) for img in images])
+    rows = [[col.get(sig, zero) for col in columns] for sig in signatures]
     if not rows:  # all images vanish: the 0 x n matrix, every vector in kernel
         rows = [[zero for _ in images]]
         signatures = [None]
@@ -98,7 +97,7 @@ class AnsatzSystem:
             order_matrix = matrix
         else:
             power_images = [
-                iterated_tension(geometry, b, order)[-1] for b in ordered
+                iterated_tension(geometry, img, order - 1)[-1] for img in first_images
             ]
             order_matrix, _ = _operator_matrix(power_images)
         return AnsatzSystem(geometry, ordered, signatures, matrix, order, order_matrix)
@@ -128,9 +127,7 @@ def generate_kernel(system: AnsatzSystem) -> list[Expr]:
     vectors = nullspace(system.order_matrix)
     kernel = []
     for v in vectors:
-        f = Expr.zero(system.geometry.atoms)
-        for coeff, b in zip(v, system.basis):
-            f = f + coeff * b
+        f = Expr.sum(system.geometry.atoms, [b.scale(c) for c, b in zip(v, system.basis)])
         check = iterated_tension(system.geometry, f, system.order)[-1]
         if not check.is_zero():
             raise AssertionError("kernel member failed exact re-verification")
@@ -316,10 +313,8 @@ def nil_biharmonic12(b: Params, geometry: Geometry | None = None) -> Expr:
     if _all_zero(b):
         raise UsageError("parameters must not all vanish")
     g = geometry or nil()
-    total = Expr.zero(g.atoms)
-    for coeff, powers in zip(_coerce_all(b), NIL_F2_MONOMIALS):
-        total = total + coeff * Expr.monomial(g.atoms, 1, powers)
-    return total
+    terms = zip(_coerce_all(b), NIL_F2_MONOMIALS)
+    return Expr.sum(g.atoms, [Expr.monomial(g.atoms, c, p) for c, p in terms])
 
 
 def nil_f2_proper(b: Params) -> bool:
@@ -368,10 +363,8 @@ def sl2_biharmonic6(b: Params, geometry: Geometry | None = None) -> Expr:
     if _all_zero(b):
         raise UsageError("parameters must not all vanish")
     g = geometry or sl2()
-    total = Expr.zero(g.atoms)
-    for coeff, powers in zip(_coerce_all(b), SL2_F2_MONOMIALS):
-        total = total + coeff * Expr.monomial(g.atoms, 1, powers)
-    return total
+    terms = zip(_coerce_all(b), SL2_F2_MONOMIALS)
+    return Expr.sum(g.atoms, [Expr.monomial(g.atoms, c, p) for c, p in terms])
 
 
 def sl2_f2_proper(b: Params) -> bool:
@@ -387,13 +380,11 @@ def sl2_f2_proper(b: Params) -> bool:
 def conformal_harmonic_part(atoms: AtomSet, hol: Params, antihol: Params) -> Expr:
     """hol(z) + antihol(zb) as polynomial coefficient lists."""
     z, zb = atoms.conformal
-    total = Expr.zero(atoms)
-    for coeffs, name in ((hol, z), (antihol, zb)):
-        for k, c in enumerate(coeffs):
-            total = total + GaussianRational.coerce(c) * Expr.monomial(
-                atoms, 1, {name: k}
-            )
-    return total
+    return Expr.sum(atoms, [
+        Expr.monomial(atoms, c, {name: k})
+        for coeffs, name in ((hol, z), (antihol, zb))
+        for k, c in enumerate(coeffs)
+    ])
 
 
 def separable_product(
@@ -412,9 +403,7 @@ def separable_product(
     if _all_zero(p):
         raise UsageError("the polynomial factor must be nonzero")
     tname = geometry.second.atoms.variables[0]
-    poly = Expr.zero(atoms)
-    for k, c in enumerate(p):
-        poly = poly + GaussianRational.coerce(c) * Expr.monomial(atoms, 1, {tname: k})
+    poly = Expr.sum(atoms, [Expr.monomial(atoms, c, {tname: k}) for k, c in enumerate(p)])
     return zpart * poly
 
 

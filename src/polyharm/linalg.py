@@ -1,9 +1,14 @@
-"""Dense exact linear algebra over the Gaussian rationals.
+"""Sparse exact linear algebra over the Gaussian rationals.
 
-Reduction is plain Gauss-Jordan with the first nonzero entry as pivot;
-there is no numerical pivot selection because the arithmetic is exact.
-Kernel basis vectors are normalized so that their first nonzero entry is 1,
-which makes hand comparisons "equal up to one declared scale factor".
+Every reduction is one Gauss-Jordan elimination over dict-of-rows that
+stores and touches only nonzero entries.  Pivot columns are taken left to
+right; of the rows holding the column, the shortest becomes the pivot row
+to keep fill-in low.  That choice cannot change the result: the reduced row
+echelon form of a matrix is unique, so kernels are the same under any
+pivot row order.  The arithmetic is exact, so there is no numerical pivot
+selection.  Kernel basis vectors are normalized so that their first nonzero
+entry is 1, which makes hand comparisons "equal up to one declared scale
+factor".
 """
 
 from __future__ import annotations
@@ -17,10 +22,6 @@ from .errors import UsageError
 from .rationals import GaussianRational, ONE, ZERO, ScalarLike
 
 Vector = tuple[GaussianRational, ...]
-
-
-def _coerce_entry(v: ScalarLike) -> GaussianRational:
-    return GaussianRational.coerce(v)
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class ExactMatrix:
         for row in rows:
             if len(row) != ncols:
                 raise UsageError("ragged rows")
-            flat.extend(_coerce_entry(v) for v in row)
+            flat.extend(GaussianRational.coerce(v) for v in row)
         return ExactMatrix(len(rows), ncols, tuple(flat))
 
     @staticmethod
@@ -57,13 +58,10 @@ class ExactMatrix:
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def row_lists(self) -> list[list[GaussianRational]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def matvec(self, v: Sequence[ScalarLike]) -> Vector:
         if len(v) != self.cols:
             raise UsageError("vector length does not match column count")
-        vv = [_coerce_entry(x) for x in v]
+        vv = [GaussianRational.coerce(x) for x in v]
         out = []
         for i in range(self.rows):
             acc = ZERO
@@ -72,52 +70,52 @@ class ExactMatrix:
             out.append(acc)
         return tuple(out)
 
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise UsageError("inner dimensions do not match")
-        rows = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    acc = acc + self.at(i, k) * other.at(k, j)
-                row.append(acc)
-            rows.append(row)
-        return ExactMatrix.from_rows(rows)
+
+def _eliminate(m: ExactMatrix) -> tuple[list[dict[int, GaussianRational]], tuple[int, ...]]:
+    """The nonzero rows of the RREF of m as column -> entry maps, in pivot
+    order, and the ascending pivot columns."""
+    rows = [{j: v for j, v in enumerate(m.row(i)) if not v.is_zero()} for i in range(m.rows)]
+    holders: dict[int, set[int]] = {}  # column -> rows with a nonzero entry there
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    chosen: dict[int, int] = {}  # pivot row -> pivot column, in pivot order
+    for col in range(m.cols):
+        candidates = [r for r in holders.get(col, ()) if r not in chosen]
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda r: (len(rows[r]), r))  # shortest: least fill
+        inv = ONE / rows[p][col]
+        rows[p] = {j: v * inv for j, v in rows[p].items()}
+        rest = [(j, v) for j, v in rows[p].items() if j != col]
+        for r in holders[col] - {p}:
+            row = rows[r]
+            factor = row.pop(col)
+            for j, v in rest:
+                new = row.get(j, ZERO) - factor * v
+                if new.is_zero():
+                    del row[j]
+                    holders[j].discard(r)
+                else:
+                    row[j] = new
+                    holders.setdefault(j, set()).add(r)
+        chosen[p] = col
+        if len(chosen) == m.rows:
+            break
+    return [rows[p] for p in chosen], tuple(chosen.values())
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the ascending list of pivot columns."""
-    work = [list(m.row(i)) for i in range(m.rows)]
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(m.cols):
-        src = next(
-            (r for r in range(pivot_row, m.rows) if not work[r][col].is_zero()),
-            None,
-        )
-        if src is None:
-            continue
-        work[pivot_row], work[src] = work[src], work[pivot_row]
-        inv = ONE / work[pivot_row][col]
-        work[pivot_row] = [v * inv for v in work[pivot_row]]
-        for r in range(m.rows):
-            if r == pivot_row:
-                continue
-            factor = work[r][col]
-            if factor.is_zero():
-                continue
-            work[r] = [a - factor * b for a, b in zip(work[r], work[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == m.rows:
-            break
-    return ExactMatrix.from_rows(work), tuple(pivots)
+    """Reduced row echelon form (all m.rows rows, zero rows last) and the
+    ascending list of pivot columns."""
+    reduced, pivots = _eliminate(m)
+    dense = [[row.get(j, ZERO) for j in range(m.cols)] for row in reduced]
+    dense += [[ZERO] * m.cols for _ in range(m.rows - len(reduced))]
+    return ExactMatrix.from_rows(dense), pivots
 
 
 def rank(m: ExactMatrix) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(m)[1])
 
 
 def _normalize_leading(v: list[GaussianRational]) -> Vector:
@@ -125,7 +123,7 @@ def _normalize_leading(v: list[GaussianRational]) -> Vector:
     if lead is None:
         return tuple(v)
     inv = ONE / lead
-    return tuple(x * inv for x in v)
+    return tuple(x if x.is_zero() else x * inv for x in v)
 
 
 def nullspace(m: ExactMatrix) -> list[Vector]:
@@ -133,15 +131,14 @@ def nullspace(m: ExactMatrix) -> list[Vector]:
 
     One basis vector per free column, each normalized to leading entry 1.
     """
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
+    reduced, pivots = _eliminate(m)
     basis = []
-    for free in free_cols:
+    for free in sorted(set(range(m.cols)) - set(pivots)):
         v = [ZERO] * m.cols
         v[free] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced.at(r, free)
+        for row, pc in zip(reduced, pivots):
+            if free in row:
+                v[pc] = -row[free]
         basis.append(_normalize_leading(v))
     return basis
 
@@ -153,12 +150,12 @@ def solve(m: ExactMatrix, rhs: Sequence[ScalarLike]) -> Vector | None:
     augmented = ExactMatrix.from_rows(
         [list(m.row(i)) + [rhs[i]] for i in range(m.rows)]
     )
-    reduced, pivots = rref(augmented)
+    reduced, pivots = _eliminate(augmented)
     if m.cols in pivots:  # pivot in the augmented column
         return None
     x = [ZERO] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced.at(r, m.cols)
+    for row, pc in zip(reduced, pivots):
+        x[pc] = row.get(m.cols, ZERO)
     return tuple(x)
 
 

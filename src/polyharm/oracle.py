@@ -58,8 +58,11 @@ class OracleConfig:
     domain_margin: float = 0.05
 
     def __post_init__(self):
-        if self.step <= 0 or self.rel_tol <= 0 or self.levels < 1:
+        # chained comparisons are false for NaN, so NaN and inf are rejected
+        if not (0 < self.step < math.inf and 0 < self.rel_tol < math.inf) or self.levels < 1:
             raise UsageError("oracle configuration out of range")
+        if self.samples < 1:
+            raise UsageError("oracle needs at least one sample point")
 
 
 def metric_at(geometry: Geometry, point: Sequence[float]) -> np.ndarray:
@@ -216,6 +219,8 @@ def cross_validate(
         fd = fd_tension(geometry, f.evaluate, p, config)
         s = sym.evaluate(p)
         err, rel = residual(s, fd)
+        if not math.isfinite(rel):  # NaN would compare false below and pass
+            rel = math.inf
         if rel > max_rel:
             max_rel = rel
             worst = p

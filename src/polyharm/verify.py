@@ -414,10 +414,7 @@ def _biharmonic_line_poly(rng: random.Random, atoms, var: str) -> Expr:
     coeffs = [random_scalar(rng) for _ in range(4)]
     if coeffs[2].is_zero() and coeffs[3].is_zero():
         coeffs[3] = random_nonzero_scalar(rng)
-    total = Expr.zero(atoms)
-    for k, c in enumerate(coeffs):
-        total = total + c * Expr.monomial(atoms, 1, {var: k})
-    return total
+    return Expr.sum(atoms, [Expr.monomial(atoms, c, {var: k}) for k, c in enumerate(coeffs)])
 
 
 def biharmonic_product_remark_check(

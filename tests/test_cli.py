@@ -185,6 +185,18 @@ def test_oracle_sentinel_under_paper_convention(capsys):
     assert payload["sentinel_ratio"] == pytest.approx(4.0, abs=1e-4)
 
 
+def test_oracle_nan_step_is_usage_error(capsys):
+    code, _, err = run(capsys, "oracle", "-g", "line", "t^2", "--step", "nan")
+    assert code == 4
+    assert "out of range" in err
+
+
+def test_oracle_zero_samples_is_usage_error(capsys):
+    code, _, err = run(capsys, "oracle", "-g", "line", "t^2", "--samples", "0")
+    assert code == 4
+    assert "at least one sample" in err
+
+
 # -- lemma-check -----------------------------------------------------------------------
 
 

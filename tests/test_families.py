@@ -1,4 +1,6 @@
+import hashlib
 import random
+from itertools import product as cartesian
 
 import pytest
 
@@ -26,6 +28,7 @@ from polyharm.families import (
     sol_tower_literal,
 )
 from polyharm.geometries import (
+    by_id,
     classify,
     disc_times_line,
     hyperbolic_disc,
@@ -87,6 +90,38 @@ def test_ansatz_matrix_shape_and_first_power():
     assert system.matrix.rows == 3
     assert system.matrix.cols == 4
     assert system.order_matrix is system.matrix
+
+
+def _monomial_basis(g, degree):
+    names = g.atoms.variables
+    return [
+        Expr.monomial(g.atoms, 1, dict(zip(names, powers)))
+        for powers in cartesian(range(degree + 1), repeat=len(names))
+        if sum(powers) <= degree
+    ]
+
+
+# sha256 of the printed kernels below.  The RREF of a matrix with a fixed
+# column order is unique, so any correct elimination reproduces it.
+GOLDEN_KERNEL_DIGEST = "f88415a8cca578a03da5512cf291972c01b152e0ef7f11ff41921ffabacc7857"
+
+
+def test_golden_kernels_are_unchanged():
+    systems = [
+        (gid, _monomial_basis(by_id(gid), degree), 2)
+        for gid, degree in (("nil", 8), ("sl2", 8), ("h2xr", 6))
+    ]
+    systems += [("sol", sol_axis_basis(48, axis, sol()), 1) for axis in ("x", "y")]
+    lines = []
+    dims = {}
+    for gid, basis, order in systems:
+        kernel = generate_kernel(AnsatzSystem.build(by_id(gid), basis, order=order))
+        dims[gid] = len(kernel)
+        lines.append(f"{gid} {len(basis)} {order}")
+        lines += [str(f) for f in kernel]
+    assert dims["nil"] == 81 and dims["sol"] == 1
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_KERNEL_DIGEST
 
 
 # -- sol axis families ----------------------------------------------------------

@@ -16,7 +16,7 @@ from polyharm.linalg import (
 )
 from polyharm.rationals import GaussianRational
 
-from conftest import fractions
+from conftest import fractions, gaussian_rationals
 
 
 def matrices(max_dim=4):
@@ -32,6 +32,27 @@ def matrices(max_dim=4):
         st.integers(1, max_dim),
         st.integers(1, max_dim),
         st.lists(fractions(max_num=6, max_den=3), min_size=1, max_size=16),
+    )
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=12, max_cols=16):
+    """Mostly-zero matrices, large enough for elimination to create fill-in
+    and to pick among several candidate pivot rows."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    values = st.one_of(
+        fractions(max_num=6, max_den=3), gaussian_rationals()
+    ).filter(lambda v: v != 0)
+    cells = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+            values,
+            max_size=rows * cols // 4,
+        )
+    )
+    return ExactMatrix.from_rows(
+        [[cells.get((r, c), 0) for c in range(cols)] for r in range(rows)]
     )
 
 
@@ -72,12 +93,15 @@ def test_rref_of_recorded_invertible_matrix_is_identity():
 
 
 @settings(max_examples=60)
-@given(matrices())
+@given(st.one_of(matrices(), sparse_matrices()))
 def test_rref_is_idempotent(m):
     reduced, pivots = rref(m)
     again, pivots2 = rref(reduced)
     assert again == reduced
     assert pivots2 == pivots
+    assert reduced.rows == m.rows
+    zero_row = (GaussianRational.coerce(0),) * m.cols
+    assert all(reduced.row(i) == zero_row for i in range(len(pivots), m.rows))
 
 
 def test_nullspace_printed_two_row_system():
@@ -105,7 +129,7 @@ def test_nullspace_printed_three_row_system():
 
 
 @settings(max_examples=60)
-@given(matrices())
+@given(st.one_of(matrices(), sparse_matrices()))
 def test_nullspace_vectors_annihilate_and_rank_nullity(m):
     basis = nullspace(m)
     assert rank(m) + len(basis) == m.cols

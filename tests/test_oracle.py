@@ -170,6 +170,23 @@ def test_cross_validate_sol_battery_member():
     assert report.points == 40
 
 
+def test_cross_validate_fails_on_a_nan_residual(monkeypatch):
+    import polyharm.oracle as oracle_module
+
+    exact = oracle_module.fd_tension
+    points = []
+
+    def nan_at_third_point(geometry, f, point, config):
+        points.append(point)
+        return math.nan if len(points) == 3 else exact(geometry, f, point, config)
+
+    monkeypatch.setattr(oracle_module, "fd_tension", nan_at_third_point)
+    g = line()
+    report = cross_validate(g, parse("t^2", g.atoms), OracleConfig(samples=5))
+    assert not report.within_tolerance
+    assert report.worst_point == points[2]
+
+
 def test_cross_validate_constant():
     g = nil()
     report = cross_validate(g, parse("1", g.atoms), OracleConfig(samples=10))
@@ -297,6 +314,9 @@ def test_oracle_config_validation():
         OracleConfig(step=-1.0)
     with pytest.raises(UsageError):
         OracleConfig(levels=0)
+    for bad in ({"step": math.nan}, {"step": math.inf}, {"rel_tol": math.nan}, {"samples": 0}):
+        with pytest.raises(UsageError):
+            OracleConfig(**bad)
 
 
 def test_sample_points_respect_domain_margin():
