@@ -32,10 +32,11 @@ is a pure function, so they can be shared between threads freely.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .errors import ClosureError, DomainError, UsageError
 from .rationals import GaussianRational, ScalarLike
@@ -94,38 +95,39 @@ class AtomSet:
             return False
         return True
 
-    def symbol_values(self, point: Sequence[float]) -> dict[str, complex]:
-        """Map chart symbols to complex values at a real chart point."""
-        if len(point) != len(self.variables):
+    def symbol_values(self, points: np.ndarray) -> list[np.ndarray]:
+        """Per-variable values at real chart points of shape (..., dim).
+
+        Every slot reads its real coordinate, except the conformal pair:
+        z = x + iy and zb = x - iy from the two real coordinates in its slots.
+        """
+        if points.shape[-1:] != (len(self.variables),):
             raise UsageError(
-                f"expected {len(self.variables)} coordinates, got {len(point)}"
+                f"expected {len(self.variables)} coordinates per point, got shape {points.shape}"
             )
-        values = {v: complex(p) for v, p in zip(self.variables, point)}
+        values = [points[..., k] for k in range(len(self.variables))]
         if self.conformal is not None:
-            z, zb = self.conformal
-            x = float(point[self.index(z)])
-            y = float(point[self.index(zb)])
-            values[z] = complex(x, y)
-            values[zb] = complex(x, -y)
+            iz, izb = self.conformal_indices()
+            x, y = values[iz], values[izb]
+            values[iz] = x + 1j * y
+            values[izb] = x - 1j * y
         return values
 
-    def _conformal_radius2(self, point: Sequence[float]) -> float:
+    def _conformal_radius2(self, points: np.ndarray) -> np.ndarray:
         iz, izb = self.conformal_indices()
-        return float(point[iz]) ** 2 + float(point[izb]) ** 2
+        return points[..., iz] ** 2 + points[..., izb] ** 2
 
-    def check_domain(self, point: Sequence[float]) -> None:
+    def check_domain(self, points: np.ndarray) -> None:
         if self.log_kind == LOG_DISC:
-            if self._conformal_radius2(point) >= 1.0:
+            if (self._conformal_radius2(points) >= 1.0).any():
                 raise DomainError("|z| >= 1 is outside the hyperbolic disc chart")
 
-    def log_value(self, point: Sequence[float]) -> float:
-        rho2 = self._conformal_radius2(point)
+    def log_value(self, points: np.ndarray) -> np.ndarray:
+        rho2 = self._conformal_radius2(points)
         if self.log_kind == LOG_DISC:
-            if rho2 >= 1.0:
-                raise DomainError("|z| >= 1 is outside the hyperbolic disc chart")
-            return math.log(1.0 - rho2)
+            return np.log(1.0 - rho2)
         if self.log_kind == LOG_SPHERE:
-            return math.log(1.0 + rho2)
+            return np.log(1.0 + rho2)
         raise UsageError("this chart has no log atom")
 
 
@@ -328,26 +330,35 @@ class Expr:
                 raw.append(Term(t.coeff * t.weight, t.powers, t.weight, t.logp))
         return Expr(self.atoms, _canonical(self.atoms, raw))
 
-    def evaluate(self, point: Sequence[float]) -> complex:
-        """Floating complex value at a real chart point."""
-        self.atoms.check_domain(point)
-        values = self.atoms.symbol_values(point)
-        log_val = self.atoms.log_value(point) if self._has_log() else 0.0
-        exp_base = (
-            values[self.atoms.exp_var].real if self.atoms.exp_var is not None else 0.0
-        )
-        total = 0j
-        for t in self.terms:
-            v = complex(t.coeff)
-            for name, p in zip(self.atoms.variables, t.powers):
-                if p:
-                    v *= values[name] ** p
-            if t.weight:
-                v *= math.exp(t.weight * exp_base)
-            if t.logp:
-                v *= log_val
-            total += v
-        return total
+    def evaluate(self, point) -> complex | np.ndarray:
+        """Floating complex value at a real chart point.
+
+        ``point`` may also be an array of points of shape (..., dim); the
+        values then come back as an array of shape (...), summed term by
+        term over all points at once.  A value that is not finite (float
+        overflow) raises DomainError, like a point outside the chart.
+        """
+        P = np.asarray(point, dtype=float)
+        values = self.atoms.symbol_values(P)
+        self.atoms.check_domain(P)
+        total = np.zeros(P.shape[:-1], dtype=complex)
+        with np.errstate(all="ignore"):
+            log_val = self.atoms.log_value(P) if self._has_log() else None
+            if self.atoms.exp_var is not None:
+                exp_base = P[..., self.atoms.index(self.atoms.exp_var)]
+            for t in self.terms:
+                v = complex(t.coeff)
+                for k, p in enumerate(t.powers):
+                    if p:
+                        v = v * values[k] ** p
+                if t.weight:
+                    v = v * np.exp(t.weight * exp_base)
+                if t.logp:
+                    v = v * log_val
+                total += v
+        if not np.isfinite(total).all():
+            raise DomainError("value is not finite here (float overflow)")
+        return complex(total) if P.ndim == 1 else total
 
     # -- predicates and views ----------------------------------------------
 

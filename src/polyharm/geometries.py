@@ -45,18 +45,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, merge_atom_sets
 from .errors import DomainError, UsageError
 from .rationals import GaussianRational
 
-Matrix = tuple[tuple[float, ...], ...]
 Box = tuple[tuple[float, float], ...]
 
 CONVENTIONS = ("metric", "paper")
 
 
+def _matrix(points: np.ndarray, rows) -> np.ndarray:
+    """(..., n, n) metric array from n rows of per-point entries (arrays over
+    the points of shape (..., dim), or constants)."""
+    shape = points.shape[:-1]
+    entries = [np.broadcast_to(entry, shape) for row in rows for entry in row]
+    return np.stack(entries, axis=-1).reshape(shape + (len(rows), len(rows)))
+
+
 class Geometry:
-    """A chart with symbolic operators and a numeric metric."""
+    """A chart with symbolic operators and a numeric metric.
+
+    ``metric`` and ``contains`` take one point or an array of points of
+    shape (..., dim) and answer per point: a (..., dim, dim) metric array
+    and a (...) boolean array.
+    """
 
     name: str
     atoms: AtomSet
@@ -68,19 +82,24 @@ class Geometry:
     def conformality(self, f: Expr, h: Expr) -> Expr:
         raise NotImplementedError
 
-    def metric(self, point) -> Matrix:
+    def metric(self, point) -> np.ndarray:
         raise NotImplementedError
 
-    def contains(self, point, slack: float = 0.0) -> bool:
-        return True
+    def contains(self, point, slack: float = 0.0) -> np.ndarray:
+        return np.ones(np.shape(point)[:-1], dtype=bool)
 
     def check_point(self, point, slack: float = 0.0) -> None:
-        if len(point) != len(self.atoms.variables):
-            raise UsageError(
-                f"{self.name} expects {len(self.atoms.variables)} coordinates"
+        """Raise unless every point lies in the chart, ``slack`` inside its boundary."""
+        dim = len(self.atoms.variables)
+        P = np.asarray(point, dtype=float)
+        if P.shape[-1:] != (dim,):
+            raise UsageError(f"{self.name} expects {dim} coordinates")
+        inside = np.ravel(self.contains(P, slack))
+        if not inside.all():
+            bad = P.reshape(-1, dim)[np.argmin(inside)]
+            raise DomainError(
+                f"point {tuple(float(c) for c in bad)} is outside the {self.name} chart"
             )
-        if not self.contains(point, slack):
-            raise DomainError(f"point {tuple(point)} is outside the {self.name} chart")
 
     def _require(self, f: Expr) -> None:
         if not f.atoms.contains(self.atoms):
@@ -115,12 +134,16 @@ class SolGeometry(Geometry):
             + f.differentiate("t") * h.differentiate("t")
         )
 
-    def metric(self, point) -> Matrix:
-        t = float(point[2])
-        return (
-            (math.exp(2 * t), 0.0, 0.0),
-            (0.0, math.exp(-2 * t), 0.0),
-            (0.0, 0.0, 1.0),
+    def metric(self, point) -> np.ndarray:
+        P = np.asarray(point, dtype=float)
+        t = P[..., 2]
+        return _matrix(
+            P,
+            (
+                (np.exp(2 * t), 0.0, 0.0),
+                (0.0, np.exp(-2 * t), 0.0),
+                (0.0, 0.0, 1.0),
+            ),
         )
 
 
@@ -152,13 +175,10 @@ class NilGeometry(Geometry):
         hx, hy, ht = (h.differentiate(v) for v in ("x", "y", "t"))
         return fx * hx + fy * hy + x * (fy * ht + ft * hy) + one_xx * (ft * ht)
 
-    def metric(self, point) -> Matrix:
-        x = float(point[0])
-        return (
-            (1.0, 0.0, 0.0),
-            (0.0, 1.0 + x * x, -x),
-            (0.0, -x, 1.0),
-        )
+    def metric(self, point) -> np.ndarray:
+        P = np.asarray(point, dtype=float)
+        x = P[..., 0]
+        return _matrix(P, ((1.0, 0.0, 0.0), (0.0, 1.0 + x * x, -x), (0.0, -x, 1.0)))
 
 
 class Sl2Geometry(Geometry):
@@ -192,18 +212,22 @@ class Sl2Geometry(Geometry):
         hx, hy, ht = (h.differentiate(v) for v in ("x", "y", "t"))
         return y2 * (fx * hx + fy * hy) - y * (fx * ht + ft * hx) + 2 * (ft * ht)
 
-    def metric(self, point) -> Matrix:
-        y = float(point[1])
-        if y <= 0.0:
+    def metric(self, point) -> np.ndarray:
+        P = np.asarray(point, dtype=float)
+        y = P[..., 1]
+        if (y <= 0.0).any():
             raise DomainError("sl2 chart needs y > 0")
-        return (
-            (2.0 / y**2, 0.0, 1.0 / y),
-            (0.0, 1.0 / y**2, 0.0),
-            (1.0 / y, 0.0, 1.0),
+        return _matrix(
+            P,
+            (
+                (2.0 / y**2, 0.0, 1.0 / y),
+                (0.0, 1.0 / y**2, 0.0),
+                (1.0 / y, 0.0, 1.0),
+            ),
         )
 
-    def contains(self, point, slack: float = 0.0) -> bool:
-        return float(point[1]) - slack > 0.0
+    def contains(self, point, slack: float = 0.0) -> np.ndarray:
+        return np.asarray(point, dtype=float)[..., 1] - slack > 0.0
 
 
 class ConformalSurface(Geometry):
@@ -285,20 +309,20 @@ class ConformalSurface(Geometry):
             result = result + self.factor * (u * fa * ha)
         return result
 
-    def metric(self, point) -> Matrix:
-        x, y = float(point[0]), float(point[1])
-        rho = x * x + y * y
-        denom = 1.0 + self.sign * rho
-        if denom <= 0.0:
+    def metric(self, point) -> np.ndarray:
+        P = np.asarray(point, dtype=float)
+        x, y = P[..., 0], P[..., 1]
+        denom = 1.0 + self.sign * (x * x + y * y)
+        if (denom <= 0.0).any():
             raise DomainError("point outside the conformal chart")
         lam = 4.0 / denom**2
-        return ((lam, 0.0), (0.0, lam))
+        return _matrix(P, ((lam, 0.0), (0.0, lam)))
 
-    def contains(self, point, slack: float = 0.0) -> bool:
+    def contains(self, point, slack: float = 0.0) -> np.ndarray:
         if self.sign == 1:
-            return True
-        x, y = float(point[0]), float(point[1])
-        return math.hypot(x, y) + slack < 1.0
+            return super().contains(point, slack)
+        P = np.asarray(point, dtype=float)
+        return np.hypot(P[..., 0], P[..., 1]) + slack < 1.0
 
 
 class Line(Geometry):
@@ -319,8 +343,8 @@ class Line(Geometry):
         self._require(h)
         return f.differentiate(self.var) * h.differentiate(self.var)
 
-    def metric(self, point) -> Matrix:
-        return ((1.0,),)
+    def metric(self, point) -> np.ndarray:
+        return _matrix(np.asarray(point, dtype=float), ((1.0,),))
 
 
 class ProductGeometry(Geometry):
@@ -333,10 +357,6 @@ class ProductGeometry(Geometry):
         self.name = name or f"{first.name}x{second.name}"
         self.sample_box = first.sample_box + second.sample_box
 
-    def _split_point(self, point):
-        n1 = len(self.first.atoms.variables)
-        return tuple(point[:n1]), tuple(point[n1:])
-
     def tension(self, f: Expr) -> Expr:
         self._require(f)
         return self.first.tension(f) + self.second.tension(f)
@@ -346,21 +366,20 @@ class ProductGeometry(Geometry):
         self._require(h)
         return self.first.conformality(f, h) + self.second.conformality(f, h)
 
-    def metric(self, point) -> Matrix:
-        p1, p2 = self._split_point(point)
-        m1 = self.first.metric(p1)
-        m2 = self.second.metric(p2)
-        n1, n2 = len(m1), len(m2)
-        out = []
-        for i in range(n1):
-            out.append(tuple(m1[i]) + (0.0,) * n2)
-        for i in range(n2):
-            out.append((0.0,) * n1 + tuple(m2[i]))
-        return tuple(out)
+    def metric(self, point) -> np.ndarray:
+        P = np.asarray(point, dtype=float)
+        n1 = len(self.first.atoms.variables)
+        n = len(self.atoms.variables)
+        g = np.zeros(P.shape[:-1] + (n, n))
+        g[..., :n1, :n1] = self.first.metric(P[..., :n1])
+        g[..., n1:, n1:] = self.second.metric(P[..., n1:])
+        return g
 
-    def contains(self, point, slack: float = 0.0) -> bool:
-        p1, p2 = self._split_point(point)
-        return self.first.contains(p1, slack) and self.second.contains(p2, slack)
+    def contains(self, point, slack: float = 0.0) -> np.ndarray:
+        P = np.asarray(point, dtype=float)
+        n1 = len(self.first.atoms.variables)
+        inside = self.first.contains(P[..., :n1], slack)
+        return inside & self.second.contains(P[..., n1:], slack)
 
 
 def product(first: Geometry, second: Geometry, name: str | None = None) -> ProductGeometry:

@@ -12,6 +12,15 @@ configurable number of halved step sizes.  Complex-valued functions are
 differenced through their real and imaginary parts (the stencils are
 linear, so complex arithmetic does exactly that).
 
+All sample points of a sweep are differenced together.  For each
+Richardson level one array holds the full stencil of every point (centre,
++-h e_i, and the four corners +-h e_i +-h e_j of each i < j: 1 + 2 dim +
+2 dim (dim - 1) rows per point), f is evaluated once on it, and B comes
+from one batched det/inv over the 1 + 2 dim metric points of every stencil.
+Points go through in chunks of CHUNK_POINTS, which bounds the temporaries
+of a sweep of any size.  A function that is not an Expr is called once per
+stencil point.
+
 This is the second, independent route to the tension field: under the
 metric-derived operator convention the symbolic tau must agree with the
 oracle at every admissible point, and on the conformal charts it exposes
@@ -34,6 +43,8 @@ from .geometries import Geometry
 ChartPoint = tuple[float, ...]
 PointFunction = Callable[[ChartPoint], complex]
 
+CHUNK_POINTS = 256
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -41,6 +52,9 @@ class OracleConfig:
 
     step          -- base step size h.
     levels        -- Richardson levels over h, h/2, ... (1 = plain stencil).
+                     The finest step step/2**(levels-1) must still change
+                     1.0, and levels is at most 512 (the Richardson factor
+                     4**(levels-1) must be a float).
     rel_tol       -- residual tolerance, relative with a unit floor:
                      |sym - fd| / max(1, |sym|) <= rel_tol.
     abs_floor     -- below this magnitude a value counts as zero.
@@ -61,117 +75,119 @@ class OracleConfig:
         # chained comparisons are false for NaN, so NaN and inf are rejected
         if not (0 < self.step < math.inf and 0 < self.rel_tol < math.inf) or self.levels < 1:
             raise UsageError("oracle configuration out of range")
+        if self.levels > 512 or 1.0 + math.ldexp(self.step, 1 - self.levels) == 1.0:
+            raise UsageError("finest oracle step step/2**(levels-1) is out of range")
         if self.samples < 1:
             raise UsageError("oracle needs at least one sample point")
 
 
-def metric_at(geometry: Geometry, point: Sequence[float]) -> np.ndarray:
-    """Metric matrix in chart coordinates; raises on domain violations."""
+def metric_at(geometry: Geometry, point) -> np.ndarray:
+    """Metric matrices (..., dim, dim) at chart points (..., dim); raises outside the chart."""
     geometry.check_point(point)
-    return np.array(geometry.metric(point), dtype=float)
+    return geometry.metric(point)
 
 
-def _metric_coefficients(geometry: Geometry, point: ChartPoint) -> tuple[np.ndarray, float]:
-    """(B, sqrt|g|) with B = g^-1 sqrt|g| at a point."""
-    g = np.array(geometry.metric(point), dtype=float)
-    det = float(np.linalg.det(g))
-    if det <= 0.0:
+def _metric_coefficients(
+    geometry: Geometry, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(g^-1, sqrt|g|) at points (..., dim), from one batched det and inv."""
+    g = geometry.metric(points)
+    det = np.linalg.det(g)
+    if not ((det > 0.0) & np.isfinite(det)).all():
         raise DomainError("metric is not positive definite here")
-    root = math.sqrt(det)
-    inv = np.linalg.inv(g)
-    return inv * root, root
+    return np.linalg.inv(g), np.sqrt(det)
 
 
-def _fd_tension_single(
-    geometry: Geometry, f: PointFunction, point: ChartPoint, h: float
-) -> complex:
-    """One expanded divergence-form stencil evaluation at step h."""
-    dim = len(point)
-    p = np.array(point, dtype=float)
+def _stencil_offsets(dim: int) -> np.ndarray:
+    """Stencil rows in units of h; the first 1 + 2 dim are the metric points."""
+    e = np.eye(dim)
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    pairs = zip(*np.triu_indices(dim, 1))  # i < j, in the order of triu_indices
+    corners = [si * e[i] + sj * e[j] for i, j in pairs for si, sj in signs]
+    return np.vstack([np.zeros((1, dim)), e, -e] + corners)
 
-    def shifted(deltas: dict[int, float]) -> ChartPoint:
-        q = p.copy()
-        for i, d in deltas.items():
-            q[i] += d
-        return tuple(q)
 
-    f0 = f(tuple(p))
-    plus = [f(shifted({i: h})) for i in range(dim)]
-    minus = [f(shifted({i: -h})) for i in range(dim)]
+def _stencil_tension(
+    geometry: Geometry, f: Expr | PointFunction, points: np.ndarray, h: float
+) -> np.ndarray:
+    """One expanded divergence-form stencil at step h for each row of points."""
+    n, dim = points.shape
+    X = points[:, None, :] + h * _stencil_offsets(dim)
+    if isinstance(f, Expr):
+        F = f.evaluate(X)
+    else:  # one call per stencil point
+        F = np.array([[f(tuple(x)) for x in row] for row in X], dtype=complex)
+    f0, plus, minus = F[:, :1], F[:, 1 : 1 + dim], F[:, 1 + dim : 1 + 2 * dim]
+    second = np.empty((n, dim, dim), dtype=complex)
+    axes = np.arange(dim)
+    second[:, axes, axes] = (plus - 2.0 * f0 + minus) / (h * h)
+    iu, ju = np.triu_indices(dim, 1)
+    c = F[:, 1 + 2 * dim :].reshape(n, len(iu), 4)
+    mixed = (c[..., 0] - c[..., 1] - c[..., 2] + c[..., 3]) / (4.0 * h * h)
+    second[:, iu, ju] = second[:, ju, iu] = mixed
+    inv, root = _metric_coefficients(geometry, X[:, : 1 + 2 * dim])
+    B = inv * root[..., None, None]
+    # (d_j B)^ij from the +-h e_j neighbours, summed over j
+    div = np.einsum("njij->ni", B[:, 1 : 1 + dim] - B[:, 1 + dim :]) / (2.0 * h)
+    grad = (plus - minus) / (2.0 * h)
+    principal = np.einsum("nij,nij->n", inv[:, 0], second)
+    return principal + np.einsum("ni,ni->n", div / root[:, :1], grad)
 
-    grad = [(plus[i] - minus[i]) / (2.0 * h) for i in range(dim)]
-    second = np.empty((dim, dim), dtype=complex)
-    for i in range(dim):
-        second[i, i] = (plus[i] - 2.0 * f0 + minus[i]) / (h * h)
-        for j in range(i + 1, dim):
-            mixed = (
-                f(shifted({i: h, j: h}))
-                - f(shifted({i: h, j: -h}))
-                - f(shifted({i: -h, j: h}))
-                + f(shifted({i: -h, j: -h}))
-            ) / (4.0 * h * h)
-            second[i, j] = mixed
-            second[j, i] = mixed
 
-    coeff, root = _metric_coefficients(geometry, tuple(p))
-    inv = coeff / root
-
-    principal = complex(0.0)
-    for i in range(dim):
-        for j in range(dim):
-            principal += inv[i, j] * second[i, j]
-
-    drift = complex(0.0)
-    for i in range(dim):
-        div = 0.0
-        for j in range(dim):
-            bp, _ = _metric_coefficients(geometry, shifted({j: h}))
-            bm, _ = _metric_coefficients(geometry, shifted({j: -h}))
-            div += (bp[i, j] - bm[i, j]) / (2.0 * h)
-        drift += (div / root) * grad[i]
-
-    return principal + drift
+def _fd_tensions(
+    geometry: Geometry, f: Expr | PointFunction, points: np.ndarray, config: OracleConfig
+) -> np.ndarray:
+    """Richardson-extrapolated stencil tension at each row of ``points``."""
+    geometry.check_point(points, 2.0 * config.step)
+    out = np.empty(len(points), dtype=complex)
+    with np.errstate(all="ignore"):
+        for start in range(0, len(points), CHUNK_POINTS):
+            chunk = points[start : start + CHUNK_POINTS]
+            # Richardson table for an O(h^2) base stencil with step ratio 2.
+            table = [
+                _stencil_tension(geometry, f, chunk, config.step / 2.0**i)
+                for i in range(config.levels)
+            ]
+            for j in range(1, config.levels):
+                factor = 4.0**j
+                table = [
+                    (factor * table[i + 1] - table[i]) / (factor - 1.0)
+                    for i in range(len(table) - 1)
+                ]
+            out[start : start + CHUNK_POINTS] = table[0]
+    return out
 
 
 def fd_tension(
     geometry: Geometry,
-    f: PointFunction,
+    f: Expr | PointFunction,
     point: Sequence[float],
     config: OracleConfig = OracleConfig(),
 ) -> complex:
-    """Richardson-extrapolated central-difference tension field at a point."""
-    slack = 2.0 * config.step
-    geometry.check_point(point, slack)
-    point = tuple(float(c) for c in point)
-    # Richardson table for an O(h^2) base stencil with step ratio 2.
-    table = [
-        _fd_tension_single(geometry, f, point, config.step / (2.0**i))
-        for i in range(config.levels)
-    ]
-    for j in range(1, config.levels):
-        factor = 4.0**j
-        table = [
-            (factor * table[i + 1] - table[i]) / (factor - 1.0)
-            for i in range(len(table) - 1)
-        ]
-    return table[0]
+    """Central-difference tension of f (an Expr or a point function) at a point."""
+    points = np.asarray(point, dtype=float).reshape(1, -1)
+    return complex(_fd_tensions(geometry, f, points, config)[0])
 
 
 def sample_points(
     geometry: Geometry, count: int, rng: np.random.Generator, margin: float = 0.05
-) -> list[ChartPoint]:
-    """Uniform draws from the geometry's safe box, rejecting near-boundary points."""
-    points: list[ChartPoint] = []
-    box = geometry.sample_box
-    attempts = 0
-    while len(points) < count:
-        attempts += 1
-        if attempts > 1000 * count:
+) -> np.ndarray:
+    """(count, dim) uniform draws from the safe box, rejecting near-boundary points.
+
+    Each batch draws exactly the rows still missing, so the points and the
+    generator's final state are those of drawing one coordinate at a time.
+    """
+    lo, hi = np.array(geometry.sample_box, dtype=float).T
+    batches = [np.empty((0, len(lo)))]
+    accepted = drawn = 0
+    while accepted < count:
+        if drawn >= 1000 * count:
             raise DomainError(f"cannot sample {count} points in the {geometry.name} chart")
-        p = tuple(rng.uniform(lo, hi) for lo, hi in box)
-        if geometry.contains(p, margin):
-            points.append(p)
-    return points
+        batch = rng.uniform(lo, hi, size=(count - accepted, len(lo)))
+        drawn += len(batch)
+        batches.append(batch[geometry.contains(batch, margin)])
+        accepted += len(batches[-1])
+    return np.concatenate(batches)
 
 
 @dataclass(frozen=True)
@@ -191,12 +207,6 @@ class ResidualReport:
         return self.max_rel <= self.rel_tol
 
 
-def residual(sym: complex, fd: complex) -> tuple[float, float]:
-    """(absolute, relative-with-unit-floor) residual of one comparison."""
-    err = abs(sym - fd)
-    return err, err / max(1.0, abs(sym))
-
-
 def cross_validate(
     geometry: Geometry,
     f: Expr,
@@ -207,31 +217,25 @@ def cross_validate(
 
     ``symbolic_tension`` may supply a precomputed chain entry, so iterated
     orders are validated one finite-difference layer at a time (the oracle
-    is never nested).
+    is never nested).  Residuals are relative with a unit floor; a
+    non-finite one counts as inf, so it fails the report.  The worst point
+    is the first that reaches the largest residual, None when all are 0.
     """
     sym = symbolic_tension if symbolic_tension is not None else geometry.tension(f)
     rng = np.random.default_rng(config.seed)
     points = sample_points(geometry, config.samples, rng, config.domain_margin)
-    max_abs = 0.0
-    max_rel = 0.0
-    worst: ChartPoint | None = None
-    for p in points:
-        fd = fd_tension(geometry, f.evaluate, p, config)
-        s = sym.evaluate(p)
-        err, rel = residual(s, fd)
-        if not math.isfinite(rel):  # NaN would compare false below and pass
-            rel = math.inf
-        if rel > max_rel:
-            max_rel = rel
-            worst = p
-        max_abs = max(max_abs, err)
+    s = sym.evaluate(points)
+    err = np.abs(s - _fd_tensions(geometry, f, points, config))
+    err[np.isnan(err)] = math.inf
+    rel = err / np.maximum(1.0, np.abs(s))
+    worst = int(np.argmax(rel))
     return ResidualReport(
         geometry=geometry.name,
         expression=str(f),
         points=len(points),
-        max_abs=max_abs,
-        max_rel=max_rel,
-        worst_point=worst,
+        max_abs=float(err.max()),
+        max_rel=float(rel[worst]),
+        worst_point=tuple(float(c) for c in points[worst]) if rel[worst] > 0 else None,
         rel_tol=config.rel_tol,
     )
 
@@ -268,11 +272,7 @@ def conformal_factor_ratio(
     sym = geometry.tension(f)
     rng = np.random.default_rng(config.seed)
     points = sample_points(geometry, count, rng, config.domain_margin)
-    ratios = []
-    for p in points:
-        fd = fd_tension(geometry, f.evaluate, p, config)
-        s = sym.evaluate(p)
-        if abs(fd) < config.abs_floor or abs(s) < config.abs_floor:
-            continue
-        ratios.append(abs(s) / abs(fd))
-    return ratios
+    fd = np.abs(_fd_tensions(geometry, f, points, config))
+    s = np.abs(sym.evaluate(points))
+    keep = ~((fd < config.abs_floor) | (s < config.abs_floor))  # NaN is kept
+    return (s[keep] / fd[keep]).tolist()

@@ -1,14 +1,18 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyharm.algebra import AtomSet, Expr, merge_atom_sets
+from polyharm.algebra import LOG_DISC, AtomSet, Expr, merge_atom_sets
 from polyharm.errors import ClosureError, DomainError, UsageError
-from polyharm.geometries import disc_times_line, hyperbolic_disc, sol
+from polyharm.geometries import by_id, disc_times_line, hyperbolic_disc, sol
+from polyharm.oracle import sample_points
 from polyharm.parser import parse
 from polyharm.rationals import GaussianRational
+from polyharm.verify import random_expr
 
 from conftest import gaussian_rationals
 
@@ -183,6 +187,59 @@ def test_evaluate_domain_error_outside_disc():
     f = Expr.variable(DISC, "z")
     with pytest.raises(DomainError):
         f.evaluate((1.2, 0.0))
+
+
+def _scalar_evaluate(f, point):
+    """Pure-Python term-by-term evaluation at one point: the reference for
+    the array evaluator."""
+    atoms = f.atoms
+    values = {v: complex(p) for v, p in zip(atoms.variables, point)}
+    rho2 = 0.0
+    if atoms.conformal is not None:
+        z, zb = atoms.conformal
+        x, y = float(point[atoms.index(z)]), float(point[atoms.index(zb)])
+        values[z], values[zb] = complex(x, y), complex(x, -y)
+        rho2 = x**2 + y**2
+    total = 0j
+    for t in f.terms:
+        v = complex(t.coeff)
+        for name, p in zip(atoms.variables, t.powers):
+            if p:
+                v *= values[name] ** p
+        if t.weight:
+            v *= math.exp(t.weight * values[atoms.exp_var].real)
+        if t.logp:
+            v *= math.log(1.0 - rho2 if atoms.log_kind == LOG_DISC else 1.0 + rho2)
+        total += v
+    return total
+
+
+@pytest.mark.parametrize("gid", ["sol", "nil", "sl2", "h2", "s2p", "h2xr", "s2pxr", "line"])
+def test_array_evaluate_matches_scalar_reference(gid):
+    g = by_id(gid)
+    rng = random.Random(gid)
+    weights = (-3, -2, -1, 0, 1, 2, 3) if g.atoms.exp_var else (0,)
+    points = sample_points(g, 25, np.random.default_rng(12))
+    for _ in range(12):
+        f = random_expr(
+            rng, g.atoms, max_terms=5, max_power=4, weights=weights,
+            allow_log=g.atoms.log_kind is not None,
+        )
+        values = f.evaluate(points)
+        assert values.shape == (25,)
+        for p, value in zip(points, values):
+            ref = _scalar_evaluate(f, p)
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert f.evaluate(tuple(p)) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_evaluate_overflow_is_domain_error():
+    f = parse("E(2000)", SOL)
+    assert f.evaluate((0.0, 0.0, 0.1)) == pytest.approx(math.exp(200.0))
+    with pytest.raises(DomainError):
+        f.evaluate((0.0, 0.0, 0.5))
+    with pytest.raises(DomainError):
+        f.evaluate([(0.0, 0.0, 0.1), (0.0, 0.0, 0.5)])
 
 
 @settings(max_examples=60)

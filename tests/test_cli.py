@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyharm.cli import main
 from polyharm.geometries import by_id
@@ -195,6 +199,64 @@ def test_oracle_zero_samples_is_usage_error(capsys):
     code, _, err = run(capsys, "oracle", "-g", "line", "t^2", "--samples", "0")
     assert code == 4
     assert "at least one sample" in err
+
+
+def test_oracle_unresolvable_step_is_usage_error(capsys):
+    code, _, err = run(capsys, "oracle", "-g", "line", "t^2", "--step", "1e-300")
+    assert code == 4
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "out of range" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text", ["E(2000)", "E(-2000)", "E(800)"])
+def test_oracle_float_overflow_is_domain_error(capsys, text):
+    code, _, err = run(capsys, "oracle", "-g", "sol", text)
+    assert code == 4
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not finite" in err
+
+
+FUZZ_EXPRESSIONS = {
+    "sol": ("E(2000)", "E(-2000)", "x^3*y*E(2)", "1"),
+    "nil": ("x^2*y*t", "1"),
+    "sl2": ("y*t^3", "1"),
+    "h2": ("log1m", "z*zb", "1"),
+    "s2p": ("log1p", "z^2*zb", "1"),
+    "h2xr": ("t*log1m", "z^2*zb*t", "1"),
+    "s2pxr": ("log1p", "t^3 + z", "1"),
+    "line": ("t^2", "1"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.sampled_from(sorted(FUZZ_EXPRESSIONS)).flatmap(
+        lambda gid: st.tuples(st.just(gid), st.sampled_from(FUZZ_EXPRESSIONS[gid]))
+    ),
+    convention=st.sampled_from(["metric", "paper"]),
+    step=st.sampled_from(["nan", "inf", "0", "-1e-3", "1e-300", "1e-3", "2e-3", "0.05", "1e3"]),
+    levels=st.integers(0, 80),
+    samples=st.integers(-1, 40),
+    tol=st.sampled_from(["1e-6", "1e-3", "1e-300", "0", "-1", "nan", "inf"]),
+)
+def test_oracle_numeric_contract_fuzz(case, convention, step, levels, samples, tol):
+    # every numeric setting ends in a documented exit code without a traceback
+    gid, text = case
+    argv = [
+        "oracle", "-g", gid, "--convention", convention, f"--step={step}",
+        f"--levels={levels}", f"--samples={samples}", f"--tol={tol}", text,
+    ]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    assert code in (0, 1, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert "RuntimeWarning" not in err.getvalue()
 
 
 # -- lemma-check -----------------------------------------------------------------------

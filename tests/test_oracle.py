@@ -70,6 +70,22 @@ def test_metric_domain_violation():
         metric_at(hyperbolic_disc(), (1.1, 0.0))
     with pytest.raises(DomainError):
         metric_at(sl2(), (0.0, -1.0, 0.0))
+    # on an array of points the first point outside the chart is named
+    with pytest.raises(DomainError, match=r"\(1\.1, 0\.0\)"):
+        metric_at(hyperbolic_disc(), [(0.1, 0.0), (1.1, 0.0), (0.0, 1.2)])
+
+
+@pytest.mark.parametrize(
+    "gid", ["sol", "nil", "sl2", "h2", "s2p", "h2xr", "s2pxr", "line", "product:nilxh2"]
+)
+def test_metric_on_point_arrays_stacks_single_points(gid):
+    g = by_id(gid)
+    points = sample_points(g, 12, np.random.default_rng(3))
+    stacked = np.stack([metric_at(g, p) for p in points])
+    assert np.array_equal(metric_at(g, points), stacked)
+    dim = points.shape[1]
+    grid = metric_at(g, points.reshape(3, 4, dim))
+    assert np.array_equal(grid, stacked.reshape(3, 4, dim, dim))
 
 
 # -- fd_tension -------------------------------------------------------------------
@@ -171,26 +187,32 @@ def test_cross_validate_sol_battery_member():
 
 
 def test_cross_validate_fails_on_a_nan_residual(monkeypatch):
+    # NaN at the third (and the fifth) point of the batched oracle result:
+    # the report fails, and the worst point is the first one with NaN
     import polyharm.oracle as oracle_module
 
-    exact = oracle_module.fd_tension
-    points = []
+    exact = oracle_module._fd_tensions
+    sampled = []
 
-    def nan_at_third_point(geometry, f, point, config):
-        points.append(point)
-        return math.nan if len(points) == 3 else exact(geometry, f, point, config)
+    def nan_at_third_point(geometry, f, points, config):
+        sampled.append(points)
+        values = exact(geometry, f, points, config)
+        values[[2, 4]] = math.nan
+        return values
 
-    monkeypatch.setattr(oracle_module, "fd_tension", nan_at_third_point)
+    monkeypatch.setattr(oracle_module, "_fd_tensions", nan_at_third_point)
     g = line()
     report = cross_validate(g, parse("t^2", g.atoms), OracleConfig(samples=5))
     assert not report.within_tolerance
-    assert report.worst_point == points[2]
+    assert report.worst_point == tuple(sampled[0][2])
 
 
 def test_cross_validate_constant():
     g = nil()
     report = cross_validate(g, parse("1", g.atoms), OracleConfig(samples=10))
     assert report.max_abs <= 1e-9
+    # every stencil difference of a constant is exactly 0, so no point is worst
+    assert report.max_rel == 0.0 and report.worst_point is None
 
 
 def test_cross_validate_nil_family_tension_pointwise():
@@ -317,6 +339,32 @@ def test_oracle_config_validation():
     for bad in ({"step": math.nan}, {"step": math.inf}, {"rel_tol": math.nan}, {"samples": 0}):
         with pytest.raises(UsageError):
             OracleConfig(**bad)
+    # the finest step step/2**(levels-1) must still change 1.0, and the
+    # Richardson factor 4**(levels-1) must be a float
+    for bad in ({"step": 1e-300}, {"levels": 45}, {"levels": 80}, {"step": 1e300, "levels": 600}):
+        with pytest.raises(UsageError):
+            OracleConfig(**bad)
+    assert OracleConfig(levels=44).levels == 44
+
+
+@pytest.mark.parametrize(
+    "gid, margin", [("sol", 0.05), ("sl2", 1.0), ("h2", 0.3), ("h2xr", 0.3), ("line", 0.05)]
+)
+def test_sample_points_match_scalar_draws(gid, margin):
+    # batched draws with rejection give the points, and leave the generator
+    # in the state, of drawing one coordinate at a time
+    g = by_id(gid)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        points = sample_points(g, 40, rng, margin)
+        ref_rng = np.random.default_rng(seed)
+        reference = []
+        while len(reference) < 40:
+            p = tuple(ref_rng.uniform(lo, hi) for lo, hi in g.sample_box)
+            if g.contains(p, margin):
+                reference.append(p)
+        assert np.array_equal(points, np.array(reference))
+        assert rng.uniform() == ref_rng.uniform()
 
 
 def test_sample_points_respect_domain_margin():
