@@ -33,7 +33,6 @@ is a pure function, so they can be shared between threads freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -347,7 +346,10 @@ class Expr:
             if self.atoms.exp_var is not None:
                 exp_base = P[..., self.atoms.index(self.atoms.exp_var)]
             for t in self.terms:
-                v = complex(t.coeff)
+                try:
+                    v = complex(t.coeff)
+                except OverflowError:
+                    raise DomainError("coefficient is too large for a float") from None
                 for k, p in enumerate(t.powers):
                     if p:
                         v = v * values[k] ** p
@@ -398,24 +400,6 @@ class Expr:
         return "".join(pieces)
 
 
-def _format_rational(f: Fraction) -> str:
-    return str(f)
-
-
-def _format_coefficient(c: GaussianRational) -> tuple[bool, str]:
-    """(negative sign extracted, magnitude text).
-
-    Fully complex coefficients are parenthesised and never carry an outer
-    sign, so the printed form always re-parses.
-    """
-    if c.im == 0:
-        return c.re < 0, _format_rational(abs(c.re))
-    if c.re == 0:
-        return c.im < 0, f"{_format_rational(abs(c.im))}i"
-    sign = "+" if c.im > 0 else "-"
-    return False, f"({_format_rational(c.re)}{sign}{_format_rational(abs(c.im))}i)"
-
-
 def _format_term(atoms: AtomSet, t: Term) -> tuple[bool, str]:
     factors = []
     for name, p in zip(atoms.variables, t.powers):
@@ -427,7 +411,7 @@ def _format_term(atoms: AtomSet, t: Term) -> tuple[bool, str]:
         factors.append(f"E({t.weight})")
     if t.logp:
         factors.append(atoms.log_kind)
-    negative, mag = _format_coefficient(t.coeff)
+    negative, mag = t.coeff.signed_text()
     if not factors:
         return negative, mag
     if mag == "1":

@@ -14,6 +14,18 @@ insignificant; juxtaposition is not multiplication.  The sign inside a
 plain rational literal is only accepted inside E(...) and inside the
 parenthesised complex form; everywhere else '-' is the binary operator.
 Parse of the canonical printed form is the identity.
+
+Budgets keep every input to a clean error:
+
+* parentheses nest at most ``MAX_DEPTH`` deep; a deeper '(' is a
+  ParseError at its position;
+* an integer literal has at most as many digits as Python converts
+  (``sys.get_int_max_str_digits()``, 4300 by default), else ParseError;
+* ``base ^ n`` is computed by binary exponentiation.  One power may spend
+  at most ``MAX_POWER_TERM_PRODUCTS`` term-by-term products, and the
+  coefficients it multiplies may reach at most ``MAX_POWER_COEFFICIENT_BITS``
+  bits; going over either is a UsageError.  So ``x^100000000`` is cheap,
+  while ``(x+y+t)^200`` and ``2^100000000`` are refused.
 """
 
 from __future__ import annotations
@@ -22,8 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE
-from .errors import ParseError
-from .rationals import GaussianRational
+from .errors import ParseError, UsageError
+from .rationals import GaussianRational, I
+
+MAX_DEPTH = 100
+MAX_POWER_TERM_PRODUCTS = 50_000
+MAX_POWER_COEFFICIENT_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -69,6 +85,7 @@ class _Parser:
     def __init__(self, src: str, atoms: AtomSet | None):
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
         self.atoms = atoms
 
     # -- token helpers -----------------------------------------------------
@@ -99,7 +116,10 @@ class _Parser:
         if tok.kind != "NUM":
             raise ParseError("expected an unsigned integer", tok.pos)
         self.pos += 1
-        return int(tok.text)
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than Python converts
+            raise ParseError("integer literal too long", tok.pos) from None
 
     def expect_int(self) -> int:
         neg = self.accept_op("-")
@@ -148,39 +168,40 @@ class _Parser:
         return value
 
     def parse_scalar_literal(self) -> GaussianRational:
+        negate = False
+        while self.accept_op("-"):
+            negate = not negate
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "(":
             value = self.try_complex_paren_literal()
             if value is None:
                 raise ParseError("expected a complex literal", tok.pos)
-            return value
-        if tok.kind == "OP" and tok.text == "-":
-            self.pos += 1
-            return -self.parse_scalar_literal()
-        if tok.kind != "NUM":
+        elif tok.kind == "NUM":
+            value = GaussianRational(self.parse_unsigned_rational())
+            name = self.peek()
+            if name.kind == "NAME" and name.text == "i":
+                self.pos += 1
+                value = value * I
+        else:
             raise ParseError("expected a number", tok.pos)
-        value = GaussianRational(self.parse_unsigned_rational())
-        name = self.peek()
-        if name.kind == "NAME" and name.text == "i":
-            self.pos += 1
-            return GaussianRational(Fraction(0), value.re)
-        return value
+        return -value if negate else value
 
     # -- grammar ------------------------------------------------------------
 
     def parse_expr(self) -> Expr:
         negate = self.accept_op("-")
-        result = self.parse_term()
-        if negate:
-            result = -result
+        first = self.parse_term()
+        parts = [-first if negate else first]
         while True:
             tok = self.peek()
             if tok.kind == "OP" and tok.text in "+-":
                 self.pos += 1
                 rhs = self.parse_term()
-                result = result - rhs if tok.text == "-" else result + rhs
+                parts.append(-rhs if tok.text == "-" else rhs)
+            elif len(parts) == 1:
+                return parts[0]
             else:
-                return result
+                return Expr.sum(self.atoms, parts)
 
     def parse_term(self) -> Expr:
         result = self.parse_factor()
@@ -189,18 +210,13 @@ class _Parser:
         return result
 
     def parse_factor(self) -> Expr:
-        base_tok = self.peek()
         base = self.parse_base()
         if self.accept_op("^"):
             exp_tok = self.peek()
             power = self.expect_uint()
             if base._has_log() and power >= 2:
                 raise ParseError("log atom squared", exp_tok.pos)
-            result = Expr.constant(self.atoms, 1)
-            for _ in range(power):
-                result = result * base
-            return result
-        _ = base_tok
+            return _power(base, power)
         return base
 
     def parse_base(self) -> Expr:
@@ -213,9 +229,13 @@ class _Parser:
             literal = self.try_complex_paren_literal()
             if literal is not None:
                 return Expr.constant(self.atoms, literal)
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", tok.pos)
+            self.depth += 1
             self.expect_op("(")
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError("expected a variable, literal or '('", tok.pos)
 
@@ -238,6 +258,35 @@ class _Parser:
         if name in self.atoms.variables:
             return Expr.variable(self.atoms, name)
         raise ParseError(f"unknown atom {name!r} for this chart", tok.pos)
+
+
+def _power(base: Expr, n: int) -> Expr:
+    """base^n by binary exponentiation, within the power budgets."""
+    spent = 0
+
+    def product(x: Expr, y: Expr) -> Expr:
+        nonlocal spent
+        spent += len(x.terms) * len(y.terms)
+        if spent > MAX_POWER_TERM_PRODUCTS:
+            raise UsageError(f"power needs more than {MAX_POWER_TERM_PRODUCTS} term products")
+        if _coefficient_bits(x) + _coefficient_bits(y) > MAX_POWER_COEFFICIENT_BITS:
+            raise UsageError(f"power has coefficients beyond {MAX_POWER_COEFFICIENT_BITS} bits")
+        return x * y
+
+    result = Expr.constant(base.atoms, 1)
+    while n:
+        if n & 1:
+            result = product(result, base)
+        n >>= 1
+        if n:
+            base = product(base, base)
+    return result
+
+
+def _coefficient_bits(e: Expr) -> int:
+    """Bit length of the largest integer of the coefficient triples of e."""
+    sizes = (max(abs(t.coeff.a), abs(t.coeff.b), t.coeff.d) for t in e.terms)
+    return max(sizes, default=0).bit_length()
 
 
 def parse(src: str, atoms: AtomSet) -> Expr:

@@ -338,6 +338,82 @@ def test_exit_code_bad_flag_is_usage(capsys):
     capsys.readouterr()
 
 
+def test_deep_parentheses_are_parse_error(capsys):
+    code, _, err = run(capsys, "classify", "-g", "nil", "(" * 3000 + "x" + ")" * 3000)
+    assert code == 2
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert "position 100" in err
+
+
+def test_huge_power_of_a_monomial_is_computed_by_squaring(capsys):
+    code, out, _ = run(capsys, "classify", "-g", "nil", "x^100000000")
+    assert code == 0
+    assert "tau^1: 9999999900000000*x^99999998" in out
+
+
+@pytest.mark.parametrize("text", ["(x+y+t)^200", "2^100000000"])
+def test_power_over_budget_is_usage_error(capsys, text):
+    code, _, err = run(capsys, "classify", "-g", "nil", text)
+    assert code == 4
+    assert err.startswith("error: power ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["classify", "-g", "nil", "1" * 5000 + "*x"], 2),
+        (["classify", "-g", "nil", "*".join(["2^4000"] * 5 + ["x"])], 4),
+        (["oracle", "-g", "nil", "2^2000*x"], 4),
+        (["generate", "nil.f1", "--hol=" + "-" * 3000 + "1"], 0),
+    ],
+)
+def test_oversized_numbers_end_in_a_documented_exit_code(capsys, argv, expected):
+    code, _, err = run(capsys, *argv)
+    assert code == expected, err
+    assert "Traceback" not in err
+
+
+EXPRESSION_TOKENS = (
+    "x", "y", "t", "z", "zb", "s", "i", "0", "1", "2", "3/4", "7/0", "12", "9" * 40,
+    "1" * 5000, "2i", "(1+2i)", "(1-2i)/3", "(-1/2+3i)", "E(2)", "E(-3)", "E(2000)",
+    "E(", "E(-", "log1m", "log1p", "+", "-", "*", "/", "^", "(", ")", " ", "@",
+    "^2", "^3", "^200", "^100000000", "(" * 60, ")" * 60, "(" * 150, ")" * 150,
+)
+EXPRESSION_ATOMS = st.sampled_from(
+    ["x", "y", "t", "z", "zb", "2i", "3/4", "(1-2i)/3", "E(2)", "E(-3)", "E(2000)",
+     "log1m", "log1p"]
+)
+WELL_FORMED = st.recursive(
+    EXPRESSION_ATOMS,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner).map("".join),
+        st.tuples(inner, st.sampled_from(["^2", "^3", "^200", "^100000000"])).map(
+            lambda p: f"({p[0]}){p[1]}"
+        ),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from([("tension", "-r", "1"), ("classify", "--r-max", "2")]),
+    gid=st.sampled_from(["sol", "nil", "sl2", "h2", "s2p", "h2xr", "s2pxr", "line"]),
+    text=st.one_of(
+        st.lists(st.sampled_from(EXPRESSION_TOKENS), min_size=1, max_size=12).map("".join),
+        WELL_FORMED,
+    ),
+)
+def test_expression_text_fuzz(command, gid, text):
+    # any expression text ends in a documented exit code without a traceback
+    argv = [*command, "-g", gid, "--", text]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
 def test_environment_variable_sets_default_convention(capsys, monkeypatch):
     # leading-dash expressions go after the "--" separator
     monkeypatch.setenv("POLYHARM_CONVENTION", "paper")

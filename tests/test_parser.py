@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyharm.algebra import Expr
-from polyharm.errors import ParseError
+from polyharm.errors import ParseError, UsageError
 from polyharm.geometries import by_id, disc_times_line, sol
-from polyharm.parser import parse, parse_scalar
+from polyharm.parser import MAX_DEPTH, parse, parse_scalar
 from polyharm.rationals import GaussianRational
 
 from conftest import gaussian_rationals
@@ -152,3 +152,51 @@ def test_round_trip_on_every_chart():
         atoms = by_id(gid).atoms
         f = parse(text, atoms)
         assert parse(str(f), atoms) == f
+
+
+# -- budgets, powers by squaring and single-pass sums ------------------------------
+
+
+@settings(max_examples=60)
+@given(sol_exprs(), st.integers(0, 9))
+def test_power_matches_repeated_multiplication(f, n):
+    expected = Expr.constant(SOL, 1)
+    for _ in range(n):
+        expected = expected * f
+    assert parse(f"({f})^{n}", SOL) == expected
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.booleans(), sol_exprs()), min_size=1, max_size=8))
+def test_sum_matches_running_sum(pieces):
+    text = ""
+    expected = Expr.zero(SOL)
+    for i, (minus, f) in enumerate(pieces):
+        text += ("-" if minus else "" if i == 0 else "+") + f"({f})"
+        expected = expected - f if minus else expected + f
+    assert parse(text, SOL) == expected
+
+
+def test_parenthesis_depth_limit():
+    assert parse("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, SOL) == parse("x", SOL)
+    with pytest.raises(ParseError) as err:
+        parse("(" * 3000 + "x" + ")" * 3000, SOL)
+    assert err.value.position == MAX_DEPTH
+
+
+def test_power_budgets():
+    assert parse("x^100000000", SOL) == Expr.variable(SOL, "x", 100000000)
+    assert len(parse("(x+y+t)^20", SOL).terms) == 231
+    for text in ("(x+y+t)^200", "2^100000000", "(1/3*x)^3000"):
+        with pytest.raises(UsageError):
+            parse(text, SOL)
+
+
+def test_overlong_integer_literal_is_parse_error():
+    with pytest.raises(ParseError):
+        parse("1" * 5000 + "*x", SOL)
+
+
+def test_scalar_sign_chain_is_not_recursive():
+    assert parse_scalar("-" * 3001 + "2") == GaussianRational.coerce(-2)
+    assert parse_scalar("-" * 3000 + "(1+2i)") == GaussianRational.of(1, 2)
