@@ -33,6 +33,7 @@ is a pure function, so they can be shared between threads freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable
 
 import numpy as np
@@ -76,6 +77,13 @@ class AtomSet:
             return self.variables.index(name)
         except ValueError:
             raise UsageError(f"unknown variable {name!r} for this chart") from None
+
+    def exponents(self, powers: dict[str, int]) -> tuple[int, ...]:
+        """Exponent tuple over ``variables`` of a name -> power mapping."""
+        exps = [0] * len(self.variables)
+        for name, p in powers.items():
+            exps[self.index(name)] = p
+        return tuple(exps)
 
     def conformal_indices(self) -> tuple[int, int] | None:
         if self.conformal is None:
@@ -238,10 +246,7 @@ class Expr:
         weight: int = 0,
         log: int = 0,
     ) -> "Expr":
-        exps = [0] * len(atoms.variables)
-        for name, p in (powers or {}).items():
-            exps[atoms.index(name)] = p
-        term = Term(GaussianRational.coerce(coeff), tuple(exps), weight, log)
+        term = Term(GaussianRational.coerce(coeff), atoms.exponents(powers or {}), weight, log)
         return Expr(atoms, _canonical(atoms, [term]))
 
     @staticmethod
@@ -252,6 +257,18 @@ class Expr:
             if e.atoms != atoms:
                 raise UsageError("operands live in different chart algebras")
             raw.extend(e.terms)
+        return Expr(atoms, _canonical(atoms, raw))
+
+    @staticmethod
+    def combine(atoms: AtomSet, parts: Iterable[tuple]) -> "Expr":
+        """sum of c * m * e over parts (c, powers, weight, e) in one
+        canonicalisation pass, with m = prod v^p * E(weight) and ``powers``
+        an exponent tuple over ``atoms.variables``; every e lives in ``atoms``."""
+        raw = [
+            Term(t.coeff * c, tuple(map(add, t.powers, powers)), t.weight + weight, t.logp)
+            for c, powers, weight, e in parts
+            for t in e.terms
+        ]
         return Expr(atoms, _canonical(atoms, raw))
 
     # -- ring operations ---------------------------------------------------
@@ -370,8 +387,11 @@ class Expr:
     def _has_log(self) -> bool:
         return any(t.logp for t in self.terms)
 
-    def split_log(self) -> tuple["Expr", "Expr"]:
-        """(log-free part P, stripped log coefficient A) with self = P + A*L."""
+    def split_log(self) -> tuple["Expr", "Expr | None"]:
+        """(log-free part P, stripped log coefficient A) with self = P + A*L;
+        A is None when no term carries L."""
+        if not self._has_log():
+            return self, None
         poly = [t for t in self.terms if not t.logp]
         stripped = [
             Term(t.coeff, t.powers, t.weight, 0) for t in self.terms if t.logp

@@ -462,11 +462,12 @@ class FamilyDescriptor:
     admissible: Callable[[dict], bool]
 
 
-def _rand_fraction(rng: random.Random, lo: int = -6, hi: int = 6) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, 3))
+def _rand_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
 
 
-def _rand_scalar(rng: random.Random, complex_ok: bool = True) -> GaussianRational:
+def random_scalar(rng: random.Random, complex_ok: bool = True) -> GaussianRational:
+    """Seeded scalar with parts in {-6..6}/{1,2,3}; complex with probability 0.3."""
     re = _rand_fraction(rng)
     im = _rand_fraction(rng) if complex_ok and rng.random() < 0.3 else Fraction(0)
     return GaussianRational(re, im)
@@ -474,14 +475,14 @@ def _rand_scalar(rng: random.Random, complex_ok: bool = True) -> GaussianRationa
 
 def _rand_vector(rng: random.Random, k: int, nonzero: bool = True) -> list[GaussianRational]:
     while True:
-        v = [_rand_scalar(rng) for _ in range(k)]
+        v = [random_scalar(rng) for _ in range(k)]
         if not nonzero or not _all_zero(v):
             return v
 
 
-def _rand_nonzero(rng: random.Random) -> GaussianRational:
+def random_nonzero_scalar(rng: random.Random) -> GaussianRational:
     while True:
-        v = _rand_scalar(rng)
+        v = random_scalar(rng)
         if not v.is_zero():
             return v
 
@@ -518,12 +519,12 @@ def _descriptors() -> dict[str, FamilyDescriptor]:
             lambda params: 1,
             lambda rng: {
                 "n": rng.choice([2, 3]),
-                "a": _rand_nonzero(rng),
-                "b": _rand_nonzero(rng),
-                "alpha": _rand_nonzero(rng),
-                "beta": _rand_scalar(rng),
-                "gamma": _rand_nonzero(rng),
-                "delta": _rand_scalar(rng),
+                "a": random_nonzero_scalar(rng),
+                "b": random_nonzero_scalar(rng),
+                "alpha": random_nonzero_scalar(rng),
+                "beta": random_scalar(rng),
+                "gamma": random_nonzero_scalar(rng),
+                "delta": random_scalar(rng),
             },
             lambda params: True,
         ),
@@ -533,10 +534,10 @@ def _descriptors() -> dict[str, FamilyDescriptor]:
             lambda convention, a2, a3, b2, b3: (sol(), sol_h2h3(a2, a3, b2, b3)),
             lambda params: 2,
             lambda rng: {
-                "a2": _rand_scalar(rng),
-                "a3": _rand_scalar(rng),
-                "b2": _rand_scalar(rng),
-                "b3": _rand_scalar(rng),
+                "a2": random_scalar(rng),
+                "a3": random_scalar(rng),
+                "b2": random_scalar(rng),
+                "b3": random_scalar(rng),
             },
             lambda params: not _all_zero([params["a2"], params["a3"]])
             and not _all_zero([params["b2"], params["b3"]]),
@@ -643,10 +644,10 @@ def _sample_separable(rng: random.Random) -> dict:
     hol = _rand_vector(rng, rng.randint(0, 3), nonzero=False)
     antihol = _rand_vector(rng, rng.randint(0, 3), nonzero=False)
     if _all_zero(list(hol) + list(antihol)):
-        hol = [_rand_nonzero(rng)]
-    p = [_rand_scalar(rng), _rand_scalar(rng), _rand_scalar(rng), _rand_scalar(rng)]
+        hol = [random_nonzero_scalar(rng)]
+    p = [random_scalar(rng), random_scalar(rng), random_scalar(rng), random_scalar(rng)]
     if _all_zero(p[2:]):
-        p[2] = _rand_nonzero(rng)
+        p[2] = random_nonzero_scalar(rng)
     return {"hol": hol, "antihol": antihol, "p": p}
 
 

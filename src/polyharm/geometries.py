@@ -1,9 +1,10 @@
 """Model geometries with exact tension and conformality operators.
 
-Each geometry bundles a chart algebra (AtomSet), the symbolic tension
-field tau (the Laplace-Beltrami operator on complex-valued functions), the
-symbolic conformality operator kappa(f, h) = g(grad f, grad h), a numeric
-metric evaluator for the finite-difference oracle, and a domain predicate.
+Each geometry bundles a chart algebra (AtomSet), an operator table that
+drives both the symbolic tension field tau (the Laplace-Beltrami operator on
+complex-valued functions) and the symbolic conformality operator
+kappa(f, h) = g(grad f, grad h), a numeric metric evaluator for the
+finite-difference oracle, and a domain predicate.
 
 Operator rules in chart coordinates (x, y, t):
 
@@ -16,16 +17,14 @@ and on conformal surfaces, with u = z*zb and s = -1 (disc) or +1
 
     tau f = c (1 + s u)^2 f_zzb        c = 1 (metric) or 4 (paper)
 
-The kappa rules for nil and sl2 are not usually written out; they follow
-from kappa = sum g^ij f_i h_j with the inverse metrics
-
-    nil  g^-1 = [[1,0,0],[0,1,x],[0,x,1+x^2]]
-    sl2  g^-1 = [[y^2,0,-y],[0,y^2,0],[-y,0,2]]
-
-which gives
-
-    nil   kappa = f_x h_x + f_y h_y + x (f_y h_t + f_t h_y) + (1+x^2) f_t h_t
-    sl2   kappa = y^2 (f_x h_x + f_y h_y) - y (f_x h_t + f_t h_x) + 2 f_t h_t
+Each line is a chart's table.  An entry (c, powers, weight, i, j) reads
+c * prod v^p * E(weight) * d_i d_j, so the entries list the inverse metric:
+one with i == j is g^ii, one with i != j stands for g^ij + g^ji.  The same
+entries give kappa = sum g^ij f_i h_j: c m f_i h_i on the diagonal and
+c m (f_i h_j + f_j h_i) / 2 off it.  Entries on the conformal pair act on
+the log-free part of f; the log atom L follows the closed-form rule of its
+surface, tau(L) = s c, with its own kappa terms.  Adding a chart means
+adding one table and one ``metric``.
 
 Two operator conventions exist for the conformal surfaces because the
 printed conformal factor of the operator (4(1 -+ u)^2) is four times the
@@ -34,10 +33,10 @@ default is the metric-derived factor, which is what the numerical oracle
 validates; the "paper" flag reproduces the printed operator.  Properness
 orders agree under both, which the test suite asserts.
 
-Product charts add the factor operators: tau = tau_1 + tau_2 and
-kappa = kappa_1 + kappa_2, acting on the disjoint union of the factor
-variables.  Cross-factor kappa of separable functions vanishes by
-construction.
+A product chart concatenates the factor tables, so tau = tau_1 + tau_2 and
+kappa = kappa_1 + kappa_2 on the disjoint union of the factor variables,
+and takes the log rule of its one log-bearing factor.  Cross-factor kappa
+of separable functions vanishes by construction.
 """
 
 from __future__ import annotations
@@ -64,23 +63,82 @@ def _matrix(points: np.ndarray, rows) -> np.ndarray:
     return np.stack(entries, axis=-1).reshape(shape + (len(rows), len(rows)))
 
 
-class Geometry:
-    """A chart with symbolic operators and a numeric metric.
+def _first_partials(f: Expr, free: Expr):
+    """v -> d_v f, each taken once; a partial in the conformal pair reads the
+    log-free part ``free`` of f."""
+    conformal = f.atoms.conformal or ()
+    cache = {}
 
+    def first(v: str) -> Expr:
+        d = cache.get(v)
+        if d is None:
+            d = cache[v] = (free if v in conformal else f).differentiate(v)
+        return d
+
+    return first
+
+
+class Geometry:
+    """A chart with an operator table and a numeric metric.
+
+    ``table`` holds the entries (c, powers, weight, i, j) of tau described in
+    the module docstring, with ``powers`` a name -> exponent mapping.
+    ``log_rule`` is the conformal surface whose log rule applies, or None.
     ``metric`` and ``contains`` take one point or an array of points of
     shape (..., dim) and answer per point: a (..., dim, dim) metric array
     and a (...) boolean array.
     """
 
-    name: str
-    atoms: AtomSet
-    sample_box: Box
+    log_rule: "ConformalSurface | None" = None
+
+    def __init__(self, name: str, atoms: AtomSet, sample_box: Box, table: tuple):
+        self.name = name
+        self.atoms = atoms
+        self.sample_box = sample_box
+        self.table = table
+        self._resolved: dict[AtomSet, tuple] = {}
+
+    def _entries(self, atoms: AtomSet) -> tuple:
+        """The table with ``powers`` as exponent tuples over ``atoms``."""
+        entries = self._resolved.get(atoms)
+        if entries is None:
+            entries = self._resolved[atoms] = tuple(
+                (c, atoms.exponents(powers), weight, i, j)
+                for c, powers, weight, i, j in self.table
+            )
+        return entries
 
     def tension(self, f: Expr) -> Expr:
-        raise NotImplementedError
+        self._require(f)
+        free, logc = f.split_log()
+        first = _first_partials(f, free)
+        second = {}
+        parts = []
+        for c, powers, weight, i, j in self._entries(f.atoms):
+            d2 = second.get((i, j))
+            if d2 is None:
+                d2 = second[i, j] = first(j).differentiate(i)
+            parts.append((c, powers, weight, d2))
+        if logc is not None and self.log_rule is not None:
+            parts.append(self.log_rule.log_tension_part(logc))
+        return Expr.combine(f.atoms, parts)
 
     def conformality(self, f: Expr, h: Expr) -> Expr:
-        raise NotImplementedError
+        self._require(f)
+        self._require(h)
+        (fp, fa), (hp, ha) = f.split_log(), h.split_log()
+        df, dh = _first_partials(f, fp), _first_partials(h, hp)
+        parts = []
+        for c, powers, weight, i, j in self._entries(f.atoms):
+            if i == j:
+                parts.append((c, powers, weight, df(i) * dh(i)))
+            else:
+                half = GaussianRational.coerce(c) / 2
+                parts.append((half, powers, weight, df(i) * dh(j)))
+                parts.append((half, powers, weight, df(j) * dh(i)))
+        if self.log_rule is not None:
+            parts.extend(self.log_rule.log_conformality_parts(f.atoms, fa, ha, df, dh))
+        return Expr.combine(f.atoms, parts)
 
     def metric(self, point) -> np.ndarray:
         raise NotImplementedError
@@ -111,27 +169,15 @@ class Geometry:
 
 class SolGeometry(Geometry):
     def __init__(self):
-        self.name = "sol"
-        self.atoms = AtomSet(("x", "y", "t"), exp_var="t")
-        self.sample_box = ((-1.0, 1.0),) * 3
-
-    def tension(self, f: Expr) -> Expr:
-        self._require(f)
-        a = f.atoms
-        return (
-            Expr.exponential(a, -2) * f.differentiate("x").differentiate("x")
-            + Expr.exponential(a, 2) * f.differentiate("y").differentiate("y")
-            + f.differentiate("t").differentiate("t")
-        )
-
-    def conformality(self, f: Expr, h: Expr) -> Expr:
-        self._require(f)
-        self._require(h)
-        a = f.atoms
-        return (
-            Expr.exponential(a, -2) * f.differentiate("x") * h.differentiate("x")
-            + Expr.exponential(a, 2) * f.differentiate("y") * h.differentiate("y")
-            + f.differentiate("t") * h.differentiate("t")
+        super().__init__(
+            "sol",
+            AtomSet(("x", "y", "t"), exp_var="t"),
+            ((-1.0, 1.0),) * 3,
+            (
+                (1, {}, -2, "x", "x"),
+                (1, {}, 2, "y", "y"),
+                (1, {}, 0, "t", "t"),
+            ),
         )
 
     def metric(self, point) -> np.ndarray:
@@ -149,31 +195,18 @@ class SolGeometry(Geometry):
 
 class NilGeometry(Geometry):
     def __init__(self):
-        self.name = "nil"
-        self.atoms = AtomSet(("x", "y", "t"))
-        self.sample_box = ((-1.0, 1.0),) * 3
-
-    def tension(self, f: Expr) -> Expr:
-        self._require(f)
-        a = f.atoms
-        x = Expr.variable(a, "x")
-        one_xx = Expr.constant(a, 1) + x * x
-        return (
-            f.differentiate("x").differentiate("x")
-            + f.differentiate("y").differentiate("y")
-            + 2 * (x * f.differentiate("y").differentiate("t"))
-            + one_xx * f.differentiate("t").differentiate("t")
+        super().__init__(
+            "nil",
+            AtomSet(("x", "y", "t")),
+            ((-1.0, 1.0),) * 3,
+            (
+                (1, {}, 0, "x", "x"),
+                (1, {}, 0, "y", "y"),
+                (2, {"x": 1}, 0, "y", "t"),
+                (1, {}, 0, "t", "t"),
+                (1, {"x": 2}, 0, "t", "t"),
+            ),
         )
-
-    def conformality(self, f: Expr, h: Expr) -> Expr:
-        self._require(f)
-        self._require(h)
-        a = f.atoms
-        x = Expr.variable(a, "x")
-        one_xx = Expr.constant(a, 1) + x * x
-        fx, fy, ft = (f.differentiate(v) for v in ("x", "y", "t"))
-        hx, hy, ht = (h.differentiate(v) for v in ("x", "y", "t"))
-        return fx * hx + fy * hy + x * (fy * ht + ft * hy) + one_xx * (ft * ht)
 
     def metric(self, point) -> np.ndarray:
         P = np.asarray(point, dtype=float)
@@ -183,34 +216,17 @@ class NilGeometry(Geometry):
 
 class Sl2Geometry(Geometry):
     def __init__(self):
-        self.name = "sl2"
-        self.atoms = AtomSet(("x", "y", "t"))
-        self.sample_box = ((-1.0, 1.0), (0.5, 2.0), (-1.0, 1.0))
-
-    def tension(self, f: Expr) -> Expr:
-        self._require(f)
-        a = f.atoms
-        y2 = Expr.variable(a, "y", 2)
-        y = Expr.variable(a, "y")
-        return (
-            y2
-            * (
-                f.differentiate("x").differentiate("x")
-                + f.differentiate("y").differentiate("y")
-            )
-            + 2 * f.differentiate("t").differentiate("t")
-            - 2 * (y * f.differentiate("x").differentiate("t"))
+        super().__init__(
+            "sl2",
+            AtomSet(("x", "y", "t")),
+            ((-1.0, 1.0), (0.5, 2.0), (-1.0, 1.0)),
+            (
+                (1, {"y": 2}, 0, "x", "x"),
+                (1, {"y": 2}, 0, "y", "y"),
+                (2, {}, 0, "t", "t"),
+                (-2, {"y": 1}, 0, "x", "t"),
+            ),
         )
-
-    def conformality(self, f: Expr, h: Expr) -> Expr:
-        self._require(f)
-        self._require(h)
-        a = f.atoms
-        y2 = Expr.variable(a, "y", 2)
-        y = Expr.variable(a, "y")
-        fx, fy, ft = (f.differentiate(v) for v in ("x", "y", "t"))
-        hx, hy, ht = (h.differentiate(v) for v in ("x", "y", "t"))
-        return y2 * (fx * hx + fy * hy) - y * (fx * ht + ft * hx) + 2 * (ft * ht)
 
     def metric(self, point) -> np.ndarray:
         P = np.asarray(point, dtype=float)
@@ -240,74 +256,50 @@ class ConformalSurface(Geometry):
     def __init__(self, sign: int, convention: str = "metric"):
         if convention not in CONVENTIONS:
             raise UsageError(f"unknown convention {convention!r}")
-        self.sign = sign
-        self.convention = convention
-        self.factor = 4 if convention == "paper" else 1
         if sign == -1:
-            self.name = "h2"
-            log_kind = LOG_DISC
+            name, log_kind = "h2", LOG_DISC
         elif sign == 1:
-            self.name = "s2p"
-            log_kind = LOG_SPHERE
+            name, log_kind = "s2p", LOG_SPHERE
         else:
             raise UsageError("sign must be -1 or +1")
-        self.atoms = AtomSet(
-            ("z", "zb"), log_kind=log_kind, conformal=("z", "zb")
+        self.sign = sign
+        self.factor = 4 if convention == "paper" else 1
+        c = self.factor
+        super().__init__(
+            name,
+            AtomSet(("z", "zb"), log_kind=log_kind, conformal=("z", "zb")),
+            ((-0.9, 0.9), (-0.9, 0.9)),
+            (
+                (c, {}, 0, "z", "zb"),
+                (2 * sign * c, {"z": 1, "zb": 1}, 0, "z", "zb"),
+                (c, {"z": 2, "zb": 2}, 0, "z", "zb"),
+            ),
         )
-        self.sample_box = ((-0.9, 0.9), (-0.9, 0.9))
+        self.log_rule = self
 
-    def _u(self, atoms: AtomSet) -> Expr:
-        z, zb = atoms.conformal
-        return Expr.variable(atoms, z) * Expr.variable(atoms, zb)
+    def log_tension_part(self, logc: Expr) -> tuple:
+        """tau(A L) = s c A for a log coefficient A free of z and zb."""
+        return (self.sign * self.factor, (0,) * len(logc.atoms.variables), 0, logc)
 
-    def tension(self, f: Expr) -> Expr:
-        self._require(f)
-        a = f.atoms
-        z, zb = a.conformal
-        poly, logcoeff = f.split_log()
-        u = self._u(a)
-        square = Expr.constant(a, 1) + (2 * self.sign) * u + u * u
-        result = self.factor * (
-            square * poly.differentiate(z).differentiate(zb)
-        )
-        if not logcoeff.is_zero():
-            # tau(L) = sign * c: the log atom is polyharmonic seed material.
-            result = result + (self.sign * self.factor) * logcoeff
-        return result
+    def log_conformality_parts(self, atoms: AtomSet, fa, ha, df, dh) -> list:
+        """The L-bearing kappa terms of f = fp + fa L and h = hp + ha L:
 
-    def conformality(self, f: Expr, h: Expr) -> Expr:
-        self._require(f)
-        self._require(h)
-        a = f.atoms
-        z, zb = a.conformal
-        half = GaussianRational.coerce(self.factor) / 2
-        u = self._u(a)
-        one = Expr.constant(a, 1)
-        lin = one + self.sign * u
-        square = lin * lin
-        fp, fa = f.split_log()
-        hp, ha = h.split_log()
-        zvar = Expr.variable(a, z)
-        zbvar = Expr.variable(a, zb)
+            (s c / 2) (1 + s u) sum_v v (fa hp_v + ha fp_v)  +  c u fa ha
 
-        result = half * (
-            square
-            * (
-                fp.differentiate(z) * hp.differentiate(zb)
-                + fp.differentiate(zb) * hp.differentiate(z)
-            )
-        )
-        if not fa.is_zero():
-            result = result + (self.sign * half) * (
-                lin * fa * (zbvar * hp.differentiate(zb) + zvar * hp.differentiate(z))
-            )
-        if not ha.is_zero():
-            result = result + (self.sign * half) * (
-                lin * ha * (zbvar * fp.differentiate(zb) + zvar * fp.differentiate(z))
-            )
-        if not fa.is_zero() and not ha.is_zero():
-            result = result + self.factor * (u * fa * ha)
-        return result
+        over v in (z, zb); ``fa``/``ha`` are None when absent and ``df``/``dh``
+        give the partials of the log-free parts."""
+        s, half = self.sign, GaussianRational.coerce(self.factor) / 2
+        parts = []
+        for a, d in ((fa, dh), (ha, df)):
+            if a is None:
+                continue
+            for v, w in (("z", "zb"), ("zb", "z")):
+                a_dv = a * d(v)
+                parts.append((s * half, atoms.exponents({v: 1}), 0, a_dv))
+                parts.append((half, atoms.exponents({v: 2, w: 1}), 0, a_dv))
+        if fa is not None and ha is not None:
+            parts.append((self.factor, atoms.exponents({"z": 1, "zb": 1}), 0, fa * ha))
+        return parts
 
     def metric(self, point) -> np.ndarray:
         P = np.asarray(point, dtype=float)
@@ -329,42 +321,31 @@ class Line(Geometry):
     """Flat line factor; the chart variable is configurable (default t)."""
 
     def __init__(self, var: str = "t"):
-        self.var = var
-        self.name = "line" if var == "t" else f"line[{var}]"
-        self.atoms = AtomSet((var,))
-        self.sample_box = ((-1.0, 1.0),)
-
-    def tension(self, f: Expr) -> Expr:
-        self._require(f)
-        return f.differentiate(self.var).differentiate(self.var)
-
-    def conformality(self, f: Expr, h: Expr) -> Expr:
-        self._require(f)
-        self._require(h)
-        return f.differentiate(self.var) * h.differentiate(self.var)
+        super().__init__(
+            "line" if var == "t" else f"line[{var}]",
+            AtomSet((var,)),
+            ((-1.0, 1.0),),
+            ((1, {}, 0, var, var),),
+        )
 
     def metric(self, point) -> np.ndarray:
         return _matrix(np.asarray(point, dtype=float), ((1.0,),))
 
 
 class ProductGeometry(Geometry):
-    """Riemannian product: operators are the sums of the factor operators."""
+    """Riemannian product: the factor tables side by side, and the log rule
+    of the log-bearing factor."""
 
     def __init__(self, first: Geometry, second: Geometry, name: str | None = None):
+        super().__init__(
+            name or f"{first.name}x{second.name}",
+            merge_atom_sets(first.atoms, second.atoms),
+            first.sample_box + second.sample_box,
+            first.table + second.table,
+        )
         self.first = first
         self.second = second
-        self.atoms = merge_atom_sets(first.atoms, second.atoms)
-        self.name = name or f"{first.name}x{second.name}"
-        self.sample_box = first.sample_box + second.sample_box
-
-    def tension(self, f: Expr) -> Expr:
-        self._require(f)
-        return self.first.tension(f) + self.second.tension(f)
-
-    def conformality(self, f: Expr, h: Expr) -> Expr:
-        self._require(f)
-        self._require(h)
-        return self.first.conformality(f, h) + self.second.conformality(f, h)
+        self.log_rule = first.log_rule or second.log_rule
 
     def metric(self, point) -> np.ndarray:
         P = np.asarray(point, dtype=float)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .algebra import AtomSet, Expr
@@ -31,6 +30,8 @@ from .families import (
     log_biharmonic,
     nil_biharmonic12,
     nil_harmonic,
+    random_nonzero_scalar,
+    random_scalar,
     separable_product,
     sl2_biharmonic6,
     sl2_harmonic,
@@ -75,23 +76,6 @@ class CheckResult:
 
 def _result(check_id: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(check_id, "pass" if ok else "fail", detail)
-
-
-def random_scalar(rng: random.Random, complex_ok: bool = True) -> GaussianRational:
-    re = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-    im = (
-        Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-        if complex_ok and rng.random() < 0.3
-        else Fraction(0)
-    )
-    return GaussianRational(re, im)
-
-
-def random_nonzero_scalar(rng: random.Random) -> GaussianRational:
-    while True:
-        v = random_scalar(rng)
-        if not v.is_zero():
-            return v
 
 
 def random_expr(

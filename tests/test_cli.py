@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyharm
 from polyharm.cli import main
 from polyharm.geometries import by_id
 from polyharm.parser import parse
@@ -452,3 +457,23 @@ def test_json_chains_reparse_to_identical_expressions(capsys):
         for printed in payload["chain"]:
             again = parse(printed, atoms)
             assert str(again) == printed
+
+
+def test_output_into_a_closed_pipe_exits_4_quietly():
+    # the reader takes a few bytes and closes the pipe while about 180 kB of
+    # the chain are still unwritten
+    src = str(Path(polyharm.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polyharm", "tension", "-g", "line", "-r", "6", "(1+t)^300"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=30) == 4
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -4,6 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
+from polyharm.algebra import Expr
 from polyharm.errors import DomainError, UsageError
 from polyharm.families import log_biharmonic, nil_biharmonic12
 from polyharm.geometries import (
@@ -285,7 +286,8 @@ def _fd_conformality(geometry, f, h, point, step=1e-4):
 
 
 def test_conformality_matches_numeric_gradient_pairing():
-    # validates the derived nil and sl2 conformality rules directly against
+    # validates kappa as read from each operator table (diagonal and
+    # off-diagonal entries, conformal pair, product tables) directly against
     # the metric, independently of the symbolic tension field
     import random
 
@@ -293,7 +295,8 @@ def test_conformality_matches_numeric_gradient_pairing():
 
     rng = random.Random(42)
     oracle_rng = np.random.default_rng(43)
-    for g in (sol(), nil(), sl2()):
+    gids = ("sol", "nil", "sl2", "line", "h2", "s2p", "h2xr", "s2pxr", "product:nilxh2")
+    for g in map(by_id, gids):
         weights = (-2, 0, 2) if g.name == "sol" else (0,)
         for _ in range(5):
             f = random_expr(rng, g.atoms, max_terms=2, weights=weights)
@@ -304,6 +307,32 @@ def test_conformality_matches_numeric_gradient_pairing():
                 assert abs(sym.evaluate(p) - numeric) <= 1e-5 * (
                     1 + abs(numeric)
                 ), g.name
+
+
+@pytest.mark.parametrize(
+    "gid", ["sol", "nil", "sl2", "h2", "s2p", "h2xr", "s2pxr", "line", "product:nilxh2"]
+)
+def test_operator_table_is_the_inverse_metric(gid):
+    # the symbolic table and the numeric metric are written independently;
+    # this compares the two and derives neither from the other
+    g = by_id(gid)
+    names = g.atoms.variables
+    conformal = set(g.atoms.conformal or ())
+    for p in sample_points(g, 12, np.random.default_rng(61)):
+        inverse = np.zeros((len(names), len(names)), dtype=complex)
+        for c, powers, weight, i, j in g.table:
+            m = Expr.monomial(g.atoms, c, powers, weight).evaluate(p)
+            a, b = names.index(i), names.index(j)
+            if {i, j} == conformal:
+                # m d_z d_zb = (m / 4) (d_x^2 + d_y^2)
+                inverse[a, a] += m / 4
+                inverse[b, b] += m / 4
+            elif a == b:
+                inverse[a, a] += m
+            else:
+                inverse[a, b] += m / 2
+                inverse[b, a] += m / 2
+        assert np.allclose(inverse, np.linalg.inv(g.metric(p)), rtol=1e-12, atol=1e-12)
 
 
 def test_conformality_of_log_pairs_matches_numeric_pairing():
