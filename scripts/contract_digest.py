@@ -3,7 +3,8 @@
 
 The battery is the set of outputs a refactor must leave byte-identical:
 `tension` and `classify` (text and JSON) on every chart, `generate` on the
-large ansatz systems and the `sol.axis` families, `verify-paper --format
+large ansatz systems, the `sol.axis` families and every named family
+(defaults, explicit flags and the error paths), `verify-paper --format
 json` and `scripts/family_gallery.py`.  Each command runs in-process; its
 line reads `<sha256 of stdout and stderr>  <exit code>  <command>`.  No
 command prints the conformality operator, so one more line per chart hashes
@@ -76,6 +77,49 @@ def monomials(geometry_id: str, degree: int) -> str:
     return ", ".join(terms)
 
 
+# `generate <id>` per family: once at the CLI defaults and once with explicit
+# flags (`-n` where the family needs it; the h2r/s2r families also under the
+# paper convention), then the error paths.  One line passes flags its family
+# ignores, to pin that they are ignored.
+GENERATE_DEFAULTS = [
+    ["sol.tower"], ["sol.axis", "-n", "5"], ["sol.mixed", "-n", "2"], ["sol.h2h3"],
+    ["nil.f1"], ["nil.f2"], ["sl2.f1"], ["sl2.f2"],
+    ["h2r.separable"], ["s2r.separable"], ["h2r.logxp"], ["s2r.logxp"],
+    ["product.generic", "--g1", "h2", "--f1", "z^2", "--g2", "line", "--f2", "t^3"],
+]
+GENERATE_EXPLICIT = [
+    ["sol.tower", "-r", "3", "--params", "1,2/3,0,-1,1i,0,0,2"],
+    ["sol.axis", "-n", "7", "--axis", "y"],
+    ["sol.mixed", "-n", "3", "--params", "2,-1,1/2,3,1i,-2"],
+    ["sol.h2h3", "--params", "1,-2,0,3/4", "--hol", "5", "-n", "4"],
+    ["nil.f1", "--params", "1,-1", "--hol", "0,1,2i", "--antihol", "3,0,-1/2"],
+    ["nil.f2", "--params", "1,2,3,4,5,6,7,8,9,10,11,12"],
+    ["sl2.f1", "--params", "0,2", "--hol", "1,(1+1i)/2", "--antihol", "0,0,3"],
+    ["sl2.f2", "--params", "1,0,2,0,-1,3"],
+    ["sl2.f2", "--params", "2,0,0,1"],
+    ["h2r.separable", "--hol", "0,1", "--antihol", "2,1i", "--params", "1,0,-1,2"],
+    ["s2r.separable", "--hol", "0,1", "--antihol", "2,1i", "--params", "1,0,-1,2"],
+    ["h2r.separable", "--convention", "paper", "--antihol", "0,3", "--params", "0,1,0,1"],
+    ["s2r.separable", "--convention", "paper", "--antihol", "0,3", "--params", "0,1,0,1"],
+    ["h2r.logxp", "--params", "2,-3"],
+    ["s2r.logxp", "--params", "2,-3"],
+    ["h2r.logxp", "--convention", "paper", "--params", "0,1i"],
+    ["s2r.logxp", "--convention", "paper", "--params", "0,1i"],
+    ["product.generic", "--g1", "h2", "--f1", "z^2 + 1/2*zb", "--g2", "line",
+     "--f2", "t^5 - t", "--r-max", "4", "--convention", "paper"],
+]
+GENERATE_ERRORS = [
+    ["sol.axis"], ["sol.mixed"], ["sol.mixed", "--params", "1,1,1,1,1,1,1"],
+    ["sol.tower", "--params", "1,2,3,4,5,6,7,8,9"], ["nil.f1", "--params", "1,2,3"],
+    ["nil.f2", "--params", "0,0,0"], ["nil.f1", "--params", "0", "--hol", "0"],
+    ["product.generic", "--g1", "h2", "--f1", "z", "--g2", "line"],
+    ["sol.unknown"], ["sol.h2h3", "--params", "1,2/"], ["sol.tower", "-r", "0"],
+    # two bad flags: the one read first is reported
+    ["nil.f1", "--params", "1/", "--hol", "12/"],
+    ["h2r.separable", "--hol", "1/", "--params", "1,2,3,4,5"],
+]
+
+
 def battery() -> list[list[str]]:
     commands = []
     for fmt in ("text", "json"):
@@ -90,6 +134,9 @@ def battery() -> list[list[str]]:
         for n in (32, 48):
             commands.append(["generate", "sol.axis", "-n", str(n), "--format", fmt])
     commands.append(["verify-paper", "--format", "json"])
+    for fmt in ("text", "json"):
+        for flags in GENERATE_DEFAULTS + GENERATE_EXPLICIT + GENERATE_ERRORS:
+            commands.append(["generate", flags[0], "--format", fmt] + flags[1:])
     return commands
 
 

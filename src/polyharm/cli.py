@@ -28,32 +28,12 @@ from .errors import (
 from .families import (
     FAMILIES,
     AnsatzSystem,
+    FamilyDescriptor,
     generate_kernel,
     primitive_normalized,
-    log_biharmonic,
-    nil_biharmonic12,
-    nil_harmonic,
     product_r_harmonic,
-    separable_product,
-    sl2_biharmonic6,
-    sl2_harmonic,
-    sol_axis_family,
-    sol_h2h3,
-    sol_mixed_harmonic,
-    sol_tower,
 )
-from .geometries import (
-    CONVENTIONS,
-    ProductGeometry,
-    by_id,
-    classify,
-    disc_times_line,
-    iterated_tension,
-    nil,
-    sl2,
-    sol,
-    sphere_times_line,
-)
+from .geometries import CONVENTIONS, ProductGeometry, by_id, classify, iterated_tension
 from .linalg import primitive_rows
 from .oracle import OracleConfig, conformal_factor_ratio, cross_validate
 from .parser import parse, parse_scalar
@@ -104,7 +84,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--params", default="", help="comma-separated exact scalars")
     p.add_argument("--hol", default="", help="holomorphic coefficient list")
     p.add_argument("--antihol", default="", help="antiholomorphic coefficient list")
-    p.add_argument("-n", type=int, default=None, help="degree for sol.axis / sol.mixed")
+    degree_ids = [fid for fid in sorted(FAMILIES) if "n" in FAMILIES[fid].schema.reads]
+    p.add_argument("-n", type=int, default=None, help=f"degree for {' / '.join(degree_ids)}")
     p.add_argument("-r", type=int, default=1, help="tower order / ansatz kernel power")
     p.add_argument("--axis", choices=("x", "y"), default="x")
     p.add_argument("--ansatz", default=None, help="comma-separated candidate terms")
@@ -204,55 +185,35 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _split_scalars(text: str, width: int | None = None, pad: bool = True) -> list:
+def _split_scalars(text: str, width: int | None = None) -> list:
     values = [parse_scalar(s.strip()) for s in text.split(",") if s.strip()]
     if width is not None:
         if len(values) > width:
             raise UsageError(f"expected at most {width} parameters")
-        if pad:
-            values += [parse_scalar("0")] * (width - len(values))
+        values += [parse_scalar("0")] * (width - len(values))
     return values
 
 
+def _family_params(descriptor: FamilyDescriptor, args) -> dict:
+    """The flags of ``generate <id>`` as build parameters, read in schema order."""
+    schema = descriptor.schema
+    params = {}
+    for flag in schema.reads:
+        value = getattr(args, flag)
+        if flag == "params":
+            values = _split_scalars(value or schema.defaults.get(flag, ""), schema.width)
+            params.update(schema.named(values))
+        elif flag in ("hol", "antihol"):
+            params[flag] = _split_scalars(value or schema.defaults.get(flag, ""))
+        elif value is None:
+            raise UsageError(f"{descriptor.family_id} needs -{flag}")
+        else:
+            params[flag] = value
+    return params
+
+
 def _build_family(args):
-    fid = args.family
-    params = args.params
-    if fid == "sol.tower":
-        vals = _split_scalars(params or "1", 8)
-        return sol(), sol_tower(args.r, vals[:4], vals[4:])
-    if fid == "sol.axis":
-        if args.n is None:
-            raise UsageError("sol.axis needs -n")
-        return sol(), sol_axis_family(args.n, args.axis)
-    if fid == "sol.mixed":
-        if args.n is None:
-            raise UsageError("sol.mixed needs -n")
-        vals = _split_scalars(params or "1,1,1,0,1,0", 6)
-        return sol(), sol_mixed_harmonic(args.n, *vals)
-    if fid == "sol.h2h3":
-        vals = _split_scalars(params or "1,1,1,1", 4)
-        return sol(), sol_h2h3(*vals)
-    if fid == "nil.f1":
-        vals = _split_scalars(params or "1", 2)
-        return nil(), nil_harmonic(vals, _split_scalars(args.hol), _split_scalars(args.antihol))
-    if fid == "nil.f2":
-        return nil(), nil_biharmonic12(_split_scalars(params, 12))
-    if fid == "sl2.f1":
-        vals = _split_scalars(params or "1", 2)
-        return sl2(), sl2_harmonic(vals, _split_scalars(args.hol), _split_scalars(args.antihol))
-    if fid == "sl2.f2":
-        return sl2(), sl2_biharmonic6(_split_scalars(params, 6))
-    if fid in ("h2r.separable", "s2r.separable"):
-        builder = disc_times_line if fid.startswith("h2r") else sphere_times_line
-        g = builder(args.convention)
-        return g, separable_product(
-            g, _split_scalars(args.hol or "1"), _split_scalars(args.antihol), _split_scalars(params or "0,0,1", 4)
-        )
-    if fid in ("h2r.logxp", "s2r.logxp"):
-        builder = disc_times_line if fid.startswith("h2r") else sphere_times_line
-        g = builder(args.convention)
-        return g, log_biharmonic(g, _split_scalars(params or "1", 2))
-    if fid == "product.generic":
+    if args.family == "product.generic":
         if not all((args.g1, args.f1, args.g2, args.f2)):
             raise UsageError("product.generic needs --g1 --f1 --g2 --f2")
         g1 = by_id(args.g1, args.convention)
@@ -261,7 +222,10 @@ def _build_family(args):
         f1 = parse(args.f1, g.atoms)
         f2 = parse(args.f2, g.atoms)
         return g, product_r_harmonic(g, f1, f2, args.r_max)
-    raise UsageError(f"unknown family id {fid!r}")
+    descriptor = FAMILIES.get(args.family)
+    if descriptor is None:
+        raise UsageError(f"unknown family id {args.family!r}")
+    return descriptor.build(args.convention, **_family_params(descriptor, args))
 
 
 def _cmd_generate(args) -> int:

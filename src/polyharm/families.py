@@ -15,23 +15,13 @@ r-harmonic) members are its kernel, computed over the Gaussian rationals.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .algebra import AtomSet, Expr
 from .errors import UsageError
-from .geometries import (
-    Geometry,
-    ProductGeometry,
-    classify,
-    disc_times_line,
-    iterated_tension,
-    nil,
-    sl2,
-    sol,
-    sphere_times_line,
-)
+from .geometries import Geometry, ProductGeometry, by_id, classify, iterated_tension, sol
 from .linalg import ExactMatrix, nullspace, primitive_real_scale
 from .rationals import GaussianRational, ScalarLike
 
@@ -189,12 +179,7 @@ def sol_tower(r: int, a: Params, b: Params, geometry: Geometry | None = None) ->
     """
     if r < 1:
         raise UsageError("tower order must be at least 1")
-    if _all_zero(list(a) + list(b)):
-        raise UsageError("tower parameters must not all vanish")
-    g = geometry or sol()
-    t_even = Expr.monomial(g.atoms, 1, {"t": 2 * (r - 1)})
-    t_odd = Expr.monomial(g.atoms, 1, {"t": 2 * r - 1})
-    return t_even * _sol_affine(g.atoms, a) + t_odd * _sol_affine(g.atoms, b)
+    return sol_tower_literal(r - 1, a, b, geometry)
 
 
 def sol_tower_literal(r: int, a: Params, b: Params, geometry: Geometry | None = None) -> Expr:
@@ -264,30 +249,48 @@ def plane_harmonic_part(atoms: AtomSet, hol: Params, antihol: Params) -> Expr:
     i = GaussianRational.of(0, 1)
     x = Expr.variable(atoms, "x")
     y = Expr.variable(atoms, "y")
-    zplus = x + i * y
-    zminus = x - i * y
-    total = Expr.zero(atoms)
-    for coeffs, base in ((hol, zplus), (antihol, zminus)):
+    terms = []
+    for coeffs, base in ((hol, x + i * y), (antihol, x - i * y)):
         power = Expr.constant(atoms, 1)
         for c in coeffs:
-            total = total + GaussianRational.coerce(c) * power
+            terms.append(GaussianRational.coerce(c) * power)
             power = power * base
-    return total
+    return Expr.sum(atoms, terms)
+
+
+def _f1_harmonic(
+    chart: str, mixed: str, a: Params, hol: Params, antihol: Params, geometry: Geometry | None
+) -> Expr:
+    """hol(x+iy) + antihol(x-iy) + a1 t + a2 (mixed) t on the nil or sl2 chart."""
+    if _all_zero(list(a) + list(hol) + list(antihol)):
+        raise UsageError(f"{chart} harmonic family needs a nonzero parameter")
+    g = geometry or by_id(chart)
+    a1, a2 = _coerce_all(a)
+    return (
+        plane_harmonic_part(g.atoms, hol, antihol)
+        + a1 * Expr.variable(g.atoms, "t")
+        + a2 * Expr.monomial(g.atoms, 1, {mixed: 1, "t": 1})
+    )
+
+
+def _f2_polynomial(
+    chart: str, monomials: Sequence[dict[str, int]], b: Params, geometry: Geometry | None
+) -> Expr:
+    """sum b_k * monomials[k] on the nil or sl2 chart."""
+    if len(b) != len(monomials):
+        raise UsageError(f"the {chart} family takes {len(monomials)} parameters")
+    if _all_zero(b):
+        raise UsageError("parameters must not all vanish")
+    g = geometry or by_id(chart)
+    terms = zip(_coerce_all(b), monomials)
+    return Expr.sum(g.atoms, [Expr.monomial(g.atoms, c, p) for c, p in terms])
 
 
 def nil_harmonic(
     a: Params, hol: Params = (), antihol: Params = (), geometry: Geometry | None = None
 ) -> Expr:
     """hol(x+iy) + antihol(x-iy) + a1 t + a2 x t, harmonic on nil."""
-    if _all_zero(list(a) + list(hol) + list(antihol)):
-        raise UsageError("nil harmonic family needs a nonzero parameter")
-    g = geometry or nil()
-    a1, a2 = _coerce_all(a)
-    return (
-        plane_harmonic_part(g.atoms, hol, antihol)
-        + a1 * Expr.variable(g.atoms, "t")
-        + a2 * Expr.monomial(g.atoms, 1, {"x": 1, "t": 1})
-    )
+    return _f1_harmonic("nil", "x", a, hol, antihol, geometry)
 
 
 NIL_F2_MONOMIALS: tuple[dict[str, int], ...] = (
@@ -308,13 +311,7 @@ NIL_F2_MONOMIALS: tuple[dict[str, int], ...] = (
 
 def nil_biharmonic12(b: Params, geometry: Geometry | None = None) -> Expr:
     """The 12-parameter polynomial family with tau^2 = 0 on nil."""
-    if len(b) != 12:
-        raise UsageError("the nil family takes 12 parameters")
-    if _all_zero(b):
-        raise UsageError("parameters must not all vanish")
-    g = geometry or nil()
-    terms = zip(_coerce_all(b), NIL_F2_MONOMIALS)
-    return Expr.sum(g.atoms, [Expr.monomial(g.atoms, c, p) for c, p in terms])
+    return _f2_polynomial("nil", NIL_F2_MONOMIALS, b, geometry)
 
 
 def nil_f2_proper(b: Params) -> bool:
@@ -335,15 +332,7 @@ def sl2_harmonic(
     a: Params, hol: Params = (), antihol: Params = (), geometry: Geometry | None = None
 ) -> Expr:
     """hol(x+iy) + antihol(x-iy) + a1 t + a2 y t, harmonic on sl2."""
-    if _all_zero(list(a) + list(hol) + list(antihol)):
-        raise UsageError("sl2 harmonic family needs a nonzero parameter")
-    g = geometry or sl2()
-    a1, a2 = _coerce_all(a)
-    return (
-        plane_harmonic_part(g.atoms, hol, antihol)
-        + a1 * Expr.variable(g.atoms, "t")
-        + a2 * Expr.monomial(g.atoms, 1, {"y": 1, "t": 1})
-    )
+    return _f1_harmonic("sl2", "y", a, hol, antihol, geometry)
 
 
 SL2_F2_MONOMIALS: tuple[dict[str, int], ...] = (
@@ -358,13 +347,7 @@ SL2_F2_MONOMIALS: tuple[dict[str, int], ...] = (
 
 def sl2_biharmonic6(b: Params, geometry: Geometry | None = None) -> Expr:
     """The 6-parameter polynomial family with tau^2 = 0 on sl2."""
-    if len(b) != 6:
-        raise UsageError("the sl2 family takes 6 parameters")
-    if _all_zero(b):
-        raise UsageError("parameters must not all vanish")
-    g = geometry or sl2()
-    terms = zip(_coerce_all(b), SL2_F2_MONOMIALS)
-    return Expr.sum(g.atoms, [Expr.monomial(g.atoms, c, p) for c, p in terms])
+    return _f2_polynomial("sl2", SL2_F2_MONOMIALS, b, geometry)
 
 
 def sl2_f2_proper(b: Params) -> bool:
@@ -450,16 +433,58 @@ def product_r_harmonic(
 
 
 @dataclass(frozen=True)
+class ParamSchema:
+    """How ``generate <id>`` reads its flags into build parameters.
+
+    ``reads`` names the flags taken, in the order they are read, out of
+    ``params``, ``n``, ``axis``, ``r``, ``hol`` and ``antihol``.  ``split``
+    cuts the zero-padded ``--params`` list into named parameters in order:
+    a bare name takes one scalar, ``(name, k)`` a list of ``k``; the total
+    is the ``--params`` width.  ``defaults`` holds the text used for an
+    empty ``--params`` or ``--hol``.
+    """
+
+    reads: tuple[str, ...] = ("params",)
+    split: tuple = ()
+    defaults: dict[str, str] = field(default_factory=dict, hash=False)
+
+    @property
+    def width(self) -> int:
+        return sum(1 if isinstance(s, str) else s[1] for s in self.split)
+
+    def named(self, values: Sequence) -> dict:
+        """The ``--params`` list, padded to ``width``, as named parameters."""
+        params, k = {}, 0
+        for entry in self.split:
+            if isinstance(entry, str):
+                params[entry] = values[k]
+                k += 1
+            else:
+                name, size = entry
+                params[name] = list(values[k : k + size])
+                k += size
+        return params
+
+
+@dataclass(frozen=True)
 class FamilyDescriptor:
-    """A named family: how to build it, when parameters are admissible,
-    and the properness order the construction claims."""
+    """A named family: its chart, builder and ``generate`` parameter schema,
+    when parameters are admissible, and the properness order the
+    construction claims.  This registry is the one place a family is
+    declared."""
 
     family_id: str
     description: str
-    build: Callable[..., tuple[Geometry, Expr]]  # (convention, **params)
+    geometry_id: str  # the chart, built by geometries.by_id
+    family: Callable[..., Expr]  # (**params, geometry=chart)
+    schema: ParamSchema
     claimed_order: Callable[[dict], int]
     sample: Callable[[random.Random], dict]
     admissible: Callable[[dict], bool]
+
+    def build(self, convention: str, **params) -> tuple[Geometry, Expr]:
+        geometry = by_id(self.geometry_id, convention)
+        return geometry, self.family(geometry=geometry, **params)
 
 
 def _rand_fraction(rng: random.Random) -> Fraction:
@@ -487,12 +512,95 @@ def random_nonzero_scalar(rng: random.Random) -> GaussianRational:
             return v
 
 
+def _sample_f1(rng: random.Random) -> dict:
+    return {
+        "a": _rand_vector(rng, 2, nonzero=False),
+        "hol": _rand_vector(rng, rng.randint(0, 4), nonzero=False),
+        "antihol": _rand_vector(rng, rng.randint(0, 4), nonzero=False),
+    }
+
+
+def _sample_separable(rng: random.Random) -> dict:
+    hol = _rand_vector(rng, rng.randint(0, 3), nonzero=False)
+    antihol = _rand_vector(rng, rng.randint(0, 3), nonzero=False)
+    if _all_zero(list(hol) + list(antihol)):
+        hol = [random_nonzero_scalar(rng)]
+    p = [random_scalar(rng), random_scalar(rng), random_scalar(rng), random_scalar(rng)]
+    if _all_zero(p[2:]):
+        p[2] = random_nonzero_scalar(rng)
+    return {"hol": hol, "antihol": antihol, "p": p}
+
+
+def _admissible_separable(params: dict) -> bool:
+    # the conformal part must not cancel between hol and antihol (the two
+    # lists overlap at the constant term)
+    hol, antihol = list(params["hol"]) or [0], list(params["antihol"]) or [0]
+    constant = GaussianRational.coerce(hol[0]) + GaussianRational.coerce(antihol[0])
+    return not _all_zero(params["p"][2:]) and not _all_zero([constant] + hol[1:] + antihol[1:])
+
+
+def _f1_f2_families(chart, harmonic, polynomial, size, proper) -> list[FamilyDescriptor]:
+    """The harmonic f1 and the polynomial biharmonic f2 family of nil or sl2."""
+    return [
+        FamilyDescriptor(
+            f"{chart}.f1",
+            f"harmonic family on {chart} with holomorphic parts",
+            chart,
+            harmonic,
+            ParamSchema(("params", "hol", "antihol"), (("a", 2),), {"params": "1"}),
+            lambda params: 1,
+            _sample_f1,
+            lambda params: not _all_zero(
+                list(params["a"]) + list(params["hol"]) + list(params["antihol"])
+            ),
+        ),
+        FamilyDescriptor(
+            f"{chart}.f2",
+            f"{size}-parameter biharmonic polynomial family on {chart}",
+            chart,
+            polynomial,
+            ParamSchema(split=(("b", size),)),
+            lambda params: 2,
+            lambda rng: {"b": _rand_vector(rng, size)},
+            lambda params: proper(params["b"]),
+        ),
+    ]
+
+
+def _surface_families(prefix, chart, surface, log_text) -> list[FamilyDescriptor]:
+    """The separable and the log-times-affine family of one conformal surface x line."""
+    return [
+        FamilyDescriptor(
+            f"{prefix}.separable",
+            f"(hol(z) + antihol(zb)) * cubic(t) on the {surface} x line",
+            chart,
+            separable_product,
+            ParamSchema(("hol", "antihol", "params"), (("p", 4),), {"params": "0,0,1", "hol": "1"}),
+            lambda params: 2,
+            _sample_separable,
+            _admissible_separable,
+        ),
+        FamilyDescriptor(
+            f"{prefix}.logxp",
+            f"{log_text} times an affine factor on the {surface} x line",
+            chart,
+            log_biharmonic,
+            ParamSchema(split=(("p", 2),), defaults={"params": "1"}),
+            lambda params: 2,
+            lambda rng: {"p": _rand_vector(rng, 2)},
+            lambda params: not _all_zero(params["p"]),
+        ),
+    ]
+
+
 def _descriptors() -> dict[str, FamilyDescriptor]:
     items = [
         FamilyDescriptor(
             "sol.tower",
             "t-power tower over harmonic xy-affine parts on sol",
-            lambda convention, r, a, b: (sol(), sol_tower(r, a, b)),
+            "sol",
+            sol_tower,
+            ParamSchema(("params", "r"), (("a", 4), ("b", 4)), {"params": "1"}),
             lambda params: params["r"],
             lambda rng: {
                 "r": rng.randint(1, 4),
@@ -504,7 +612,9 @@ def _descriptors() -> dict[str, FamilyDescriptor]:
         FamilyDescriptor(
             "sol.axis",
             "degree-n single-axis harmonic family on sol",
-            lambda convention, n, axis: (sol(), sol_axis_family(n, axis)),
+            "sol",
+            sol_axis_family,
+            ParamSchema(("n", "axis")),
             lambda params: 1,
             lambda rng: {"n": rng.randint(2, 9), "axis": rng.choice(["x", "y"])},
             lambda params: True,
@@ -512,9 +622,12 @@ def _descriptors() -> dict[str, FamilyDescriptor]:
         FamilyDescriptor(
             "sol.mixed",
             "mixed two-axis harmonic combination on sol",
-            lambda convention, n, a, b, alpha, beta, gamma, delta: (
-                sol(),
-                sol_mixed_harmonic(n, a, b, alpha, beta, gamma, delta),
+            "sol",
+            sol_mixed_harmonic,
+            ParamSchema(
+                ("n", "params"),
+                ("a", "b", "alpha", "beta", "gamma", "delta"),
+                {"params": "1,1,1,0,1,0"},
             ),
             lambda params: 1,
             lambda rng: {
@@ -531,139 +644,20 @@ def _descriptors() -> dict[str, FamilyDescriptor]:
         FamilyDescriptor(
             "sol.h2h3",
             "biharmonic product of x- and y-harmonic combinations on sol",
-            lambda convention, a2, a3, b2, b3: (sol(), sol_h2h3(a2, a3, b2, b3)),
+            "sol",
+            sol_h2h3,
+            ParamSchema(split=("a2", "a3", "b2", "b3"), defaults={"params": "1,1,1,1"}),
             lambda params: 2,
-            lambda rng: {
-                "a2": random_scalar(rng),
-                "a3": random_scalar(rng),
-                "b2": random_scalar(rng),
-                "b3": random_scalar(rng),
-            },
+            lambda rng: {k: random_scalar(rng) for k in ("a2", "a3", "b2", "b3")},
             lambda params: not _all_zero([params["a2"], params["a3"]])
             and not _all_zero([params["b2"], params["b3"]]),
         ),
-        FamilyDescriptor(
-            "nil.f1",
-            "harmonic family on nil with holomorphic parts",
-            lambda convention, a, hol, antihol: (
-                nil(),
-                nil_harmonic(a, hol, antihol),
-            ),
-            lambda params: 1,
-            lambda rng: {
-                "a": _rand_vector(rng, 2, nonzero=False),
-                "hol": _rand_vector(rng, rng.randint(0, 4), nonzero=False),
-                "antihol": _rand_vector(rng, rng.randint(0, 4), nonzero=False),
-            },
-            lambda params: not _all_zero(
-                list(params["a"]) + list(params["hol"]) + list(params["antihol"])
-            ),
-        ),
-        FamilyDescriptor(
-            "nil.f2",
-            "12-parameter biharmonic polynomial family on nil",
-            lambda convention, b: (nil(), nil_biharmonic12(b)),
-            lambda params: 2,
-            lambda rng: {"b": _rand_vector(rng, 12)},
-            lambda params: nil_f2_proper(params["b"]),
-        ),
-        FamilyDescriptor(
-            "sl2.f1",
-            "harmonic family on sl2 with holomorphic parts",
-            lambda convention, a, hol, antihol: (
-                sl2(),
-                sl2_harmonic(a, hol, antihol),
-            ),
-            lambda params: 1,
-            lambda rng: {
-                "a": _rand_vector(rng, 2, nonzero=False),
-                "hol": _rand_vector(rng, rng.randint(0, 4), nonzero=False),
-                "antihol": _rand_vector(rng, rng.randint(0, 4), nonzero=False),
-            },
-            lambda params: not _all_zero(
-                list(params["a"]) + list(params["hol"]) + list(params["antihol"])
-            ),
-        ),
-        FamilyDescriptor(
-            "sl2.f2",
-            "6-parameter biharmonic polynomial family on sl2",
-            lambda convention, b: (sl2(), sl2_biharmonic6(b)),
-            lambda params: 2,
-            lambda rng: {"b": _rand_vector(rng, 6)},
-            lambda params: sl2_f2_proper(params["b"]),
-        ),
-        FamilyDescriptor(
-            "h2r.separable",
-            "(hol(z) + antihol(zb)) * cubic(t) on the disc x line",
-            lambda convention, hol, antihol, p: (
-                disc_times_line(convention),
-                separable_product(disc_times_line(convention), hol, antihol, p),
-            ),
-            lambda params: 2,
-            lambda rng: _sample_separable(rng),
-            _admissible_separable,
-        ),
-        FamilyDescriptor(
-            "s2r.separable",
-            "(hol(z) + antihol(zb)) * cubic(t) on the punctured sphere x line",
-            lambda convention, hol, antihol, p: (
-                sphere_times_line(convention),
-                separable_product(sphere_times_line(convention), hol, antihol, p),
-            ),
-            lambda params: 2,
-            lambda rng: _sample_separable(rng),
-            _admissible_separable,
-        ),
-        FamilyDescriptor(
-            "h2r.logxp",
-            "-log(1 - z zb) times an affine factor on the disc x line",
-            lambda convention, p: (
-                disc_times_line(convention),
-                log_biharmonic(disc_times_line(convention), p),
-            ),
-            lambda params: 2,
-            lambda rng: {"p": _rand_vector(rng, 2)},
-            lambda params: not _all_zero(params["p"]),
-        ),
-        FamilyDescriptor(
-            "s2r.logxp",
-            "log(1 + z zb) times an affine factor on the punctured sphere x line",
-            lambda convention, p: (
-                sphere_times_line(convention),
-                log_biharmonic(sphere_times_line(convention), p),
-            ),
-            lambda params: 2,
-            lambda rng: {"p": _rand_vector(rng, 2)},
-            lambda params: not _all_zero(params["p"]),
-        ),
+        *_f1_f2_families("nil", nil_harmonic, nil_biharmonic12, 12, nil_f2_proper),
+        *_f1_f2_families("sl2", sl2_harmonic, sl2_biharmonic6, 6, sl2_f2_proper),
+        *_surface_families("h2r", "h2xr", "disc", "-log(1 - z zb)"),
+        *_surface_families("s2r", "s2pxr", "punctured sphere", "log(1 + z zb)"),
     ]
     return {d.family_id: d for d in items}
-
-
-def _sample_separable(rng: random.Random) -> dict:
-    hol = _rand_vector(rng, rng.randint(0, 3), nonzero=False)
-    antihol = _rand_vector(rng, rng.randint(0, 3), nonzero=False)
-    if _all_zero(list(hol) + list(antihol)):
-        hol = [random_nonzero_scalar(rng)]
-    p = [random_scalar(rng), random_scalar(rng), random_scalar(rng), random_scalar(rng)]
-    if _all_zero(p[2:]):
-        p[2] = random_nonzero_scalar(rng)
-    return {"hol": hol, "antihol": antihol, "p": p}
-
-
-def _admissible_separable(params: dict) -> bool:
-    if _all_zero(params["p"][2:]):
-        return False
-    # the conformal part must not cancel between hol and antihol (the two
-    # lists overlap at the constant term)
-    hol, antihol = list(params["hol"]), list(params["antihol"])
-    width = max(len(hol), len(antihol), 1)
-    hol += [0] * (width - len(hol))
-    antihol += [0] * (width - len(antihol))
-    combined = [GaussianRational.coerce(hol[0]) + GaussianRational.coerce(antihol[0])]
-    combined += [GaussianRational.coerce(c) for c in hol[1:]]
-    combined += [GaussianRational.coerce(c) for c in antihol[1:]]
-    return not _all_zero(combined)
 
 
 FAMILIES: dict[str, FamilyDescriptor] = _descriptors()

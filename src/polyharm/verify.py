@@ -303,58 +303,35 @@ def _check_sol_towers(ctx) -> list[CheckResult]:
     return [shifted, literal]
 
 
-def _check_nil(ctx) -> list[CheckResult]:
-    g = nil()
-    rng = random.Random(ctx.seed + 4)
-    ok_f1 = True
-    for _ in range(10):
-        f = nil_harmonic(
-            [random_scalar(rng), random_scalar(rng)],
-            [random_scalar(rng) for _ in range(rng.randint(1, 4))],
-            [random_scalar(rng) for _ in range(rng.randint(1, 4))],
-        )
-        ok_f1 = ok_f1 and g.tension(f).is_zero()
-    ok_expand = True
-    ok_second = True
-    for i, text in enumerate(NIL_F2_TENSION_TEXT):
-        basis_vector = [0] * 12
-        basis_vector[i] = 1
-        f = nil_biharmonic12(basis_vector)
-        chain = iterated_tension(g, f, 2)
-        ok_expand = ok_expand and chain[1] == parse(text, g.atoms)
-        ok_second = ok_second and chain[2].is_zero()
-    return [
-        _result("nil/harmonic", ok_f1),
-        _result("nil/biharmonic-expansion", ok_expand),
-        _result("nil/biharmonic-vanishing-second", ok_second),
-    ]
-
-
-def _check_sl2(ctx) -> list[CheckResult]:
-    g = sl2()
-    rng = random.Random(ctx.seed + 5)
-    ok_f1 = True
-    for _ in range(10):
-        f = sl2_harmonic(
-            [random_scalar(rng), random_scalar(rng)],
-            [random_scalar(rng) for _ in range(rng.randint(1, 4))],
-            [random_scalar(rng) for _ in range(rng.randint(1, 4))],
-        )
-        ok_f1 = ok_f1 and g.tension(f).is_zero()
-    ok_expand = True
-    ok_second = True
-    for i, text in enumerate(SL2_F2_TENSION_TEXT):
-        basis_vector = [0] * 6
-        basis_vector[i] = 1
-        f = sl2_biharmonic6(basis_vector)
-        chain = iterated_tension(g, f, 2)
-        ok_expand = ok_expand and chain[1] == parse(text, g.atoms)
-        ok_second = ok_second and chain[2].is_zero()
-    return [
-        _result("sl2/harmonic", ok_f1),
-        _result("sl2/biharmonic-expansion", ok_expand),
-        _result("sl2/biharmonic-vanishing-second", ok_second),
-    ]
+def _check_nil_sl2(ctx) -> list[CheckResult]:
+    out = []
+    for g, offset, harmonic, polynomial, texts in (
+        (nil(), 4, nil_harmonic, nil_biharmonic12, NIL_F2_TENSION_TEXT),
+        (sl2(), 5, sl2_harmonic, sl2_biharmonic6, SL2_F2_TENSION_TEXT),
+    ):
+        rng = random.Random(ctx.seed + offset)
+        ok_f1 = True
+        for _ in range(10):
+            f = harmonic(
+                [random_scalar(rng), random_scalar(rng)],
+                [random_scalar(rng) for _ in range(rng.randint(1, 4))],
+                [random_scalar(rng) for _ in range(rng.randint(1, 4))],
+            )
+            ok_f1 = ok_f1 and g.tension(f).is_zero()
+        ok_expand = True
+        ok_second = True
+        for i, text in enumerate(texts):
+            basis_vector = [0] * len(texts)
+            basis_vector[i] = 1
+            chain = iterated_tension(g, polynomial(basis_vector), 2)
+            ok_expand = ok_expand and chain[1] == parse(text, g.atoms)
+            ok_second = ok_second and chain[2].is_zero()
+        out += [
+            _result(f"{g.name}/harmonic", ok_f1),
+            _result(f"{g.name}/biharmonic-expansion", ok_expand),
+            _result(f"{g.name}/biharmonic-vanishing-second", ok_second),
+        ]
+    return out
 
 
 def _separable_pair(rng: random.Random, geometry: ProductGeometry, allow_log: bool):
@@ -600,8 +577,7 @@ _CHECK_GROUPS: tuple[Callable, ...] = (
     _check_sol_mixed,
     _check_sol_h2h3,
     _check_sol_towers,
-    _check_nil,
-    _check_sl2,
+    _check_nil_sl2,
     _check_products,
     _check_separable_corollaries,
     _check_log_functions,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 
 import polyharm
 from polyharm.cli import main
+from polyharm.families import FAMILIES
 from polyharm.geometries import by_id
 from polyharm.parser import parse
+from polyharm.rationals import I
 
 
 def run(capsys, *argv):
@@ -156,6 +159,45 @@ def test_generate_product_generic(capsys):
     assert code == 0
     assert payload["order"] == 2
     assert payload["expr"] == "z*t^3"
+
+
+# One explicit `generate` argv per registry family, with the convention and
+# the build parameters it stands for: trailing --params are zero-padded, and
+# the s2r.separable line leaves --hol and --params at their defaults.
+REGISTRY_ARGV = {
+    "sol.tower": (["-r", "3", "--params", "1,2/3,0,-1,1i"], "metric",
+                  {"r": 3, "a": [1, Fraction(2, 3), 0, -1], "b": [I, 0, 0, 0]}),
+    "sol.axis": (["-n", "7", "--axis", "y"], "metric", {"n": 7, "axis": "y"}),
+    "sol.mixed": (["-n", "3", "--params", "2,-1,1/2,3,1i,-2"], "metric",
+                  {"n": 3, "a": 2, "b": -1, "alpha": Fraction(1, 2), "beta": 3,
+                   "gamma": I, "delta": -2}),
+    "sol.h2h3": (["--params", "1,-2,0,3/4"], "metric",
+                 {"a2": 1, "a3": -2, "b2": 0, "b3": Fraction(3, 4)}),
+    "nil.f1": (["--params", "1,-1", "--hol", "0,1,2i", "--antihol", "3,0,-1/2"], "metric",
+               {"a": [1, -1], "hol": [0, 1, 2 * I], "antihol": [3, 0, Fraction(-1, 2)]}),
+    "nil.f2": (["--params", ",".join(map(str, range(1, 13)))], "metric",
+               {"b": list(range(1, 13))}),
+    "sl2.f1": (["--params", "0,2", "--hol", "1", "--antihol", "0,0,3"], "metric",
+               {"a": [0, 2], "hol": [1], "antihol": [0, 0, 3]}),
+    "sl2.f2": (["--params", "1,0,2"], "metric", {"b": [1, 0, 2, 0, 0, 0]}),
+    "h2r.separable": (["--convention", "paper", "--hol", "0,1", "--antihol", "2,1i",
+                       "--params", "1,0,-1"], "paper",
+                      {"hol": [0, 1], "antihol": [2, I], "p": [1, 0, -1, 0]}),
+    "s2r.separable": (["--antihol", "0,3"], "metric",
+                      {"hol": [1], "antihol": [0, 3], "p": [0, 0, 1, 0]}),
+    "h2r.logxp": (["--params", "2,-3"], "metric", {"p": [2, -3]}),
+    "s2r.logxp": (["--convention", "paper", "--params", "1i"], "paper", {"p": [I, 0]}),
+}
+
+
+@pytest.mark.parametrize("family_id", sorted(FAMILIES))
+def test_generate_matches_registry_build(capsys, family_id):
+    argv, convention, params = REGISTRY_ARGV[family_id]
+    code, payload, _ = run_json(capsys, "generate", family_id, *argv)
+    geometry, f = FAMILIES[family_id].build(convention, **params)
+    assert code == 0
+    assert (payload["geometry"], payload["convention"]) == (geometry.name, convention)
+    assert payload["expr"] == str(f)
 
 
 def test_generate_unknown_family(capsys):

@@ -1,5 +1,7 @@
 import hashlib
 import random
+import re
+from pathlib import Path
 from itertools import product as cartesian
 
 import pytest
@@ -14,6 +16,7 @@ from polyharm.families import (
     nil_biharmonic12,
     nil_f2_proper,
     nil_harmonic,
+    plane_harmonic_part,
     primitive_normalized,
     product_r_harmonic,
     separable_product,
@@ -279,6 +282,40 @@ def test_nil_harmonic_constant():
     assert g.tension(nil_harmonic([0, 0], hol=[1])).is_zero()
 
 
+def _running_sum_plane_harmonic_part(atoms, hol, antihol):
+    """The replaced body of plane_harmonic_part: one re-canonicalisation of
+    the growing sum per coefficient.  Kept as the reference."""
+    i = GaussianRational.of(0, 1)
+    x = Expr.variable(atoms, "x")
+    y = Expr.variable(atoms, "y")
+    zplus = x + i * y
+    zminus = x - i * y
+    total = Expr.zero(atoms)
+    for coeffs, base in ((hol, zplus), (antihol, zminus)):
+        power = Expr.constant(atoms, 1)
+        for c in coeffs:
+            total = total + GaussianRational.coerce(c) * power
+            power = power * base
+    return total
+
+
+def test_plane_harmonic_part_matches_running_sum():
+    rng = random.Random(20261018)
+    cases = [([], []), ([1], [-1]), ([0, 1], [0, -1]), ([2, 0, 3], [])]
+    for _ in range(40):
+        # small draws with zeros and cancelling constants, and a few long lists
+        size = 12 if rng.random() < 0.8 else 30
+        cases.append(tuple(
+            [random_scalar(rng) if rng.random() < 0.8 else 0 for _ in range(rng.randint(0, size))]
+            for _ in range(2)
+        ))
+    for g in (nil(), sl2()):
+        for hol, antihol in cases:
+            got = plane_harmonic_part(g.atoms, hol, antihol)
+            want = _running_sum_plane_harmonic_part(g.atoms, hol, antihol)
+            assert got.terms == want.terms, (hol, antihol)
+
+
 def test_nil_biharmonic_unit_vectors():
     g = nil()
     e11 = [0] * 12
@@ -436,6 +473,21 @@ def test_descriptor_claims_hold_on_random_draws(family_id):
         report = classify(geometry, f)
         assert report.order == descriptor.claimed_order(params), (family_id, params)
         checked += 1
+
+
+def test_readme_family_table_matches_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stated = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if len(cells) == 6:
+            for family_id in re.findall(r"`([a-z0-9]+\.[a-z0-9]+)`", cells[0]):
+                stated[family_id] = (cells[3], cells[4])
+    for family_id, descriptor in FAMILIES.items():
+        schema = descriptor.schema
+        default = schema.defaults.get("params")
+        want = (str(schema.width), f"`{default}`" if default else "none")
+        assert stated[family_id] == want, family_id
 
 
 def test_descriptor_inadmissible_draws_drop_order():
