@@ -2,7 +2,8 @@
 """Print one sha256 per command of the output-contract battery.
 
 The battery is the set of outputs a refactor must leave byte-identical:
-`tension` and `classify` (text and JSON) on every chart, `generate` on the
+`tension` and `classify` (text and JSON) on every chart, `classify` on
+the parser's error paths and budgets, `generate` on the
 large ansatz systems, the `sol.axis` families and every named family
 (defaults, explicit flags and the error paths), `verify-paper --format
 json` and `scripts/family_gallery.py`.  Each command runs in-process; its
@@ -119,6 +120,20 @@ GENERATE_ERRORS = [
     ["h2r.separable", "--hol", "1/", "--params", "1,2,3,4,5"],
 ]
 
+# `classify` on inputs the parser refuses or bounds: the closure error of a
+# product is reported at the factor that breaks it (so a later zero factor
+# does not hide it, and an earlier one does), the power budgets, and the
+# syntax errors with their positions.
+PARSE_EDGES = [
+    ("h2xr", "log1m*z*log1m"), ("h2xr", "0*log1m*log1m"), ("h2xr", "log1m*log1m*0"),
+    ("h2xr", "z*log1m"), ("h2xr", "log1m^2*0"), ("h2xr", "log1m*t*log1m"),
+    ("h2xr", "(log1m)^2"), ("h2xr", "log1m*log1m*)"), ("h2", "(z+log1m)*log1m"),
+    ("nil", "x^100000000"), ("nil", "2^100000000"), ("nil", "(x+y+t)^200"),
+    ("nil", "x*q"), ("nil", "E(1)*x"), ("nil", "x#2"), ("nil", "2x"),
+    ("nil", "(" * 101 + "x" + ")" * 101), ("nil", "1/0*x"), ("nil", "x*1i/0"),
+    ("nil", "x^"), ("sol", "E(-1)^3*x^0*2^3*(1-1i)^2"), ("h2", "0^0*(z-z)^0"),
+]
+
 
 def battery() -> list[list[str]]:
     commands = []
@@ -134,6 +149,8 @@ def battery() -> list[list[str]]:
         for n in (32, 48):
             commands.append(["generate", "sol.axis", "-n", str(n), "--format", fmt])
     commands.append(["verify-paper", "--format", "json"])
+    for gid, text in PARSE_EDGES:
+        commands.append(["classify", "-g", gid, text])
     for fmt in ("text", "json"):
         for flags in GENERATE_DEFAULTS + GENERATE_EXPLICIT + GENERATE_ERRORS:
             commands.append(["generate", flags[0], "--format", fmt] + flags[1:])

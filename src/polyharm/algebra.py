@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import add
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -155,8 +155,7 @@ def merge_atom_sets(a: AtomSet, b: AtomSet) -> AtomSet:
     )
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     coeff: GaussianRational
     powers: tuple[int, ...]
     weight: int = 0  # integer m of E(m)
@@ -167,7 +166,7 @@ class Term:
 
 
 def _validated(atoms: AtomSet, term: Term) -> Term:
-    if any(p < 0 for p in term.powers):
+    if min(term.powers, default=0) < 0:
         raise ClosureError("negative variable powers are outside the algebra")
     if term.weight != 0 and atoms.exp_var is None:
         raise ClosureError("this chart has no exponential atom")
@@ -184,19 +183,20 @@ def _validated(atoms: AtomSet, term: Term) -> Term:
     return term
 
 
-def _canonical(atoms: AtomSet, raw: Iterable[Term]) -> tuple[Term, ...]:
+def _canonical(atoms: AtomSet, raw: Iterable[Term], check: bool = False) -> tuple[Term, ...]:
+    """Like terms merged, zeros dropped, sorted.  ``check`` validates the
+    closure rules; operations whose output terms are valid by construction
+    (sums, derivatives, scaling) skip it."""
     merged: dict[tuple, GaussianRational] = {}
-    for t in raw:
-        if t.coeff.is_zero():
-            continue
-        key = t.signature()
-        acc = merged.get(key)
-        merged[key] = t.coeff if acc is None else acc + t.coeff
-    out = []
-    for (logp, weight, powers), coeff in merged.items():
-        if coeff.is_zero():
-            continue
-        out.append(_validated(atoms, Term(coeff, powers, weight, logp)))
+    for coeff, powers, weight, logp in raw:
+        if coeff:
+            key = (logp, weight, powers)
+            acc = merged.get(key)
+            merged[key] = coeff if acc is None else acc + coeff
+    out = [Term(c, powers, weight, logp) for (logp, weight, powers), c in merged.items() if c]
+    if check:
+        for t in out:
+            _validated(atoms, t)
     out.sort(key=Term.signature, reverse=True)
     return tuple(out)
 
@@ -214,9 +214,7 @@ class Expr:
 
     @staticmethod
     def constant(atoms: AtomSet, value: ScalarLike) -> "Expr":
-        c = GaussianRational.coerce(value)
-        zeros = (0,) * len(atoms.variables)
-        return Expr(atoms, _canonical(atoms, [Term(c, zeros)]))
+        return Expr.monomial(atoms, value)
 
     @staticmethod
     def variable(atoms: AtomSet, name: str, power: int = 1) -> "Expr":
@@ -224,19 +222,11 @@ class Expr:
 
     @staticmethod
     def exponential(atoms: AtomSet, weight: int) -> "Expr":
-        zeros = (0,) * len(atoms.variables)
-        return Expr(
-            atoms,
-            _canonical(atoms, [Term(GaussianRational.coerce(1), zeros, weight)]),
-        )
+        return Expr.monomial(atoms, 1, weight=weight)
 
     @staticmethod
     def log(atoms: AtomSet) -> "Expr":
-        zeros = (0,) * len(atoms.variables)
-        return Expr(
-            atoms,
-            _canonical(atoms, [Term(GaussianRational.coerce(1), zeros, 0, 1)]),
-        )
+        return Expr.monomial(atoms, 1, log=1)
 
     @staticmethod
     def monomial(
@@ -247,7 +237,7 @@ class Expr:
         log: int = 0,
     ) -> "Expr":
         term = Term(GaussianRational.coerce(coeff), atoms.exponents(powers or {}), weight, log)
-        return Expr(atoms, _canonical(atoms, [term]))
+        return Expr(atoms, _canonical(atoms, [term], check=True))
 
     @staticmethod
     def sum(atoms: AtomSet, exprs: Iterable["Expr"]) -> "Expr":
@@ -264,12 +254,16 @@ class Expr:
         """sum of c * m * e over parts (c, powers, weight, e) in one
         canonicalisation pass, with m = prod v^p * E(weight) and ``powers``
         an exponent tuple over ``atoms.variables``; every e lives in ``atoms``."""
-        raw = [
-            Term(t.coeff * c, tuple(map(add, t.powers, powers)), t.weight + weight, t.logp)
+        # streamed, and c = 1 or a zero monomial reuses the term's coefficient or
+        # exponents: fewer live objects, so fewer garbage collections
+        raw = (
+            (t.coeff if c == 1 else t.coeff * c,
+             tuple(map(add, t.powers, powers)) if any(powers) else t.powers,
+             t.weight + weight, t.logp)
             for c, powers, weight, e in parts
             for t in e.terms
-        ]
-        return Expr(atoms, _canonical(atoms, raw))
+        )
+        return Expr(atoms, _canonical(atoms, raw, check=True))
 
     # -- ring operations ---------------------------------------------------
 
@@ -297,18 +291,13 @@ class Expr:
     def __mul__(self, other) -> "Expr":
         if isinstance(other, Expr):
             self._require_same_atoms(other)
-            raw = []
-            for a in self.terms:
-                for b in other.terms:
-                    raw.append(
-                        Term(
-                            a.coeff * b.coeff,
-                            tuple(p + q for p, q in zip(a.powers, b.powers)),
-                            a.weight + b.weight,
-                            a.logp + b.logp,
-                        )
-                    )
-            return Expr(self.atoms, _canonical(self.atoms, raw))
+            raw = [
+                (a.coeff * b.coeff, tuple(map(add, a.powers, b.powers)),
+                 a.weight + b.weight, a.logp + b.logp)
+                for a in self.terms
+                for b in other.terms
+            ]
+            return Expr(self.atoms, _canonical(self.atoms, raw, check=True))
         return self.scale(other)
 
     def __rmul__(self, other) -> "Expr":
@@ -392,14 +381,11 @@ class Expr:
         A is None when no term carries L."""
         if not self._has_log():
             return self, None
-        poly = [t for t in self.terms if not t.logp]
-        stripped = [
-            Term(t.coeff, t.powers, t.weight, 0) for t in self.terms if t.logp
-        ]
-        return (
-            Expr(self.atoms, _canonical(self.atoms, poly)),
-            Expr(self.atoms, _canonical(self.atoms, stripped)),
-        )
+        # both parts keep the canonical order: stripping L maps the sorted
+        # signatures (1, w, p) onto the sorted (0, w, p)
+        poly = tuple(t for t in self.terms if not t.logp)
+        stripped = tuple(Term(t.coeff, t.powers, t.weight) for t in self.terms if t.logp)
+        return Expr(self.atoms, poly), Expr(self.atoms, stripped)
 
     def coefficients(self) -> dict[tuple, GaussianRational]:
         """Signature -> coefficient map (for assembling exact linear systems)."""

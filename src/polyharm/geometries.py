@@ -275,7 +275,12 @@ class ConformalSurface(Geometry):
                 (c, {"z": 2, "zb": 2}, 0, "z", "zb"),
             ),
         )
-        self.log_rule = self
+
+    @property
+    def log_rule(self) -> "ConformalSurface":
+        # a property, not an attribute holding self: that would make every
+        # surface a reference cycle left to the cyclic garbage collector
+        return self
 
     def log_tension_part(self, logc: Expr) -> tuple:
         """tau(A L) = s c A for a log coefficient A free of z and zb."""

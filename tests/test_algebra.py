@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyharm.algebra import LOG_DISC, AtomSet, Expr, merge_atom_sets
+import polyharm
+from polyharm.algebra import (
+    LOG_DISC, AtomSet, Expr, Term, _canonical, _validated, merge_atom_sets,
+)
 from polyharm.errors import ClosureError, DomainError, UsageError
 from polyharm.geometries import by_id, disc_times_line, hyperbolic_disc, sol
 from polyharm.oracle import sample_points
 from polyharm.parser import parse
-from polyharm.rationals import GaussianRational
+from polyharm.rationals import ONE, GaussianRational
 from polyharm.verify import random_expr
 
 from conftest import gaussian_rationals
@@ -125,6 +128,104 @@ def test_log_derivative_in_conformal_direction_is_refused():
     with pytest.raises(ClosureError):
         f.differentiate("z")
     assert f.differentiate("t") == Expr.log(DISC_LINE)
+
+
+def test_constructors_keep_the_closure_check():
+    nil = by_id("nil").atoms
+    for build in (
+        lambda: Expr.monomial(SOL, 1, {"x": -1}),
+        lambda: Expr.exponential(nil, 1),
+        lambda: Expr.monomial(nil, 1, {"x": 1}, weight=1),
+        lambda: Expr.log(SOL),
+        lambda: Expr.monomial(DISC_LINE, 1, {"z": 1, "t": 2}, log=1),
+        lambda: Expr.monomial(DISC, 1, log=2),
+    ):
+        with pytest.raises(ClosureError):
+            build()
+
+
+def test_combine_keeps_the_closure_check():
+    z = DISC_LINE.exponents({"z": 1})
+    with pytest.raises(ClosureError, match="conformal pair"):
+        Expr.combine(DISC_LINE, [(1, z, 0, Expr.log(DISC_LINE))])
+    unchecked = Expr(DISC_LINE, (Term(ONE, (0, 0, 0), 0, 2),))  # built past every check
+    with pytest.raises(ClosureError, match="log atom squared"):
+        Expr.combine(DISC_LINE, [(1, (0, 0, 0), 0, unchecked)])
+
+
+def test_term_is_a_named_tuple_with_the_same_fields():
+    t = Term(ONE, (1, 0, 2))
+    assert isinstance(t, tuple) and Term is polyharm.Term
+    assert Term._fields == ("coeff", "powers", "weight", "logp")
+    assert Term._field_defaults == {"weight": 0, "logp": 0}
+    assert t.signature() == (0, 0, (1, 0, 2))
+    assert Term(ONE, (0,), -2, 1).signature() == (1, -2, (0,))
+
+
+def _checked(atoms, raw):
+    """What an operation returned when every canonicalisation checked closure."""
+    return Expr(atoms, _canonical(atoms, raw, check=True))
+
+
+def _random_pairs(gid):
+    atoms = by_id(gid).atoms
+    rng = random.Random(f"gated-{gid}")
+    weights = (-2, 0, 1) if atoms.exp_var else (0,)
+    for _ in range(15):
+        a, b = (
+            random_expr(rng, atoms, max_terms=4, weights=weights,
+                        allow_log=atoms.log_kind is not None)
+            for _ in range(2)
+        )
+        yield atoms, a, b
+
+
+def _derivative_pair(atoms, f, idx):
+    raw = []  # the power rule, and E(m)' = m E(m) in the exponential variable
+    for c, powers, weight, logp in f.terms:
+        if powers[idx]:
+            lowered = powers[:idx] + (powers[idx] - 1,) + powers[idx + 1:]
+            raw.append((c * powers[idx], lowered, weight, logp))
+        if weight and atoms.exp_var == atoms.variables[idx]:
+            raw.append((c * weight, powers, weight, logp))
+    return f.differentiate(atoms.variables[idx]), _checked(atoms, raw)
+
+
+# Operations that skip the closure check: the output equals the checked one.
+GATED = {
+    "add": lambda atoms, a, b: (a + b, _checked(atoms, a.terms + b.terms)),
+    "sum": lambda atoms, a, b: (
+        Expr.sum(atoms, [a, b, -a]), _checked(atoms, a.terms + b.terms + (-a).terms)
+    ),
+    "scale": lambda atoms, a, b: (
+        a.scale(3), _checked(atoms, [t._replace(coeff=t.coeff * 3) for t in a.terms])
+    ),
+    "neg": lambda atoms, a, b: (
+        -a, _checked(atoms, [t._replace(coeff=-t.coeff) for t in a.terms])
+    ),
+    # in t where the chart has t (log terms included), else of the log-free part
+    "differentiate": lambda atoms, a, b: _derivative_pair(
+        atoms, a if "t" in atoms.variables else a.split_log()[0], len(atoms.variables) - 1
+    ),
+    "split_log": lambda atoms, a, b: (
+        a.split_log()[1] or Expr.zero(atoms),
+        _checked(atoms, [t._replace(logp=0) for t in a.terms if t.logp]),
+    ),
+}
+
+
+@pytest.mark.parametrize("op", sorted(GATED))
+def test_unchecked_operations_match_the_checked_canonical_form(op):
+    for gid in ("sol", "nil", "h2", "h2xr", "s2pxr"):
+        for atoms, a, b in _random_pairs(gid):
+            got, want = GATED[op](atoms, a, b)
+            assert got == want
+            assert all(_validated(atoms, t) for t in got.terms)
+
+
+def test_split_log_keeps_the_canonical_order():
+    f = parse("t^2*log1m - 2*t*log1m + z^2*zb - 3", DISC_LINE)
+    assert f.split_log() == (parse("z^2*zb - 3", DISC_LINE), parse("t^2 - 2*t", DISC_LINE))
 
 
 # -- differentiate ----------------------------------------------------------------

@@ -1,14 +1,20 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyharm.algebra import Expr
-from polyharm.errors import ParseError, UsageError
+from polyharm.algebra import LOG_DISC, LOG_SPHERE, Expr
+from polyharm.errors import ClosureError, ParseError, UsageError
+from polyharm.families import FAMILIES
 from polyharm.geometries import by_id, disc_times_line, sol
-from polyharm.parser import MAX_DEPTH, parse, parse_scalar
+from polyharm.parser import (
+    MAX_DEPTH, MAX_POWER_TERM_PRODUCTS, _Parser, _power, parse, parse_scalar,
+)
 from polyharm.rationals import GaussianRational
+from polyharm.verify import random_expr
 
 from conftest import gaussian_rationals
 
@@ -200,3 +206,211 @@ def test_overlong_integer_literal_is_parse_error():
 def test_scalar_sign_chain_is_not_recursive():
     assert parse_scalar("-" * 3001 + "2") == GaussianRational.coerce(-2)
     assert parse_scalar("-" * 3000 + "(1+2i)") == GaussianRational.of(1, 2)
+
+
+# -- the raw-term parser against the Expr-building reference -----------------------
+
+
+def _reference_tokenize(src):
+    """Character-loop reference tokenizer with the same token tuples; on ASCII
+    text it agrees with the parser's regular expression."""
+    tokens, i, n = [], 0, len(src)
+    while i < n:
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+        elif ch.isdigit() or ch.isalpha():
+            j = i + 1
+            if ch.isdigit():
+                while j < n and src[j].isdigit():
+                    j += 1
+            else:
+                while j < n and (src[j].isalnum() or src[j] == "_"):
+                    j += 1
+            tokens.append(("NUM" if ch.isdigit() else "NAME", src[i:j], i))
+            i = j
+        elif ch in "+-*/^()":
+            tokens.append((ch, ch, i))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("END", "", n))
+    return tokens
+
+
+class _ReferenceParser(_Parser):
+    """The grammar with every atom an Expr and every '*' an Expr product."""
+
+    def __init__(self, src, atoms):
+        super().__init__(src, atoms)
+        self.tokens = _reference_tokenize(src)
+
+    def parse_expr(self):
+        negate = self.accept_op("-")
+        first = self.parse_term()
+        parts = [-first if negate else first]
+        while self.peek()[0] in ("+", "-"):
+            op = self.peek()[0]
+            self.pos += 1
+            rhs = self.parse_term()
+            parts.append(-rhs if op == "-" else rhs)
+        return parts[0] if len(parts) == 1 else Expr.sum(self.atoms, parts)
+
+    def parse_term(self):
+        result = self.parse_factor()
+        while self.accept_op("*"):
+            result = result * self.parse_factor()
+        return result
+
+    def parse_factor(self):
+        base = self.parse_base()
+        if self.accept_op("^"):
+            exp_pos = self.peek()[2]
+            power = self.expect_uint()
+            if base._has_log() and power >= 2:
+                raise ParseError("log atom squared", exp_pos)
+            return _power(base, power)
+        return base
+
+    def parse_base(self):
+        kind, _, pos = self.peek()
+        if kind == "NAME":
+            return self.parse_name()
+        if kind == "NUM":
+            return Expr.constant(self.atoms, self.parse_scalar_literal())
+        if kind == "(":
+            literal = self.try_complex_paren_literal()
+            if literal is not None:
+                return Expr.constant(self.atoms, literal)
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
+            self.depth += 1
+            self.expect_op("(")
+            inner = self.parse_expr()
+            self.expect_op(")")
+            self.depth -= 1
+            return inner
+        raise ParseError("expected a variable, literal or '('", pos)
+
+    def parse_name(self):
+        _, name, pos = self.peek()
+        self.pos += 1
+        if name == "E":
+            if self.atoms.exp_var is None:
+                raise ParseError("unknown atom 'E' for this chart", pos)
+            self.expect_op("(")
+            weight = self.expect_int()
+            self.expect_op(")")
+            return Expr.exponential(self.atoms, weight)
+        if name in (LOG_DISC, LOG_SPHERE):
+            if self.atoms.log_kind != name:
+                raise ParseError(f"unknown atom {name!r} for this chart", pos)
+            return Expr.log(self.atoms)
+        if name == "i":
+            raise ParseError("write the imaginary unit as '1i'", pos)
+        if name in self.atoms.variables:
+            return Expr.variable(self.atoms, name)
+        raise ParseError(f"unknown atom {name!r} for this chart", pos)
+
+
+def _outcome(parse_fn, text, atoms):
+    try:
+        return ("ok", parse_fn(text, atoms))
+    except (ParseError, ClosureError, UsageError) as exc:
+        return (type(exc), str(exc), getattr(exc, "position", None))
+
+
+def _reference_parse(text, atoms):
+    parser = _ReferenceParser(text, atoms)
+    result = parser.parse_expr()
+    parser.expect_end()
+    return result
+
+
+_PIECES = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|[-+*/^()]")
+_INSERTS = ("*0", "*log1m", "*log1p", "^2", "^0", "(", ")", "-", "*z", "*t", "*E(1)",
+            "*(x+y)", "1i", "/", "/0", "*(1+2i)/3", " ")
+
+
+def _mutations(rng, text, count):
+    pieces = _PIECES.findall(text)
+    out = []
+    for _ in range(count):
+        k = rng.randrange(len(pieces))
+        kind = rng.randrange(3)
+        if kind == 0:
+            mutated = pieces[:k] + pieces[k + 1:]
+        elif kind == 1:
+            mutated = pieces[:k + 1] + pieces[k:]
+        else:
+            mutated = pieces[:k] + [rng.choice(_INSERTS)] + pieces[k:]
+        out.append(rng.choice(("", " ")).join(mutated))
+    return out
+
+
+@pytest.mark.parametrize("gid", ["sol", "nil", "sl2", "h2", "s2p", "h2xr", "s2pxr", "line"])
+def test_raw_term_parser_matches_expr_reference(gid):
+    atoms = by_id(gid).atoms
+    rng = random.Random(f"parser-{gid}")
+    weights = (-2, -1, 0, 1, 2) if atoms.exp_var else (0,)
+    texts = []
+    for _ in range(25):
+        f = random_expr(rng, atoms, max_terms=4, max_power=3, weights=weights,
+                        allow_log=atoms.log_kind is not None)
+        texts.append(str(f))
+    for d in FAMILIES.values():
+        if d.geometry_id == gid:
+            texts.extend(str(d.build("metric", **d.sample(rng))[1]) for _ in range(3))
+    texts += [f"({a})*({b})^2 - {c}" for a, b, c in zip(texts, texts[1:], texts[2:])][:10]
+    cases = []
+    for text in texts:
+        cases.append(text)
+        cases.extend(_mutations(rng, text, 6))
+    outcomes = {"ok": 0, "error": 0}
+    for text in cases:
+        got, want = _outcome(parse, text, atoms), _outcome(_reference_parse, text, atoms)
+        assert got == want, text
+        outcomes["ok" if got[0] == "ok" else "error"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_closure_error_is_raised_at_the_breaking_factor():
+    for text, message in [
+        ("log1m*z*log1m", "conformal pair"),
+        ("log1m*log1m*0", "log atom squared"),
+        ("log1m*log1m*)", "log atom squared"),
+        ("z*log1m", "conformal pair"),
+    ]:
+        with pytest.raises(ClosureError, match=message):
+            parse(text, DISC_LINE)
+    assert parse("0*log1m*log1m", DISC_LINE).is_zero()
+    assert parse("(0*log1m*log1m)^2*z", DISC_LINE).is_zero()
+    with pytest.raises(ParseError) as err:
+        parse("log1m^2*0", DISC_LINE)
+    assert err.value.position == 6
+
+
+def test_non_ascii_digits_and_letters_are_unexpected_characters():
+    for text, position in (("x^²", 2), ("x^٣", 2), ("é", 0), ("x*é", 2), ("xé", 1)):
+        with pytest.raises(ParseError) as err:
+            parse(text, SOL)
+        bad = text[position]
+        assert str(err.value) == f"unexpected character {bad!r} (at position {position})"
+
+
+def test_zero_denominator_of_a_complex_literal_is_a_parse_error():
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse("(1+2i)/0*x", SOL)
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_scalar("(1+2i)/0")
+
+
+def test_products_share_one_term_budget():
+    f = parse("(x+y+t)^10", SOL)
+    assert parse("(x+y+t)^10*(x+y+t)^10", SOL) == f * f == parse("(x+y+t)^20", SOL)
+    # 231 * 231 term products: refused before any is formed
+    with pytest.raises(UsageError, match=f"more than {MAX_POWER_TERM_PRODUCTS} term products"):
+        parse("(x+y+t)^20*(x+y+t)^20", SOL)
+    # the products of one parse add up: 4,356 + 15,246 + 32,736 term products
+    with pytest.raises(UsageError):
+        parse("*".join(["(x+y+t)^10"] * 4), SOL)
