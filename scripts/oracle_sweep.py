@@ -2,9 +2,14 @@
 """Sweep the finite-difference oracle across all geometries.
 
 For each geometry a small battery of expressions is cross-validated against
-the symbolic tension field under the metric-derived convention, and the
-whole classification chain of one polyharmonic family member is checked one
-finite-difference layer at a time.
+the symbolic tension field under the metric-derived convention; the exit code
+is 0 when the worst battery residual is within rel_tol and 1 otherwise.
+
+The whole classification chain of one polyharmonic family member is then
+validated one finite-difference layer at a time.  That section is
+informational and not in the exit code: on large chain entries the stencil
+roundoff (of order eps |f| / h^2) can exceed rel_tol for a correct operator,
+and the unit-floor relative residual cannot tell the two apart.
 
     python scripts/oracle_sweep.py --samples 100 --seed 0
 """
@@ -25,12 +30,12 @@ BATTERY = {
 }
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     cli = argparse.ArgumentParser(description=__doc__)
     cli.add_argument("--samples", type=int, default=100)
     cli.add_argument("--seed", type=int, default=0)
     cli.add_argument("--step", type=float, default=1e-3)
-    args = cli.parse_args()
+    args = cli.parse_args(argv)
     config = OracleConfig(samples=args.samples, seed=args.seed, step=args.step)
 
     worst = 0.0
@@ -42,7 +47,8 @@ def main() -> int:
             flag = "ok" if report.within_tolerance else "FAIL"
             print(f"{gid:6s} {text:22s} max_rel={report.max_rel:.3e}  {flag}")
 
-    print("\nchain validation (one finite-difference layer per step):")
+    print("\nchain validation (one finite-difference layer per step; informational,")
+    print("not in the exit code):")
     for name, geometry, member in (
         ("sol h2*h3", sol(), sol_h2h3(1, 2, 3, 1)),
         ("nil f2", nil(), nil_biharmonic12(list(range(1, 13)))),
@@ -52,7 +58,7 @@ def main() -> int:
         line = ", ".join(f"tau^{k + 1}: {r.max_rel:.1e}" for k, r in enumerate(residuals))
         print(f"{name:10s} order={report.order}  {line}")
 
-    print(f"\nworst residual over the sweep: {worst:.3e}")
+    print(f"\nworst battery residual: {worst:.3e}")
     return 0 if worst <= config.rel_tol else 1
 
 

@@ -559,7 +559,7 @@ def _f1_f2_families(chart, harmonic, polynomial, size, proper) -> list[FamilyDes
             f"{size}-parameter biharmonic polynomial family on {chart}",
             chart,
             polynomial,
-            ParamSchema(split=(("b", size),)),
+            ParamSchema(split=(("b", size),), defaults={"params": "1"}),
             lambda params: 2,
             lambda rng: {"b": _rand_vector(rng, size)},
             lambda params: proper(params["b"]),

@@ -16,10 +16,13 @@ All sample points of a sweep are differenced together.  For each
 Richardson level one array holds the full stencil of every point (centre,
 +-h e_i, and the four corners +-h e_i +-h e_j of each i < j: 1 + 2 dim +
 2 dim (dim - 1) rows per point), f is evaluated once on it, and B comes
-from one batched det/inv over the 1 + 2 dim metric points of every stencil.
-Points go through in chunks of CHUNK_POINTS, which bounds the temporaries
-of a sweep of any size.  A function that is not an Expr is called once per
-stencil point.
+from the metric at the 1 + 2 dim metric points of every stencil: for dim <= 3
+(every chart of the paper) det and g^-1 = adj(g) / det are taken in closed
+form from the cofactors of the numeric metric entries, above that from one
+batched np.linalg det/inv.  The stencil offsets and axis pairs are built
+once per dimension.  Points go through in chunks of CHUNK_POINTS, which
+bounds the temporaries of a sweep of any size.  A function that is not an
+Expr is called once per stencil point.
 
 This is the second, independent route to the tension field: under the
 metric-derived operator convention the symbolic tau must agree with the
@@ -30,6 +33,7 @@ sentinel rather than a bug.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -87,24 +91,67 @@ def metric_at(geometry: Geometry, point) -> np.ndarray:
     return geometry.metric(point)
 
 
+# Cyclic successors n = (i+1) % 3 and a = (i+2) % 3 of each 3x3 index: the
+# cofactor is C_ij = g[n_i, n_j] g[a_i, a_j] - g[n_i, a_j] g[a_i, n_j].
+_N = np.array([1, 2, 0])
+_A = np.array([2, 0, 1])
+_SIGNS_2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _adjugate(g: np.ndarray) -> np.ndarray:
+    """adj(g)_ij = C_ji of (..., dim, dim) matrices with dim <= 3."""
+    dim = g.shape[-1]
+    if dim == 1:
+        return np.ones_like(g)
+    if dim == 2:  # [[d, -b], [-c, a]]
+        return np.swapaxes(g[..., ::-1, ::-1], -1, -2) * _SIGNS_2
+    # the row index varies along the last axis and the column index along
+    # the other, so each gather is already transposed
+    return (
+        g[..., _N, _N[:, None]] * g[..., _A, _A[:, None]]
+        - g[..., _N, _A[:, None]] * g[..., _A, _N[:, None]]
+    )
+
+
 def _metric_coefficients(
     geometry: Geometry, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(g^-1, sqrt|g|) at points (..., dim), from one batched det and inv."""
+    """(g^-1, sqrt|g|) at points (..., dim).
+
+    Up to dim 3, det and g^-1 = adj(g) / det come from the cofactors of the
+    metric entries; above that from one batched LAPACK det and inv.  Every
+    entry enters the cofactor det, so a NaN or inf entry makes it non-finite
+    and the guard sees it before any division.
+    """
     g = geometry.metric(points)
-    det = np.linalg.det(g)
+    closed_form = g.shape[-1] <= 3
+    if closed_form:
+        adj = _adjugate(g)
+        det = (g[..., 0, :] * adj[..., :, 0]).sum(axis=-1)
+    else:
+        det = np.linalg.det(g)
     if not ((det > 0.0) & np.isfinite(det)).all():
         raise DomainError("metric is not positive definite here")
-    return np.linalg.inv(g), np.sqrt(det)
+    inv = adj / det[..., None, None] if closed_form else np.linalg.inv(g)
+    return inv, np.sqrt(det)
 
 
-def _stencil_offsets(dim: int) -> np.ndarray:
-    """Stencil rows in units of h; the first 1 + 2 dim are the metric points."""
+@functools.cache
+def _stencil(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(offsets, iu, ju), built once per dimension and read-only (callers share them).
+
+    offsets are the stencil rows in units of h, the first 1 + 2 dim being
+    the metric points; iu, ju index the pairs i < j in the order of the
+    corner rows.
+    """
     e = np.eye(dim)
+    iu, ju = np.triu_indices(dim, 1)
     signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    pairs = zip(*np.triu_indices(dim, 1))  # i < j, in the order of triu_indices
-    corners = [si * e[i] + sj * e[j] for i, j in pairs for si, sj in signs]
-    return np.vstack([np.zeros((1, dim)), e, -e] + corners)
+    corners = [si * e[i] + sj * e[j] for i, j in zip(iu, ju) for si, sj in signs]
+    offsets = np.vstack([np.zeros((1, dim)), e, -e] + corners)
+    for array in (offsets, iu, ju):
+        array.setflags(write=False)
+    return offsets, iu, ju
 
 
 def _stencil_tension(
@@ -112,7 +159,8 @@ def _stencil_tension(
 ) -> np.ndarray:
     """One expanded divergence-form stencil at step h for each row of points."""
     n, dim = points.shape
-    X = points[:, None, :] + h * _stencil_offsets(dim)
+    offsets, iu, ju = _stencil(dim)
+    X = points[:, None, :] + h * offsets
     if isinstance(f, Expr):
         F = f.evaluate(X)
     else:  # one call per stencil point
@@ -121,7 +169,6 @@ def _stencil_tension(
     second = np.empty((n, dim, dim), dtype=complex)
     axes = np.arange(dim)
     second[:, axes, axes] = (plus - 2.0 * f0 + minus) / (h * h)
-    iu, ju = np.triu_indices(dim, 1)
     c = F[:, 1 + 2 * dim :].reshape(n, len(iu), 4)
     mixed = (c[..., 0] - c[..., 1] - c[..., 2] + c[..., 3]) / (4.0 * h * h)
     second[:, iu, ju] = second[:, ju, iu] = mixed

@@ -134,6 +134,18 @@ def test_generate_nil_f2_last_basis_vector(capsys):
     assert payload["order"] == 2
 
 
+@pytest.mark.parametrize("family_id, expr", [("nil.f2", "x^2"), ("sl2.f2", "x*t")])
+def test_generate_f2_without_params_uses_the_first_basis_member(capsys, family_id, expr):
+    # --params defaults to "1", as for nil.f1/sl2.f1: b = (1, 0, ..., 0)
+    code, out, err = run(capsys, "generate", family_id)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"family: {family_id}",
+        f"expr: {expr}",
+        "result: proper biharmonic (order 2)",
+    ]
+
+
 def test_generate_tower(capsys):
     code, payload, _ = run_json(
         capsys, "generate", "sol.tower", "-r", "3", "--params", "1"

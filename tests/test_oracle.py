@@ -1,5 +1,7 @@
 import math
+import runpy
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from polyharm.geometries import (
 )
 from polyharm.oracle import (
     OracleConfig,
+    _metric_coefficients,
     conformal_factor_ratio,
     cross_validate,
     fd_tension,
@@ -87,6 +90,53 @@ def test_metric_on_point_arrays_stacks_single_points(gid):
     dim = points.shape[1]
     grid = metric_at(g, points.reshape(3, 4, dim))
     assert np.array_equal(grid, stacked.reshape(3, 4, dim, dim))
+
+
+def test_metric_coefficients_match_linalg():
+    # the cofactor closed form (dim <= 3) and the LAPACK fallback above it
+    # (product:nilxh2, dim 5) against a direct inverse and determinant, on a
+    # flat batch and on a (3, 4, dim) grid of points
+    rng = np.random.default_rng(71)
+    gids = ("sol", "nil", "sl2", "h2", "s2p", "h2xr", "s2pxr", "line",
+            "product:nilxh2", "product:linexline")
+    for g in map(by_id, gids):
+        points = sample_points(g, 60, rng)
+        for batch in (points, points[:12].reshape(3, 4, -1)):
+            inv, root = _metric_coefficients(g, batch)
+            m = g.metric(batch)
+            assert inv.shape == m.shape and root.shape == m.shape[:-2], g.name
+            assert np.allclose(inv, np.linalg.inv(m), rtol=1e-12, atol=1e-12), g.name
+            assert np.allclose(root, np.sqrt(np.linalg.det(m)), rtol=1e-12, atol=1e-12), g.name
+
+
+def _defective_metric(kind: str, dim: int) -> np.ndarray:
+    m = np.eye(dim)
+    if kind == "det<0":
+        m[0, 1] = m[1, 0] = 2.0  # the block [[1, 2], [2, 1]] has det -3
+    elif kind == "det=0":
+        m[0, 1] = m[1, 0] = 1.0
+    elif kind == "nan":
+        m[0, -1] = m[-1, 0] = math.nan
+    else:
+        m[-1, -1] = math.inf
+    return m
+
+
+@pytest.mark.parametrize("kind", ["det<0", "det=0", "nan", "inf"])
+@pytest.mark.parametrize("gid", ["h2", "sol", "product:nilxh2"])
+def test_metric_guard_refuses_a_defective_metric(gid, kind):
+    # a stub metric that is the same defective matrix at every point, at
+    # dim 2 and 3 (closed form) and dim 5 (LAPACK)
+    g = by_id(gid)
+    dim = len(g.sample_box)
+    bad = _defective_metric(kind, dim)
+    g.metric = lambda points: np.broadcast_to(bad, np.shape(points)[:-1] + (dim, dim))
+    f = parse("1", g.atoms)
+    point = sample_points(g, 1, np.random.default_rng(72))[0]
+    with pytest.raises(DomainError, match="^metric is not positive definite here$"):
+        fd_tension(g, f, point)
+    with pytest.raises(DomainError, match="^metric is not positive definite here$"):
+        cross_validate(g, f, OracleConfig(samples=5))
 
 
 # -- fd_tension -------------------------------------------------------------------
@@ -402,3 +452,13 @@ def test_sample_points_respect_domain_margin():
         assert math.hypot(*p) < 0.95
     for p in sample_points(sl2(), 50, rng, margin=0.05):
         assert p[1] > 0.05
+
+
+def test_oracle_sweep_script_runs_both_sections(capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "oracle_sweep.py"
+    main = runpy.run_path(str(script))["main"]
+    assert main(["--samples", "20"]) == 0
+    out = capsys.readouterr().out
+    assert "sol    x^3*y*E(2)" in out
+    assert "chain validation" in out and "nil f2     order=2  tau^1:" in out
+    assert out.splitlines()[-1].startswith("worst battery residual: ")
