@@ -201,6 +201,32 @@ def _canonical(atoms: AtomSet, raw: Iterable[Term], check: bool = False) -> tupl
     return tuple(out)
 
 
+def partial_terms(atoms: AtomSet, terms: Iterable[Term], var: str) -> list[Term]:
+    """The partial derivative in ``var`` of the sum of ``terms`` as a raw term
+    list: not merged or sorted (it may hold like terms), but free of zero
+    coefficients, so it can be differentiated again or canonicalised later.
+    A log-bearing term differentiated in z or zb raises ClosureError."""
+    idx = atoms.index(var)
+    conf = atoms.conformal_indices()
+    is_exp_var = atoms.exp_var == var
+    log_refused = conf is not None and idx in conf
+    raw = []
+    for t in terms:
+        coeff, powers, weight, logp = t
+        if logp and log_refused:
+            raise ClosureError(
+                "derivative of a log atom in z or zb is handled by the "
+                "geometry operators, not the term algebra"
+            )
+        k = powers[idx]
+        if k:
+            lowered = powers[:idx] + (k - 1,) + powers[idx + 1 :]
+            raw.append(Term(coeff if k == 1 else coeff * k, lowered, weight, logp))
+        if is_exp_var and weight:
+            raw.append(Term(coeff * weight, powers, weight, logp))
+    return raw
+
+
 @dataclass(frozen=True)
 class Expr:
     atoms: AtomSet
@@ -251,17 +277,18 @@ class Expr:
 
     @staticmethod
     def combine(atoms: AtomSet, parts: Iterable[tuple]) -> "Expr":
-        """sum of c * m * e over parts (c, powers, weight, e) in one
-        canonicalisation pass, with m = prod v^p * E(weight) and ``powers``
-        an exponent tuple over ``atoms.variables``; every e lives in ``atoms``."""
+        """sum of c * m * terms over parts (c, powers, weight, terms) in one
+        canonicalisation pass, with m = prod v^p * E(weight), ``powers`` an
+        exponent tuple over ``atoms.variables`` and ``terms`` a sequence of
+        terms of ``atoms``, canonical or raw (see :func:`partial_terms`)."""
         # streamed, and c = 1 or a zero monomial reuses the term's coefficient or
         # exponents: fewer live objects, so fewer garbage collections
         raw = (
             (t.coeff if c == 1 else t.coeff * c,
              tuple(map(add, t.powers, powers)) if any(powers) else t.powers,
              t.weight + weight, t.logp)
-            for c, powers, weight, e in parts
-            for t in e.terms
+            for c, powers, weight, terms in parts
+            for t in terms
         )
         return Expr(atoms, _canonical(atoms, raw, check=True))
 
@@ -316,23 +343,7 @@ class Expr:
 
     def differentiate(self, var: str) -> "Expr":
         """Exact partial derivative; z and zb are independent symbols."""
-        idx = self.atoms.index(var)
-        conf = self.atoms.conformal_indices()
-        is_exp_var = self.atoms.exp_var == var
-        raw = []
-        for t in self.terms:
-            if t.logp and conf is not None and idx in conf:
-                raise ClosureError(
-                    "derivative of a log atom in z or zb is handled by the "
-                    "geometry operators, not the term algebra"
-                )
-            k = t.powers[idx]
-            if k:
-                lowered = list(t.powers)
-                lowered[idx] = k - 1
-                raw.append(Term(t.coeff * k, tuple(lowered), t.weight, t.logp))
-            if is_exp_var and t.weight:
-                raw.append(Term(t.coeff * t.weight, t.powers, t.weight, t.logp))
+        raw = partial_terms(self.atoms, self.terms, var)
         return Expr(self.atoms, _canonical(self.atoms, raw))
 
     def evaluate(self, point) -> complex | np.ndarray:

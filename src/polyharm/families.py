@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from .algebra import AtomSet, Expr
 from .errors import UsageError
 from .geometries import Geometry, ProductGeometry, by_id, classify, iterated_tension, sol
-from .linalg import ExactMatrix, nullspace, primitive_real_scale
+from .linalg import ExactMatrix, nullspace, primitive_real_scale, rank
 from .rationals import GaussianRational, ScalarLike
 
 Params = Sequence[ScalarLike]
@@ -46,14 +46,31 @@ def _leading_signature(e: Expr):
 
 
 def _operator_matrix(images: Sequence[Expr]) -> tuple[ExactMatrix, tuple]:
+    """The matrix with one column per image and one row per signature that
+    occurs in them (sorted), filled straight from each image's coefficients."""
     columns = [img.coefficients() for img in images]
     signatures = sorted({sig for col in columns for sig in col})
-    zero = GaussianRational.coerce(0)
-    rows = [[col.get(sig, zero) for col in columns] for sig in signatures]
-    if not rows:  # all images vanish: the 0 x n matrix, every vector in kernel
-        rows = [[zero for _ in images]]
-        signatures = [None]
-    return ExactMatrix.from_rows(rows), tuple(signatures)
+    if not signatures:  # all images vanish: the 0 x n matrix, every vector in kernel
+        return ExactMatrix(1, len(images), ({},)), (None,)
+    row_of = {sig: i for i, sig in enumerate(signatures)}
+    rows = [{} for _ in signatures]
+    for j, col in enumerate(columns):
+        for sig, c in col.items():
+            rows[row_of[sig]][j] = c
+    return ExactMatrix(len(rows), len(images), tuple(rows)), tuple(signatures)
+
+
+def _dependent(ordered: Sequence[Expr]) -> bool:
+    """Whether a basis sorted by leading signature is linearly dependent.
+
+    Distinct leading signatures make it independent (in a vanishing
+    combination, the smallest leading signature of a member with a nonzero
+    coefficient occurs in no other such member); only a tie needs the rank.
+    """
+    leads = [_leading_signature(b) for b in ordered]
+    if all(a != b for a, b in zip(leads, leads[1:])):
+        return False
+    return rank(_operator_matrix(ordered)[0]) < len(ordered)
 
 
 @dataclass(frozen=True)
@@ -81,6 +98,8 @@ class AnsatzSystem:
         if not basis:
             raise UsageError("empty ansatz basis")
         ordered = tuple(sorted(basis, key=_leading_signature))
+        if _dependent(ordered):
+            raise UsageError("ansatz basis is linearly dependent")
         first_images = [geometry.tension(b) for b in ordered]
         matrix, signatures = _operator_matrix(first_images)
         if order == 1:
@@ -117,7 +136,7 @@ def generate_kernel(system: AnsatzSystem) -> list[Expr]:
     vectors = nullspace(system.order_matrix)
     kernel = []
     for v in vectors:
-        f = Expr.sum(system.geometry.atoms, [b.scale(c) for c, b in zip(v, system.basis)])
+        f = Expr.sum(system.geometry.atoms, [b.scale(c) for c, b in zip(v, system.basis) if c])
         check = iterated_tension(system.geometry, f, system.order)[-1]
         if not check.is_zero():
             raise AssertionError("kernel member failed exact re-verification")

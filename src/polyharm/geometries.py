@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, merge_atom_sets
+from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, merge_atom_sets, partial_terms
 from .errors import DomainError, UsageError
 from .rationals import GaussianRational
 
@@ -63,19 +63,23 @@ def _matrix(points: np.ndarray, rows) -> np.ndarray:
     return np.stack(entries, axis=-1).reshape(shape + (len(rows), len(rows)))
 
 
-def _first_partials(f: Expr, free: Expr):
-    """v -> d_v f, each taken once; a partial in the conformal pair reads the
-    log-free part ``free`` of f."""
+def _first_partials(f: Expr, free: Expr, take):
+    """v -> take(e, v), each taken once, with e = f, or the log-free part
+    ``free`` of f for a partial in the conformal pair."""
     conformal = f.atoms.conformal or ()
     cache = {}
 
-    def first(v: str) -> Expr:
+    def first(v: str):
         d = cache.get(v)
         if d is None:
-            d = cache[v] = (free if v in conformal else f).differentiate(v)
+            d = cache[v] = take(free if v in conformal else f, v)
         return d
 
     return first
+
+
+def _raw_partial(e: Expr, v: str) -> list:
+    return partial_terms(e.atoms, e.terms, v)
 
 
 class Geometry:
@@ -109,33 +113,37 @@ class Geometry:
         return entries
 
     def tension(self, f: Expr) -> Expr:
+        """tau f from raw first and second partials, canonicalised once in
+        ``Expr.combine``."""
         self._require(f)
+        atoms = f.atoms
         free, logc = f.split_log()
-        first = _first_partials(f, free)
+        first = _first_partials(f, free, _raw_partial)
         second = {}
         parts = []
-        for c, powers, weight, i, j in self._entries(f.atoms):
+        for c, powers, weight, i, j in self._entries(atoms):
             d2 = second.get((i, j))
             if d2 is None:
-                d2 = second[i, j] = first(j).differentiate(i)
+                d2 = second[i, j] = partial_terms(atoms, first(j), i)
             parts.append((c, powers, weight, d2))
         if logc is not None and self.log_rule is not None:
             parts.append(self.log_rule.log_tension_part(logc))
-        return Expr.combine(f.atoms, parts)
+        return Expr.combine(atoms, parts)
 
     def conformality(self, f: Expr, h: Expr) -> Expr:
         self._require(f)
         self._require(h)
         (fp, fa), (hp, ha) = f.split_log(), h.split_log()
-        df, dh = _first_partials(f, fp), _first_partials(h, hp)
+        df = _first_partials(f, fp, Expr.differentiate)
+        dh = _first_partials(h, hp, Expr.differentiate)
         parts = []
         for c, powers, weight, i, j in self._entries(f.atoms):
             if i == j:
-                parts.append((c, powers, weight, df(i) * dh(i)))
+                parts.append((c, powers, weight, (df(i) * dh(i)).terms))
             else:
                 half = GaussianRational.coerce(c) / 2
-                parts.append((half, powers, weight, df(i) * dh(j)))
-                parts.append((half, powers, weight, df(j) * dh(i)))
+                parts.append((half, powers, weight, (df(i) * dh(j)).terms))
+                parts.append((half, powers, weight, (df(j) * dh(i)).terms))
         if self.log_rule is not None:
             parts.extend(self.log_rule.log_conformality_parts(f.atoms, fa, ha, df, dh))
         return Expr.combine(f.atoms, parts)
@@ -284,7 +292,7 @@ class ConformalSurface(Geometry):
 
     def log_tension_part(self, logc: Expr) -> tuple:
         """tau(A L) = s c A for a log coefficient A free of z and zb."""
-        return (self.sign * self.factor, (0,) * len(logc.atoms.variables), 0, logc)
+        return (self.sign * self.factor, (0,) * len(logc.atoms.variables), 0, logc.terms)
 
     def log_conformality_parts(self, atoms: AtomSet, fa, ha, df, dh) -> list:
         """The L-bearing kappa terms of f = fp + fa L and h = hp + ha L:
@@ -299,11 +307,11 @@ class ConformalSurface(Geometry):
             if a is None:
                 continue
             for v, w in (("z", "zb"), ("zb", "z")):
-                a_dv = a * d(v)
+                a_dv = (a * d(v)).terms
                 parts.append((s * half, atoms.exponents({v: 1}), 0, a_dv))
                 parts.append((half, atoms.exponents({v: 2, w: 1}), 0, a_dv))
         if fa is not None and ha is not None:
-            parts.append((self.factor, atoms.exponents({"z": 1, "zb": 1}), 0, fa * ha))
+            parts.append((self.factor, atoms.exponents({"z": 1, "zb": 1}), 0, (fa * ha).terms))
         return parts
 
     def metric(self, point) -> np.ndarray:

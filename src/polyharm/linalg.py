@@ -1,14 +1,16 @@
 """Sparse exact linear algebra over the Gaussian rationals.
 
-Every reduction is one Gauss-Jordan elimination over dict-of-rows that
-stores and touches only nonzero entries.  Pivot columns are taken left to
-right; of the rows holding the column, the shortest becomes the pivot row
-to keep fill-in low.  That choice cannot change the result: the reduced row
-echelon form of a matrix is unique, so kernels are the same under any
-pivot row order.  The arithmetic is exact, so there is no numerical pivot
-selection.  Kernel basis vectors are normalized so that their first nonzero
-entry is 1, which makes hand comparisons "equal up to one declared scale
-factor".
+An :class:`ExactMatrix` stores only its nonzero entries, as one
+``{column: value}`` map per row; ``entries`` is the row-major dense view,
+built on demand.  Every reduction is one Gauss-Jordan elimination that
+starts from copies of those maps and touches only nonzero entries.  Pivot
+columns are taken left to right; of the rows holding the column, the
+shortest becomes the pivot row to keep fill-in low.  That choice cannot
+change the result: the reduced row echelon form of a matrix is unique, so
+kernels are the same under any pivot row order.  The arithmetic is exact,
+so there is no numerical pivot selection.  Kernel basis vectors are
+normalized so that their first nonzero entry is 1, which makes hand
+comparisons "equal up to one declared scale factor".
 """
 
 from __future__ import annotations
@@ -22,16 +24,22 @@ from .errors import UsageError
 from .rationals import GaussianRational, ONE, ZERO, ScalarLike
 
 Vector = tuple[GaussianRational, ...]
+RowMap = dict[int, GaussianRational]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactMatrix:
+    """A rows x cols matrix; ``row_maps[i]`` maps the column of each nonzero
+    entry of row i to its value.  The maps are shared, never mutated."""
+
     rows: int
     cols: int
-    entries: tuple[GaussianRational, ...]  # row-major
+    row_maps: tuple[RowMap, ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+        if len(self.row_maps) != self.rows or any(
+            not 0 <= j < self.cols for m in self.row_maps for j in m
+        ):
             raise UsageError("entry count does not match matrix shape")
 
     @staticmethod
@@ -39,12 +47,13 @@ class ExactMatrix:
         if not rows:
             raise UsageError("matrix needs at least one row")
         ncols = len(rows[0])
-        flat = []
+        maps = []
         for row in rows:
             if len(row) != ncols:
                 raise UsageError("ragged rows")
-            flat.extend(GaussianRational.coerce(v) for v in row)
-        return ExactMatrix(len(rows), ncols, tuple(flat))
+            values = map(GaussianRational.coerce, row)
+            maps.append({j: v for j, v in enumerate(values) if v})
+        return ExactMatrix(len(rows), ncols, tuple(maps))
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
@@ -52,29 +61,45 @@ class ExactMatrix:
             [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         )
 
+    @property
+    def entries(self) -> tuple[GaussianRational, ...]:
+        """All rows * cols entries, row-major."""
+        return tuple(v for i in range(self.rows) for v in self.row(i))
+
     def at(self, i: int, j: int) -> GaussianRational:
-        return self.entries[i * self.cols + j]
+        if not 0 <= j < self.cols:
+            raise IndexError("column index out of range")
+        return self.row_maps[i].get(j, ZERO)
 
     def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        m = self.row_maps[i]
+        return tuple(m.get(j, ZERO) for j in range(self.cols))
 
     def matvec(self, v: Sequence[ScalarLike]) -> Vector:
         if len(v) != self.cols:
             raise UsageError("vector length does not match column count")
         vv = [GaussianRational.coerce(x) for x in v]
         out = []
-        for i in range(self.rows):
+        for m in self.row_maps:
             acc = ZERO
-            for j in range(self.cols):
-                acc = acc + self.at(i, j) * vv[j]
+            for j, a in m.items():
+                acc = acc + a * vv[j]
             out.append(acc)
         return tuple(out)
 
+    def __eq__(self, other):
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.row_maps) == (other.rows, other.cols, other.row_maps)
 
-def _eliminate(m: ExactMatrix) -> tuple[list[dict[int, GaussianRational]], tuple[int, ...]]:
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, tuple(frozenset(m.items()) for m in self.row_maps)))
+
+
+def _eliminate(m: ExactMatrix) -> tuple[list[RowMap], tuple[int, ...]]:
     """The nonzero rows of the RREF of m as column -> entry maps, in pivot
     order, and the ascending pivot columns."""
-    rows = [{j: v for j, v in enumerate(m.row(i)) if not v.is_zero()} for i in range(m.rows)]
+    rows = [dict(row) for row in m.row_maps]
     holders: dict[int, set[int]] = {}  # column -> rows with a nonzero entry there
     for i, row in enumerate(rows):
         for j in row:
@@ -109,9 +134,8 @@ def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form (all m.rows rows, zero rows last) and the
     ascending list of pivot columns."""
     reduced, pivots = _eliminate(m)
-    dense = [[row.get(j, ZERO) for j in range(m.cols)] for row in reduced]
-    dense += [[ZERO] * m.cols for _ in range(m.rows - len(reduced))]
-    return ExactMatrix.from_rows(dense), pivots
+    padding = tuple({} for _ in range(m.rows - len(reduced)))
+    return ExactMatrix(m.rows, m.cols, tuple(reduced) + padding), pivots
 
 
 def rank(m: ExactMatrix) -> int:
@@ -132,14 +156,21 @@ def nullspace(m: ExactMatrix) -> list[Vector]:
     One basis vector per free column, each normalized to leading entry 1.
     """
     reduced, pivots = _eliminate(m)
+    pivot_set = set(pivots)
+    # free column -> nonzero entries of its kernel vector; an RREF row holds
+    # its pivot and otherwise only free columns
+    kernel = {j: {j: ONE} for j in range(m.cols) if j not in pivot_set}
+    for row, pc in zip(reduced, pivots):
+        for j, v in row.items():
+            if j != pc:
+                kernel[j][pc] = -v
     basis = []
-    for free in sorted(set(range(m.cols)) - set(pivots)):
-        v = [ZERO] * m.cols
-        v[free] = ONE
-        for row, pc in zip(reduced, pivots):
-            if free in row:
-                v[pc] = -row[free]
-        basis.append(_normalize_leading(v))
+    for entries in kernel.values():
+        inv = ONE / entries[min(entries)]
+        vector = [ZERO] * m.cols
+        for j, v in entries.items():
+            vector[j] = v * inv
+        basis.append(tuple(vector))
     return basis
 
 
@@ -147,8 +178,11 @@ def solve(m: ExactMatrix, rhs: Sequence[ScalarLike]) -> Vector | None:
     """One exact solution of m x = rhs, or None when inconsistent."""
     if len(rhs) != m.rows:
         raise UsageError("right-hand side length does not match row count")
-    augmented = ExactMatrix.from_rows(
-        [list(m.row(i)) + [rhs[i]] for i in range(m.rows)]
+    b = [GaussianRational.coerce(v) for v in rhs]
+    augmented = ExactMatrix(
+        m.rows,
+        m.cols + 1,
+        tuple({**row, m.cols: v} if v else row for row, v in zip(m.row_maps, b)),
     )
     reduced, pivots = _eliminate(augmented)
     if m.cols in pivots:  # pivot in the augmented column

@@ -119,18 +119,26 @@ def _metric_coefficients(
     """(g^-1, sqrt|g|) at points (..., dim).
 
     Up to dim 3, det and g^-1 = adj(g) / det come from the cofactors of the
-    metric entries; above that from one batched LAPACK det and inv.  Every
-    entry enters the cofactor det, so a NaN or inf entry makes it non-finite
-    and the guard sees it before any division.
+    metric entries, and the metric must pass Sylvester's criterion (every
+    leading principal minor positive); above that they come from one batched
+    LAPACK det and inv, and only det > 0 is checked.  Every entry enters the
+    cofactor det, so a NaN or inf entry makes it non-finite and the guard
+    sees it before any division.
     """
     g = geometry.metric(points)
-    closed_form = g.shape[-1] <= 3
+    dim = g.shape[-1]
+    closed_form = dim <= 3
     if closed_form:
         adj = _adjugate(g)
         det = (g[..., 0, :] * adj[..., :, 0]).sum(axis=-1)
+        # Sylvester's criterion: the leading minors g00 and, at dim 3, the
+        # upper-left 2x2 one (the cofactor adj_22) are positive as well
+        lead = np.minimum(g[..., 0, 0], adj[..., 2, 2]) if dim == 3 else g[..., 0, 0]
+        positive = (det > 0.0) & (lead > 0.0)
     else:
         det = np.linalg.det(g)
-    if not ((det > 0.0) & np.isfinite(det)).all():
+        positive = det > 0.0
+    if not (positive & np.isfinite(det)).all():
         raise DomainError("metric is not positive definite here")
     inv = adj / det[..., None, None] if closed_form else np.linalg.inv(g)
     return inv, np.sqrt(det)

@@ -147,10 +147,10 @@ def test_constructors_keep_the_closure_check():
 def test_combine_keeps_the_closure_check():
     z = DISC_LINE.exponents({"z": 1})
     with pytest.raises(ClosureError, match="conformal pair"):
-        Expr.combine(DISC_LINE, [(1, z, 0, Expr.log(DISC_LINE))])
+        Expr.combine(DISC_LINE, [(1, z, 0, Expr.log(DISC_LINE).terms)])
     unchecked = Expr(DISC_LINE, (Term(ONE, (0, 0, 0), 0, 2),))  # built past every check
     with pytest.raises(ClosureError, match="log atom squared"):
-        Expr.combine(DISC_LINE, [(1, (0, 0, 0), 0, unchecked)])
+        Expr.combine(DISC_LINE, [(1, (0, 0, 0), 0, unchecked.terms)])
 
 
 def test_term_is_a_named_tuple_with_the_same_fields():

@@ -121,6 +121,14 @@ def test_generate_ansatz_trivial_kernel(capsys):
     assert "trivial" in out
 
 
+@pytest.mark.parametrize("ansatz", ["x,2*x", "x,x,y^2"])
+def test_generate_dependent_ansatz_basis_exits_4(capsys, ansatz):
+    code, out, err = run(capsys, "generate", "-g", "nil", "--ansatz", ansatz)
+    assert code == 4
+    assert out == ""
+    assert "ansatz basis is linearly dependent" in err
+
+
 def test_generate_nil_f2_last_basis_vector(capsys):
     code, payload, _ = run_json(
         capsys,

@@ -95,6 +95,23 @@ def test_ansatz_matrix_shape_and_first_power():
     assert system.order_matrix is system.matrix
 
 
+@pytest.mark.parametrize("texts", [("x", "2*x"), ("x", "x", "y^2"), ("x + y", "2*x + 2*y", "t")])
+def test_linearly_dependent_basis_is_a_usage_error(texts):
+    g = nil()
+    basis = [parse(t, g.atoms) for t in texts]
+    with pytest.raises(UsageError, match="^ansatz basis is linearly dependent$"):
+        AnsatzSystem.build(g, basis)
+
+
+def test_independent_basis_with_a_shared_leading_term_is_accepted():
+    # x + y and x + 2*y share their smallest term y, so only the rank decides
+    g = nil()
+    basis = [parse(t, g.atoms) for t in ("x + y", "x + 2*y", "x^2")]
+    system = AnsatzSystem.build(g, basis)
+    assert len(system.basis) == 3
+    assert len(generate_kernel(system)) == 2
+
+
 def _monomial_basis(g, degree):
     names = g.atoms.variables
     return [

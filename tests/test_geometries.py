@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyharm.algebra import Expr
-from polyharm.errors import UsageError
+from polyharm.algebra import LOG_DISC, AtomSet, Expr
+from polyharm.errors import ClosureError, UsageError
 from polyharm.families import (
     log_biharmonic,
     nil_biharmonic12,
@@ -12,6 +14,7 @@ from polyharm.families import (
     sol_tower,
 )
 from polyharm.geometries import (
+    _BASE_IDS,
     ProductGeometry,
     by_id,
     classify,
@@ -363,3 +366,62 @@ def test_conformal_log_orders_agree_under_both_conventions():
             g = build(convention)
             orders.add(classify(g, log_biharmonic(g)).order)
         assert orders == {2}
+
+
+# -- raw partials against the per-partial reference ---------------------------------
+
+
+def _reference_tension(g, f):
+    """tau f with every first and second partial canonicalised as an Expr
+    before one Expr.combine, as tension was computed before raw partials."""
+    g._require(f)
+    free, logc = f.split_log()
+    conformal = f.atoms.conformal or ()
+    first, second, parts = {}, {}, []
+    for c, powers, weight, i, j in g._entries(f.atoms):
+        if (i, j) not in second:
+            if j not in first:
+                first[j] = (free if j in conformal else f).differentiate(j)
+            second[i, j] = first[j].differentiate(i)
+        parts.append((c, powers, weight, second[i, j].terms))
+    if logc is not None and g.log_rule is not None:
+        parts.append(g.log_rule.log_tension_part(logc))
+    return Expr.combine(f.atoms, parts)
+
+
+def _tension_outcome(tension, g, f):
+    try:
+        return ("ok", tension(g, f))
+    except ClosureError as exc:
+        return (ClosureError, str(exc))
+
+
+# sol, nil and sl2 also act on a chart where (x, y) is a conformal pair with a
+# log atom, where a mixed partial of a log term leaves the algebra
+_XY_LOG = AtomSet(("x", "y", "t"), exp_var="t", log_kind=LOG_DISC, conformal=("x", "y"))
+_TENSION_CASES = [(gid, "metric", None) for gid in (*_BASE_IDS, "product:nilxh2",
+                                                       "product:solxs2p", "product:linexline")]
+_TENSION_CASES += [(gid, "paper", None) for gid in ("h2", "s2p", "h2xr", "s2pxr")]
+_TENSION_CASES += [(gid, "metric", _XY_LOG) for gid in ("sol", "nil", "sl2")]
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(_TENSION_CASES), st.randoms(use_true_random=False))
+def test_raw_partial_tension_matches_per_partial_reference(case, rng):
+    gid, convention, atoms = case
+    g = by_id(gid, convention)
+    atoms = atoms or g.atoms
+    f = random_expr(rng, atoms, max_terms=4, max_power=3,
+                    weights=(-2, -1, 0, 1, 2) if atoms.exp_var else (0,),
+                    allow_log=atoms.log_kind is not None)
+    got = _tension_outcome(type(g).tension, g, f)
+    assert got == _tension_outcome(_reference_tension, g, f)
+
+
+def test_raw_partial_tension_raises_the_reference_closure_errors():
+    # nil's y-t and sl2's x-t entries differentiate d_t(t^2 L) = 2t L in y or x
+    f = parse("t^2*log1m", _XY_LOG)
+    for g in (nil(), sl2()):
+        for tension in (_reference_tension, type(g).tension):
+            with pytest.raises(ClosureError, match="handled by the geometry operators"):
+                tension(g, f)

@@ -175,3 +175,114 @@ def test_primitive_rows():
     rows = primitive_rows(m)
     assert [v.re for v in rows[0]] == [2, 0, 1]
     assert [v.re for v in rows[1]] == [0, 1, 0]
+
+
+# -- sparse storage against a dense reference ---------------------------------------
+
+
+@st.composite
+def dense_rows(draw, max_rows=6, max_cols=7):
+    """Dense row lists with complex entries, about half zeros, and some rows
+    and columns forced to zero."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1)))
+    value = st.one_of(st.just(0), fractions(max_num=4, max_den=3), gaussian_rationals())
+    return [
+        [0 if r in zero_rows or c in zero_cols else draw(value) for c in range(cols)]
+        for r in range(rows)
+    ]
+
+
+def _dense_rref(rows):
+    """Textbook Gauss-Jordan on dense lists: (RREF rows, pivot columns)."""
+    a = [[GaussianRational.coerce(v) for v in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(a[0])):
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        inv = GaussianRational.coerce(1) / a[r][c]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, tuple(pivots)
+
+
+def _dense_nullspace(rows):
+    reduced, pivots = _dense_rref(rows)
+    cols = len(rows[0])
+    zero, one = GaussianRational.coerce(0), GaussianRational.coerce(1)
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        v = [zero] * cols
+        v[free] = one
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[free]
+        lead = next(x for x in v if x)
+        basis.append(tuple(x / lead for x in v))
+    return basis
+
+
+@settings(max_examples=80)
+@given(dense_rows(), st.data())
+def test_sparse_matrix_matches_its_dense_rows(rows, data):
+    m = ExactMatrix.from_rows(rows)
+    dense = [[GaussianRational.coerce(v) for v in row] for row in rows]
+    assert (m.rows, m.cols) == (len(rows), len(rows[0]))
+    assert m.entries == tuple(v for row in dense for v in row)
+    assert all(m.row(i) == tuple(dense[i]) for i in range(m.rows))
+    assert all(m.at(i, j) == dense[i][j] for i in range(m.rows) for j in range(m.cols))
+    assert all(len(row_map) == sum(1 for v in dense[i] if v)
+               for i, row_map in enumerate(m.row_maps))
+    v = data.draw(st.lists(gaussian_rationals(), min_size=m.cols, max_size=m.cols))
+    zero = GaussianRational.coerce(0)
+    want = tuple(sum((a * b for a, b in zip(row, v)), zero) for row in dense)
+    assert m.matvec(v) == want
+
+
+@settings(max_examples=80)
+@given(dense_rows())
+def test_equal_sparse_matrices_built_in_any_entry_order_are_equal(rows):
+    m = ExactMatrix.from_rows(rows)
+    shuffled = ExactMatrix(m.rows, m.cols, tuple(dict(reversed(r.items())) for r in m.row_maps))
+    assert shuffled == m and hash(shuffled) == hash(m)
+    assert len({m, shuffled, ExactMatrix.from_rows(rows)}) == 1
+    bumped = [list(row) for row in rows]
+    bumped[0][0] = GaussianRational.coerce(bumped[0][0]) + 1
+    assert ExactMatrix.from_rows(bumped) != m
+
+
+@settings(max_examples=80)
+@given(dense_rows(), st.data())
+def test_sparse_reductions_match_dense_gauss_jordan(rows, data):
+    m = ExactMatrix.from_rows(rows)
+    reduced, pivots = _dense_rref(rows)
+    assert rref(m) == (ExactMatrix.from_rows(reduced), pivots)
+    assert rank(m) == len(pivots)
+    assert nullspace(m) == _dense_nullspace(rows)
+    rhs = data.draw(st.lists(fractions(max_num=4, max_den=2), min_size=m.rows, max_size=m.rows))
+    aug_reduced, aug_pivots = _dense_rref([row + [b] for row, b in zip(rows, rhs)])
+    got = solve(m, rhs)
+    if m.cols in aug_pivots:
+        assert got is None
+    else:
+        x = [GaussianRational.coerce(0)] * m.cols
+        for row, pc in zip(aug_reduced, aug_pivots):
+            x[pc] = row[m.cols]
+        assert got == tuple(x)
+
+
+def test_wrong_entry_count_is_a_usage_error():
+    one = GaussianRational.coerce(1)
+    for rows, cols, row_maps in [(2, 2, ({0: one},)), (1, 2, ({2: one},)), (1, 2, ({-1: one},))]:
+        with pytest.raises(UsageError, match="entry count"):
+            ExactMatrix(rows, cols, row_maps)
+    with pytest.raises(UsageError, match="ragged"):
+        ExactMatrix.from_rows([[1, 2], [3]])

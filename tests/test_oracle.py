@@ -139,6 +139,26 @@ def test_metric_guard_refuses_a_defective_metric(gid, kind):
         cross_validate(g, f, OracleConfig(samples=5))
 
 
+@pytest.mark.parametrize(
+    "gid, diagonal",
+    [("h2", (-1.0, -1.0)), ("sol", (-1.0, -1.0, 1.0)), ("sol", (1.0, -1.0, -1.0))],
+)
+def test_metric_guard_refuses_an_indefinite_metric(gid, diagonal):
+    # det > 0 in every case: the guard needs g00 > 0 (diag(-1, -1, ...)) and,
+    # at dim 3, the upper-left 2x2 minor > 0 (diag(1, -1, -1)) to refuse them
+    g = by_id(gid)
+    dim = len(diagonal)
+    bad = np.diag(diagonal)
+    assert np.linalg.det(bad) > 0
+    g.metric = lambda points: np.broadcast_to(bad, np.shape(points)[:-1] + (dim, dim))
+    f = parse("x^2 + t^2" if gid == "sol" else "z*zb", g.atoms)
+    point = sample_points(g, 1, np.random.default_rng(73))[0]
+    with pytest.raises(DomainError, match="^metric is not positive definite here$"):
+        fd_tension(g, f, point)
+    with pytest.raises(DomainError, match="^metric is not positive definite here$"):
+        cross_validate(g, f, OracleConfig(samples=5))
+
+
 # -- fd_tension -------------------------------------------------------------------
 
 
