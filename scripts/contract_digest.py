@@ -2,11 +2,12 @@
 """Print one sha256 per command of the output-contract battery.
 
 The battery is the set of outputs a refactor must leave byte-identical:
-`tension` and `classify` (text and JSON) on every chart, `classify` on
-the parser's error paths and budgets, `generate` on the
-large ansatz systems, the `sol.axis` families and every named family
-(defaults, explicit flags and the error paths), `verify-paper --format
-json` and `scripts/family_gallery.py`.  Each command runs in-process; its
+`tension` and `classify` (text and JSON) on every chart, `tension -r 3` on
+the operator table's edge cases (products, the paper convention, sol's
+exponential branch), `classify` on the parser's error paths and budgets,
+`generate` on the large ansatz systems, the `sol.axis` families and every
+named family (defaults, explicit flags and the error paths), `verify-paper
+--format json` and `scripts/family_gallery.py`.  Each command runs in-process; its
 line reads `<sha256 of stdout and stderr>  <exit code>  <command>`.  No
 command prints the conformality operator, so one more line per chart hashes
 `str(g.conformality(f, h))` over fixed pairs, log pairs included.  Two
@@ -134,6 +135,20 @@ PARSE_EDGES = [
     ("nil", "x^"), ("sol", "E(-1)^3*x^0*2^3*(1-1i)^2"), ("h2", "0^0*(z-z)^0"),
 ]
 
+# `tension -r 3` where the operator table's branches meet: the products with a
+# 3-dimensional factor and the flat product, the paper convention on the
+# conformal charts, and sol's exponential branch (t and E(w) together).
+TENSION_EDGES = [
+    ("product:solxs2p", "metric", "x^2*t*E(1)*z*zb - 2/3*t^2*log1p + y*E(-2)*zb^3"),
+    ("product:linexline", "metric", "s^4*t^2 - 3*s*t^3 + 1/2*s"),
+    ("product:nilxh2", "metric", "x^2*y*t*z*zb + t^2*log1m - (1+2i)*y^3*zb"),
+    ("h2", "paper", "z^3*zb^2 - 1/4*log1m + 2i*z"),
+    ("s2p", "paper", "(2-1i)*z^2*zb^3 + 3*log1p"),
+    ("s2pxr", "paper", "t^3*log1p + z*zb^2*t - 5/3*z^4"),
+    ("sol", "metric", "t^3*E(2) - 2*E(-3) + x^2*t*E(1)"),
+    ("sol", "metric", "x^3*y^2*t^2*E(-1) + (2-1i)*y*t^4*E(3) - 7*t*E(-2)"),
+]
+
 
 def battery() -> list[list[str]]:
     commands = []
@@ -154,6 +169,10 @@ def battery() -> list[list[str]]:
     for fmt in ("text", "json"):
         for flags in GENERATE_DEFAULTS + GENERATE_EXPLICIT + GENERATE_ERRORS:
             commands.append(["generate", flags[0], "--format", fmt] + flags[1:])
+    for fmt in ("text", "json"):
+        for gid, convention, expr in TENSION_EDGES:
+            commands.append(["tension", "-g", gid, "-r", "3", "--convention", convention,
+                             "--format", fmt, expr])
     return commands
 
 

@@ -19,12 +19,15 @@ and on conformal surfaces, with u = z*zb and s = -1 (disc) or +1
 
 Each line is a chart's table.  An entry (c, powers, weight, i, j) reads
 c * prod v^p * E(weight) * d_i d_j, so the entries list the inverse metric:
-one with i == j is g^ii, one with i != j stands for g^ij + g^ji.  The same
-entries give kappa = sum g^ij f_i h_j: c m f_i h_i on the diagonal and
-c m (f_i h_j + f_j h_i) / 2 off it.  Entries on the conformal pair act on
-the log-free part of f; the log atom L follows the closed-form rule of its
-surface, tau(L) = s c, with its own kappa terms.  Adding a chart means
-adding one table and one ``metric``.
+one with i == j is g^ii, one with i != j stands for g^ij + g^ji.  tau is a
+per-term kernel compiled from the table once per atom set: the entries are
+grouped by (i, j), and for each term each group emits at most three terms
+with integer multipliers (see ``Geometry.tension``).  kappa = sum g^ij f_i h_j
+reads the same entries through Expr.differentiate: c m f_i h_i on the
+diagonal and c m (f_i h_j + f_j h_i) / 2 off it.  Entries on the conformal
+pair act on the log-free part of f; the log atom L follows the closed-form
+rule of its surface, tau(L) = s c, with its own kappa terms.  Adding a chart
+means adding one table and one ``metric``.
 
 Two operator conventions exist for the conformal surfaces because the
 printed conformal factor of the operator (4(1 -+ u)^2) is four times the
@@ -41,13 +44,15 @@ of separable functions vanishes by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
-from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, merge_atom_sets, partial_terms
-from .errors import DomainError, UsageError
+from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, _canonical, merge_atom_sets
+from .errors import ClosureError, DomainError, UsageError
 from .rationals import GaussianRational
 
 Box = tuple[tuple[float, float], ...]
@@ -58,28 +63,17 @@ CONVENTIONS = ("metric", "paper")
 def _matrix(points: np.ndarray, rows) -> np.ndarray:
     """(..., n, n) metric array from n rows of per-point entries (arrays over
     the points of shape (..., dim), or constants)."""
-    shape = points.shape[:-1]
-    entries = [np.broadcast_to(entry, shape) for row in rows for entry in row]
-    return np.stack(entries, axis=-1).reshape(shape + (len(rows), len(rows)))
+    g = np.empty(points.shape[:-1] + (len(rows), len(rows)))
+    for a, b in np.ndindex(g.shape[-2:]):
+        g[..., a, b] = rows[a][b]
+    return g
 
 
-def _first_partials(f: Expr, free: Expr, take):
-    """v -> take(e, v), each taken once, with e = f, or the log-free part
-    ``free`` of f for a partial in the conformal pair."""
+def _first_partials(f: Expr, free: Expr):
+    """v -> d_v e, each taken once, with e = f, or the log-free part ``free``
+    of f for a partial in the conformal pair."""
     conformal = f.atoms.conformal or ()
-    cache = {}
-
-    def first(v: str):
-        d = cache.get(v)
-        if d is None:
-            d = cache[v] = take(free if v in conformal else f, v)
-        return d
-
-    return first
-
-
-def _raw_partial(e: Expr, v: str) -> list:
-    return partial_terms(e.atoms, e.terms, v)
+    return functools.cache(lambda v: (free if v in conformal else f).differentiate(v))
 
 
 class Geometry:
@@ -101,6 +95,7 @@ class Geometry:
         self.sample_box = sample_box
         self.table = table
         self._resolved: dict[AtomSet, tuple] = {}
+        self._kernels: dict[AtomSet, tuple] = {}
 
     def _entries(self, atoms: AtomSet) -> tuple:
         """The table with ``powers`` as exponent tuples over ``atoms``."""
@@ -112,30 +107,71 @@ class Geometry:
             )
         return entries
 
+    def _kernel(self, atoms: AtomSet) -> tuple:
+        """The table compiled for ``atoms``: one group (i, j, i == j, i/j is
+        the exp variable, i/j is in the conformal pair, entries) per (i, j)
+        pair, each entry (c, weight, shifts) with shifts[k] its exponents less
+        the units that output k of ``tension`` lowers."""
+        kernel = self._kernels.get(atoms)
+        if kernel is None:
+            groups, conformal = {}, atoms.conformal or ()
+            for c, p, w, i, j in self._entries(atoms):
+                vi, vj = atoms.index(i), atoms.index(j)
+                group = groups.setdefault((i, j), (vi, vj, vi == vj, i == atoms.exp_var,
+                                                   j == atoms.exp_var, i in conformal,
+                                                   j in conformal, []))
+                group[-1].append((c, w, tuple(tuple(e - low.count(k) for k, e in enumerate(p))
+                                              for low in ((vi, vj), (vi,), (vj,), ()))))
+            kernel = self._kernels[atoms] = tuple(groups.values())
+        return kernel
+
     def tension(self, f: Expr) -> Expr:
-        """tau f from raw first and second partials, canonicalised once in
-        ``Expr.combine``."""
+        """tau f from the compiled table, term by term.  For t = c v^a E(w) L^p,
+        d_i d_j t has at most three terms with integer multipliers (k = 0..3):
+            0: a_j (a_i - [i = j]) t / (v_i v_j)
+            1: (1 + [i = j]) a_i w t / v_i   when j is the exp variable
+            2: a_j w t / v_j                 when only i is
+            3: w^2 t                         when both are
+        Each is emitted once per entry of the group, shifted by its powers and
+        weight, into one canonicalisation pass.  Log terms skip groups with j
+        in the conformal pair (those act on the log-free part) and leave the
+        algebra through a conformal i when d_j of them is nonzero."""
         self._require(f)
         atoms = f.atoms
-        free, logc = f.split_log()
-        first = _first_partials(f, free, _raw_partial)
-        second = {}
-        parts = []
-        for c, powers, weight, i, j in self._entries(atoms):
-            d2 = second.get((i, j))
-            if d2 is None:
-                d2 = second[i, j] = partial_terms(atoms, first(j), i)
-            parts.append((c, powers, weight, d2))
+        raw = []
+        for i, j, same, i_exp, j_exp, i_conf, j_conf, entries in self._kernel(atoms):
+            for coeff, powers, w, logp in f.terms:
+                if logp and j_conf:
+                    continue
+                a_i, a_j = powers[i], powers[j]
+                if logp and i_conf and (a_j or j_exp and w):
+                    raise ClosureError("derivative of a log atom in z or zb is handled "
+                                       "by the geometry operators, not the term algebra")
+                outs = [(a_j * (a_i - same), 0)]
+                if w and j_exp:
+                    outs.append(((1 + same) * a_i * w, 1))
+                    if same:
+                        outs.append((w * w, 3))
+                elif w and i_exp:
+                    outs.append((a_j * w, 2))
+                for m, k in outs:
+                    if m:
+                        for c, we, shifts in entries:
+                            raw.append((coeff * (m * c), tuple(map(add, powers, shifts[k])),
+                                        w + we, logp))
+        logc = f.split_log()[1]
         if logc is not None and self.log_rule is not None:
-            parts.append(self.log_rule.log_tension_part(logc))
-        return Expr.combine(atoms, parts)
+            c, powers, weight, terms = self.log_rule.log_tension_part(logc)
+            raw.extend((t.coeff * c, tuple(map(add, t.powers, powers)), t.weight + weight, t.logp)
+                       for t in terms)
+        return Expr(atoms, _canonical(atoms, raw, check=True))
 
     def conformality(self, f: Expr, h: Expr) -> Expr:
         self._require(f)
         self._require(h)
         (fp, fa), (hp, ha) = f.split_log(), h.split_log()
-        df = _first_partials(f, fp, Expr.differentiate)
-        dh = _first_partials(h, hp, Expr.differentiate)
+        df = _first_partials(f, fp)
+        dh = _first_partials(h, hp)
         parts = []
         for c, powers, weight, i, j in self._entries(f.atoms):
             if i == j:

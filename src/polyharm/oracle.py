@@ -121,9 +121,9 @@ def _metric_coefficients(
     Up to dim 3, det and g^-1 = adj(g) / det come from the cofactors of the
     metric entries, and the metric must pass Sylvester's criterion (every
     leading principal minor positive); above that they come from one batched
-    LAPACK det and inv, and only det > 0 is checked.  Every entry enters the
-    cofactor det, so a NaN or inf entry makes it non-finite and the guard
-    sees it before any division.
+    LAPACK det and inv, with every leading minor a batched LAPACK det too.
+    Every entry enters the cofactor det, so a NaN or inf entry makes it
+    non-finite and the guard sees it before any division.
     """
     g = geometry.metric(points)
     dim = g.shape[-1]
@@ -136,8 +136,8 @@ def _metric_coefficients(
         lead = np.minimum(g[..., 0, 0], adj[..., 2, 2]) if dim == 3 else g[..., 0, 0]
         positive = (det > 0.0) & (lead > 0.0)
     else:
-        det = np.linalg.det(g)
-        positive = det > 0.0
+        minors = [np.linalg.det(g[..., :k, :k]) for k in range(1, dim + 1)]
+        det, positive = minors[-1], np.all(np.greater(minors, 0.0), axis=0)
     if not (positive & np.isfinite(det)).all():
         raise DomainError("metric is not positive definite here")
     inv = adj / det[..., None, None] if closed_form else np.linalg.inv(g)

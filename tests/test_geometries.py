@@ -15,6 +15,7 @@ from polyharm.families import (
 )
 from polyharm.geometries import (
     _BASE_IDS,
+    Geometry,
     ProductGeometry,
     by_id,
     classify,
@@ -425,3 +426,77 @@ def test_raw_partial_tension_raises_the_reference_closure_errors():
         for tension in (_reference_tension, type(g).tension):
             with pytest.raises(ClosureError, match="handled by the geometry operators"):
                 tension(g, f)
+
+
+# -- the per-term kernel's branches ---------------------------------------------------
+
+
+@pytest.mark.parametrize("g", [nil(), sl2()], ids=["nil", "sl2"])
+def test_log_term_leaves_a_mixed_entry_only_when_its_t_partial_is_nonzero(g):
+    # nil's y-t and sl2's x-t entries take d_t first: d_t(log1m) = 0 stays in
+    # the algebra, d_t(t L) = L and d_t(E(1) L) = E(1) L do not
+    f = parse("log1m", _XY_LOG)
+    assert g.tension(f) == _reference_tension(g, f)
+    for text in ("t*log1m", "E(1)*log1m", "t^2*E(1)*log1m"):
+        with pytest.raises(ClosureError, match="handled by the geometry operators"):
+            g.tension(parse(text, _XY_LOG))
+
+
+def _sol_t_part(k, w):
+    """(k(k-1) t^(k-2) + 2kw t^(k-1) + w^2 t^k) E(w), written out by hand."""
+    text = f"{w * w}*t^{k}*E({w})"
+    if k >= 1:
+        text += f" + ({2 * k * w})*t^{k - 1}*E({w})"
+    if k >= 2:
+        text += f" + {k * (k - 1)}*t^{k - 2}*E({w})"
+    return text
+
+
+@pytest.mark.parametrize("w", [-3, -2, -1, 1, 2, 3])
+@pytest.mark.parametrize("k", range(5))
+def test_sol_tension_of_t_power_times_exponential(k, w):
+    g = sol()
+    assert g.tension(parse(f"t^{k}*E({w})", g.atoms)) == parse(_sol_t_part(k, w), g.atoms)
+
+
+@pytest.mark.parametrize("a, b, k, w", [(2, 3, 1, -1), (3, 2, 2, 2), (4, 0, 3, 1),
+                                        (0, 5, 0, -3), (1, 1, 4, 2), (2, 2, 2, 0)])
+def test_sol_tension_of_xy_monomial_times_exponential(a, b, k, w):
+    g = sol()
+    x_part = f"{a * (a - 1)}*x^{max(a - 2, 0)}*y^{b}*t^{k}*E({w - 2})"
+    y_part = f"{b * (b - 1)}*x^{a}*y^{max(b - 2, 0)}*t^{k}*E({w + 2})"
+    t_part = f"x^{a}*y^{b}*({_sol_t_part(k, w)})"
+    expected = parse(f"{x_part} + {y_part} + {t_part}", g.atoms)
+    assert g.tension(parse(f"x^{a}*y^{b}*t^{k}*E({w})", g.atoms)) == expected
+
+
+@pytest.mark.parametrize("a, b, k, w", [(2, 3, 1, -1), (1, 2, 3, 2), (3, 1, 0, 3), (0, 2, 2, -2)])
+def test_mixed_entries_on_an_exponential_t_match_the_written_operators(a, b, k, w):
+    # nil's y-t and sl2's x-t entries with j = t the exp variable: d_t lowers
+    # t and multiplies by w, then d_y or d_x lowers y or x
+    atoms = AtomSet(("x", "y", "t"), exp_var="t")
+    f = parse(f"x^{a}*y^{b}*t^{k}*E({w})", atoms)
+    x, y, one_x2 = (parse(text, atoms) for text in ("x", "y", "1 + x^2"))
+
+    def d(u, v):
+        return f.differentiate(v).differentiate(u)
+
+    assert nil().tension(f) == d("x", "x") + d("y", "y") + 2 * x * d("y", "t") + one_x2 * d("t", "t")
+    assert sl2().tension(f) == y * y * (d("x", "x") + d("y", "y")) + 2 * d("t", "t") - 2 * y * d("x", "t")
+    # no chart lists t first in a mixed entry; a probe table does
+    probe = Geometry("probe", atoms, ((-1.0, 1.0),) * 3, ((3, {"x": 1}, 1, "t", "y"),))
+    assert probe.tension(f) == 3 * x * parse("E(1)", atoms) * d("t", "y")
+
+
+@settings(max_examples=20)
+@given(st.randoms(use_true_random=False))
+@pytest.mark.parametrize("case", _TENSION_CASES,
+                         ids=lambda c: f"{c[0]}-{c[1]}" + ("-xylog" if c[2] else ""))
+def test_tension_matches_the_reference_at_higher_degree(case, rng):
+    gid, convention, atoms = case
+    g = by_id(gid, convention)
+    atoms = atoms or g.atoms
+    f = random_expr(rng, atoms, max_terms=8, max_power=6,
+                    weights=range(-3, 4) if atoms.exp_var else (0,),
+                    allow_log=atoms.log_kind is not None)
+    assert _tension_outcome(type(g).tension, g, f) == _tension_outcome(_reference_tension, g, f)

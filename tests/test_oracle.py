@@ -141,11 +141,14 @@ def test_metric_guard_refuses_a_defective_metric(gid, kind):
 
 @pytest.mark.parametrize(
     "gid, diagonal",
-    [("h2", (-1.0, -1.0)), ("sol", (-1.0, -1.0, 1.0)), ("sol", (1.0, -1.0, -1.0))],
+    [("h2", (-1.0, -1.0)), ("sol", (-1.0, -1.0, 1.0)), ("sol", (1.0, -1.0, -1.0)),
+     ("product:nilxh2", (-1.0, -1.0, 1.0, 1.0, 1.0)),
+     ("product:solxs2p", (1.0, -1.0, -1.0, 1.0, 1.0))],
 )
 def test_metric_guard_refuses_an_indefinite_metric(gid, diagonal):
-    # det > 0 in every case: the guard needs g00 > 0 (diag(-1, -1, ...)) and,
-    # at dim 3, the upper-left 2x2 minor > 0 (diag(1, -1, -1)) to refuse them
+    # det > 0 in every case: the guard needs g00 > 0 (diag(-1, -1, ...)) and
+    # the upper-left 2x2 minor > 0 (diag(1, -1, -1, ...)) to refuse them, at
+    # dim 5 through the LAPACK path as well as at dim 2 and 3
     g = by_id(gid)
     dim = len(diagonal)
     bad = np.diag(diagonal)
