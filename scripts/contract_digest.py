@@ -7,11 +7,13 @@ the operator table's edge cases (products, the paper convention, sol's
 exponential branch), `classify` on the parser's error paths and budgets,
 `generate` on the large ansatz systems, the `sol.axis` families and every
 named family (defaults, explicit flags and the error paths), `verify-paper
---format json` and `scripts/family_gallery.py`.  Each command runs in-process; its
-line reads `<sha256 of stdout and stderr>  <exit code>  <command>`.  No
-command prints the conformality operator, so one more line per chart hashes
-`str(g.conformality(f, h))` over fixed pairs, log pairs included.  Two
-trees are compared by diffing the output of this script run against each:
+--format json` (also at `--r-max 1 --skip-oracle`, which pins the statuses at
+a lowered bound) and `scripts/family_gallery.py`.  Each command runs
+in-process; its line reads `<sha256 of stdout and stderr>  <exit code>
+<command>`.  No command prints the conformality operator, so one more line
+per chart hashes `str(g.conformality(f, h))` over fixed pairs, log pairs
+included.  Two trees are compared by diffing the output of this script run
+against each:
 
     PYTHONPATH=src python scripts/contract_digest.py > after.txt
 """
@@ -164,6 +166,7 @@ def battery() -> list[list[str]]:
         for n in (32, 48):
             commands.append(["generate", "sol.axis", "-n", str(n), "--format", fmt])
     commands.append(["verify-paper", "--format", "json"])
+    commands.append(["verify-paper", "--r-max", "1", "--skip-oracle", "--format", "json"])
     for gid, text in PARSE_EDGES:
         commands.append(["classify", "-g", gid, text])
     for fmt in ("text", "json"):

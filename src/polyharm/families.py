@@ -505,6 +505,13 @@ class FamilyDescriptor:
         geometry = by_id(self.geometry_id, convention)
         return geometry, self.family(geometry=geometry, **params)
 
+    def draw(self, rng: random.Random, **fixed) -> dict:
+        """Sampled parameters, ``fixed`` overriding, redrawn until admissible."""
+        while True:
+            params = {**self.sample(rng), **fixed}
+            if self.admissible(params):
+                return params
+
 
 def _rand_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-6, 6), rng.randint(1, 3))

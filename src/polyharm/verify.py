@@ -7,18 +7,23 @@ functions under both operator conventions, and the oracle agreement -- is
 registered here as an exact check with a stable id.  The command line
 surface runs the whole list and reports one status per identity.
 
+The randomized family checks draw their parameters from the registry
+(``families.FAMILIES``: sampler, admissibility predicate, claimed order)
+and share one classification body.
+
 Statuses:
 
     pass               the identity holds exactly
     expected-mismatch  a deliberate sentinel (printed-convention factor 4)
-    exceeds-bound      classification hit the properness bound (seen with a
-                       lowered --r-max; counts as a failure)
-    fail               anything else
+    exceeds-bound      a classification reached the properness bound (seen
+                       with a lowered --r-max; counts as a failure)
+    fail               anything else, including a check with no case
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,24 +31,21 @@ from .algebra import AtomSet, Expr
 from .errors import UsageError
 from .families import (
     AnsatzSystem,
+    FamilyDescriptor,
+    conformal_harmonic_part,
     generate_kernel,
     log_biharmonic,
     nil_biharmonic12,
-    nil_harmonic,
     random_nonzero_scalar,
     random_scalar,
-    separable_product,
     sl2_biharmonic6,
-    sl2_harmonic,
     sol_axis_basis,
     sol_axis_family,
-    sol_h2h3,
-    sol_mixed_harmonic,
-    sol_tower,
     sol_tower_literal,
     FAMILIES,
 )
 from .geometries import (
+    Geometry,
     ProductGeometry,
     classify,
     disc_times_line,
@@ -55,12 +57,12 @@ from .geometries import (
     punctured_sphere,
     sl2,
     sol,
-    sphere_times_line,
 )
 from .linalg import ExactMatrix
 from .oracle import OracleConfig, conformal_factor_ratio, cross_validate
 from .parser import parse
-from .rationals import GaussianRational
+
+TRIALS = 20  # draws of the h2h3, separable and binomial-lemma checks
 
 
 @dataclass(frozen=True)
@@ -155,34 +157,19 @@ SL2_F2_TENSION_TEXT = (
 )
 
 
+def _ray(row: dict) -> frozenset:
+    """A nonzero sparse row scaled to leading entry 1: equal for proportional rows."""
+    lead = row[min(row)]
+    return frozenset((j, v / lead) for j, v in row.items())
+
+
 def rows_proportional(actual: ExactMatrix, expected: Sequence[Sequence[int]]) -> bool:
     """Row sets equal up to permutation and nonzero row scaling."""
-    if actual.rows != len(expected) or actual.cols != len(expected[0]):
+    want = ExactMatrix.from_rows(expected)
+    shapes = (actual.rows, actual.cols) != (want.rows, want.cols)
+    if shapes or not all(actual.row_maps + want.row_maps):  # a zero row has no scale
         return False
-    unused = set(range(actual.rows))
-
-    def proportional(row, want) -> bool:
-        scale = None
-        for a, w in zip(row, want):
-            wq = GaussianRational.coerce(w)
-            if a.is_zero() != wq.is_zero():
-                return False
-            if not a.is_zero():
-                ratio = a / wq
-                if scale is None:
-                    scale = ratio
-                elif ratio != scale:
-                    return False
-        return scale is not None
-
-    for want in expected:
-        match = next(
-            (i for i in unused if proportional(actual.row(i), want)), None
-        )
-        if match is None:
-            return False
-        unused.remove(match)
-    return True
+    return Counter(map(_ray, actual.row_maps)) == Counter(map(_ray, want.row_maps))
 
 
 # -- individual checks ---------------------------------------------------------
@@ -224,25 +211,41 @@ def _check_sol_ansatz(ctx) -> list[CheckResult]:
     return out
 
 
+Case = tuple[Geometry, Expr, int]  # (chart, function, claimed properness order)
+
+
+def _case(family: FamilyDescriptor, params: dict, convention: str = "metric") -> Case:
+    return (*family.build(convention, **params), family.claimed_order(params))
+
+
+def _classification_check(
+    check_id: str, cases: Sequence[Case], r_max: int, detail: str = ""
+) -> CheckResult:
+    """Classify every case under ``r_max``: the first case that reaches the
+    bound makes the check ``exceeds-bound``; a wrong order, or no case at
+    all, makes it ``fail``."""
+    if not cases:
+        return _result(check_id, False, "no cases")
+    for k, (geometry, f, want) in enumerate(cases):
+        report = classify(geometry, f, r_max)
+        if report.order != want:
+            status = "exceeds-bound" if report.order is None else "fail"
+            why = f"case {k}: {report.describe()}, want order {want}"
+            return CheckResult(check_id, status, why)
+    return _result(check_id, True, detail)
+
+
 def _check_sol_mixed(ctx) -> list[CheckResult]:
-    g = sol()
+    family = FAMILIES["sol.mixed"]
     rng = random.Random(ctx.seed + 1)
-    out = []
-    for n in (2, 3):
-        ok = True
-        for _ in range(10):
-            f = sol_mixed_harmonic(
-                n,
-                random_nonzero_scalar(rng),
-                random_nonzero_scalar(rng),
-                random_nonzero_scalar(rng),
-                random_scalar(rng),
-                random_nonzero_scalar(rng),
-                random_scalar(rng),
-            )
-            ok = ok and g.tension(f).is_zero() and not f.is_zero()
-        out.append(_result(f"sol/mixed-harmonic-n{n}", ok))
-    return out
+    return [
+        _classification_check(
+            f"sol/mixed-harmonic-n{n}",
+            [_case(family, family.draw(rng, n=n)) for _ in range(10)],
+            ctx.r_max,
+        )
+        for n in (2, 3)
+    ]
 
 
 def _sol_h2h3_expected_tension(atoms, a2, a3, b2, b3) -> Expr:
@@ -254,70 +257,45 @@ def _sol_h2h3_expected_tension(atoms, a2, a3, b2, b3) -> Expr:
 
 
 def _check_sol_h2h3(ctx) -> list[CheckResult]:
-    g = sol()
+    family = FAMILIES["sol.h2h3"]
     rng = random.Random(ctx.seed + 2)
-    ok_formula = True
-    ok_order = True
-    for _ in range(ctx.draws):
-        a2, b2 = random_scalar(rng), random_scalar(rng)
-        a3 = random_nonzero_scalar(rng) if a2.is_zero() else random_scalar(rng)
-        b3 = random_nonzero_scalar(rng) if b2.is_zero() else random_scalar(rng)
-        h = sol_h2h3(a2, a3, b2, b3)
-        chain = iterated_tension(g, h, 2)
-        ok_formula = ok_formula and chain[1] == _sol_h2h3_expected_tension(
-            g.atoms, a2, a3, b2, b3
-        )
-        ok_order = ok_order and chain[2].is_zero() and classify(g, h, ctx.r_max).order == 2
+    draws = [family.draw(rng) for _ in range(TRIALS)]
+    cases = [_case(family, params) for params in draws]
+    formula = all(
+        g.tension(f) == _sol_h2h3_expected_tension(g.atoms, **params)
+        for (g, f, _), params in zip(cases, draws)
+    )
     return [
-        _result("sol/h2h3-tension-formula", ok_formula),
-        _result("sol/h2h3-biharmonic", ok_order),
+        _result("sol/h2h3-tension-formula", formula),
+        _classification_check("sol/h2h3-biharmonic", cases, ctx.r_max),
     ]
 
 
-def _tower_results(ctx, check_id: str, make, orders) -> CheckResult:
-    g = sol()
-    rng = random.Random(ctx.seed + 3)
-    for r, want in orders:
-        a = [random_scalar(rng) for _ in range(4)]
-        b = [random_scalar(rng) for _ in range(4)]
-        if all(v.is_zero() for v in a + b):
-            a[0] = GaussianRational.coerce(1)
-        report = classify(g, make(r, a, b), ctx.r_max)
-        if report.order is None:
-            return CheckResult(check_id, "exceeds-bound", f"r={r} bound={ctx.r_max}")
-        if report.order != want:
-            return _result(check_id, False, f"r={r}: got {report.order}, want {want}")
-    return _result(check_id, True)
-
-
 def _check_sol_towers(ctx) -> list[CheckResult]:
-    shifted = _tower_results(
-        ctx, "sol/tower-order", sol_tower, [(r, r) for r in range(1, 6)]
-    )
-    literal = _tower_results(
-        ctx,
-        "sol/tower-literal-order",
-        sol_tower_literal,
-        [(r, r + 1) for r in range(1, 5)],
-    )
-    return [shifted, literal]
+    tower = FAMILIES["sol.tower"]
+    rng = random.Random(ctx.seed + 3)
+    shifted = [_case(tower, tower.draw(rng, r=r)) for r in range(1, 6)]
+    literal = [tower.draw(rng, r=r) for r in range(1, 5)]
+    g = sol()
+    return [
+        _classification_check("sol/tower-order", shifted, ctx.r_max),
+        _classification_check(
+            "sol/tower-literal-order",
+            [(g, sol_tower_literal(p["r"], p["a"], p["b"], g), p["r"] + 1) for p in literal],
+            ctx.r_max,
+        ),
+    ]
 
 
 def _check_nil_sl2(ctx) -> list[CheckResult]:
     out = []
-    for g, offset, harmonic, polynomial, texts in (
-        (nil(), 4, nil_harmonic, nil_biharmonic12, NIL_F2_TENSION_TEXT),
-        (sl2(), 5, sl2_harmonic, sl2_biharmonic6, SL2_F2_TENSION_TEXT),
+    for g, offset, polynomial, texts in (
+        (nil(), 4, nil_biharmonic12, NIL_F2_TENSION_TEXT),
+        (sl2(), 5, sl2_biharmonic6, SL2_F2_TENSION_TEXT),
     ):
         rng = random.Random(ctx.seed + offset)
-        ok_f1 = True
-        for _ in range(10):
-            f = harmonic(
-                [random_scalar(rng), random_scalar(rng)],
-                [random_scalar(rng) for _ in range(rng.randint(1, 4))],
-                [random_scalar(rng) for _ in range(rng.randint(1, 4))],
-            )
-            ok_f1 = ok_f1 and g.tension(f).is_zero()
+        harmonic = FAMILIES[f"{g.name}.f1"]
+        f1_cases = [_case(harmonic, harmonic.draw(rng)) for _ in range(10)]
         ok_expand = True
         ok_second = True
         for i, text in enumerate(texts):
@@ -327,7 +305,7 @@ def _check_nil_sl2(ctx) -> list[CheckResult]:
             ok_expand = ok_expand and chain[1] == parse(text, g.atoms)
             ok_second = ok_second and chain[2].is_zero()
         out += [
-            _result(f"{g.name}/harmonic", ok_f1),
+            _classification_check(f"{g.name}/harmonic", f1_cases, ctx.r_max),
             _result(f"{g.name}/biharmonic-expansion", ok_expand),
             _result(f"{g.name}/biharmonic-vanishing-second", ok_second),
         ]
@@ -354,6 +332,7 @@ def binomial_lemma_check(
     """tau^n(f1 f2) on the product equals the binomial expansion, exactly."""
     if n_max > 4:
         raise UsageError("the binomial check is capped at n = 4 for cost")
+    check_id = f"product/binomial-lemma-{geometry.name}"
     rng = random.Random(seed)
     for trial in range(trials):
         f1, f2 = _separable_pair(rng, geometry, allow_log)
@@ -363,12 +342,9 @@ def binomial_lemma_check(
                 geometry.first, f1, geometry.second, f2, n
             )
             if product_chain[n] != expansion:
-                return _result(
-                    f"product/binomial-lemma-{geometry.name}",
-                    False,
-                    f"counterexample at trial {trial}, n={n}: f1={f1}, f2={f2}",
-                )
-    return _result(f"product/binomial-lemma-{geometry.name}", True, f"{trials} trials")
+                detail = f"counterexample at trial {trial}, n={n}: f1={f1}, f2={f2}"
+                return _result(check_id, False, detail)
+    return _result(check_id, True, f"{trials} trials")
 
 
 def _biharmonic_line_poly(rng: random.Random, atoms, var: str) -> Expr:
@@ -382,6 +358,7 @@ def biharmonic_product_remark_check(
     geometry: ProductGeometry, trials: int, seed: int
 ) -> CheckResult:
     """biharmonic x biharmonic: tau^2 = 2 tau(f1) tau(f2) != 0 and tau^3 = 0."""
+    check_id = f"product/biharmonic-times-biharmonic-{geometry.name}"
     rng = random.Random(seed)
     atoms = geometry.atoms
     for trial in range(trials):
@@ -398,30 +375,16 @@ def biharmonic_product_remark_check(
             )
         f2 = _biharmonic_line_poly(rng, atoms, geometry.second.atoms.variables[0])
         if classify(geometry.first, f1, 4).order != 2:
-            return _result(
-                f"product/biharmonic-times-biharmonic-{geometry.name}",
-                False,
-                f"factor not biharmonic at trial {trial}",
-            )
+            return _result(check_id, False, f"factor not biharmonic at trial {trial}")
         chain = iterated_tension(geometry, f1 * f2, 3)
         expected = 2 * (
             geometry.first.tension(f1) * geometry.second.tension(f2)
         )
         if chain[2] != expected or chain[2].is_zero() or not chain[3].is_zero():
-            return _result(
-                f"product/biharmonic-times-biharmonic-{geometry.name}",
-                False,
-                f"counterexample at trial {trial}",
-            )
+            return _result(check_id, False, f"counterexample at trial {trial}")
         if classify(geometry, f1 * f2, 8).order != 3:
-            return _result(
-                f"product/biharmonic-times-biharmonic-{geometry.name}",
-                False,
-                f"order != 3 at trial {trial}",
-            )
-    return _result(
-        f"product/biharmonic-times-biharmonic-{geometry.name}", True, f"{trials} trials"
-    )
+            return _result(check_id, False, f"order != 3 at trial {trial}")
+    return _result(check_id, True, f"{trials} trials")
 
 
 def harmonic_times_r_check(trials: int, seed: int, r_max: int = 8) -> CheckResult:
@@ -429,33 +392,27 @@ def harmonic_times_r_check(trials: int, seed: int, r_max: int = 8) -> CheckResul
     rng = random.Random(seed)
     geometry = disc_times_line()
     atoms = geometry.atoms
-    for trial in range(trials):
-        f1 = Expr.zero(atoms)
-        for k in range(rng.randint(1, 3)):
-            f1 = f1 + random_scalar(rng) * Expr.monomial(atoms, 1, {"z": k})
-        for k in range(rng.randint(0, 2)):
-            f1 = f1 + random_scalar(rng) * Expr.monomial(atoms, 1, {"zb": k})
-        if f1.is_zero():
-            f1 = Expr.constant(atoms, 1)
+    separable = FAMILIES["h2r.separable"]
+    cases = []
+    for _ in range(trials):
+        # the nonzero conformal harmonic factor of a separable draw, times
+        # t^(2r-1) or t^(2r-2), which is proper r-harmonic on the line
+        params = separable.draw(rng)
+        f1 = conformal_harmonic_part(atoms, params["hol"], params["antihol"])
         r = rng.randint(1, 4)
         f2 = Expr.monomial(atoms, 1, {"t": 2 * r - 1 - rng.randint(0, 1)})
-        want = classify(geometry.second, f2, r_max).order
-        report = classify(geometry, f1 * f2, r_max)
-        if report.order != want:
-            return _result(
-                "product/harmonic-times-r-harmonic",
-                False,
-                f"trial {trial}: got {report.order}, want {want}",
-            )
-    return _result("product/harmonic-times-r-harmonic", True, f"{trials} trials")
+        cases += [(geometry.second, f2, r), (geometry, f1 * f2, r)]
+    return _classification_check(
+        "product/harmonic-times-r-harmonic", cases, r_max, f"{trials} trials"
+    )
 
 
 def _check_products(ctx) -> list[CheckResult]:
     plane = ProductGeometry(line("s"), line("t"), name="linexline")
     disc_line = disc_times_line()
     out = [
-        binomial_lemma_check(plane, 4, ctx.draws, ctx.seed + 6),
-        binomial_lemma_check(disc_line, 4, ctx.draws, ctx.seed + 7, allow_log=True),
+        binomial_lemma_check(plane, 4, TRIALS, ctx.seed + 6),
+        binomial_lemma_check(disc_line, 4, TRIALS, ctx.seed + 7, allow_log=True),
         biharmonic_product_remark_check(plane, 10, ctx.seed + 8),
         biharmonic_product_remark_check(disc_line, 10, ctx.seed + 9),
         harmonic_times_r_check(15, ctx.seed + 10, ctx.r_max),
@@ -476,54 +433,32 @@ def _check_products(ctx) -> list[CheckResult]:
 def _check_separable_corollaries(ctx) -> list[CheckResult]:
     rng = random.Random(ctx.seed + 12)
     out = []
-    for builder, label in (
-        (disc_times_line, "h2xr"),
-        (sphere_times_line, "s2pxr"),
-    ):
+    for prefix in ("h2r", "s2r"):
+        separable, logxp = FAMILIES[f"{prefix}.separable"], FAMILIES[f"{prefix}.logxp"]
+        label = separable.geometry_id
         for convention in ctx.conventions:
-            g = builder(convention)
-            ok = True
-            for _ in range(ctx.draws):
-                params = FAMILIES["h2r.separable"].sample(rng)
-                if not FAMILIES["h2r.separable"].admissible(params):
-                    continue
-                f = separable_product(g, **params)
-                ok = ok and classify(g, f, ctx.r_max).order == 2
-            out.append(_result(f"{label}/separable-biharmonic[{convention}]", ok))
-            ok_log = True
-            for _ in range(5):
-                p = [random_scalar(rng), random_scalar(rng)]
-                if all(v.is_zero() for v in p):
-                    p[0] = GaussianRational.coerce(1)
-                f = log_biharmonic(g, p)
-                ok_log = ok_log and classify(g, f, ctx.r_max).order == 2
-            out.append(_result(f"{label}/log-times-affine[{convention}]", ok_log))
+            for check_id, family, count in (
+                (f"{label}/separable-biharmonic[{convention}]", separable, TRIALS),
+                (f"{label}/log-times-affine[{convention}]", logxp, 5),
+            ):
+                cases = [_case(family, family.draw(rng), convention) for _ in range(count)]
+                out.append(_classification_check(check_id, cases, ctx.r_max))
     return out
 
 
 def _check_log_functions(ctx) -> list[CheckResult]:
     out = []
+    biharmonic = "proper biharmonic (order 2)"
     for builder, label in ((hyperbolic_disc, "h2"), (punctured_sphere, "s2p")):
         for convention in ctx.conventions:
             g = builder(convention)
             f = log_biharmonic(g)
-            report = classify(g, f, ctx.r_max)
-            out.append(
-                _result(
-                    f"{label}/log-biharmonic[{convention}]",
-                    report.order == 2,
-                    report.describe(),
-                )
-            )
+            check_id = f"{label}/log-biharmonic[{convention}]"
+            out.append(_classification_check(check_id, [(g, f, 2)], ctx.r_max, biharmonic))
             if convention == "paper":
-                expected = Expr.constant(g.atoms, 4)
-                out.append(
-                    _result(
-                        f"{label}/log-tension-constant",
-                        g.tension(f) == expected,
-                        str(g.tension(f)),
-                    )
-                )
+                tension = g.tension(f)
+                ok = tension == Expr.constant(g.atoms, 4)
+                out.append(_result(f"{label}/log-tension-constant", ok, str(tension)))
     return out
 
 
@@ -567,7 +502,6 @@ class SuiteContext:
     conventions: tuple[str, ...] = ("metric", "paper")
     r_max: int = 8
     seed: int = 7
-    draws: int = 20
     oracle: bool = True
 
 

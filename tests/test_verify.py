@@ -1,17 +1,22 @@
 import dataclasses
 import time
+from fractions import Fraction
 
 from polyharm.families import nil_biharmonic12
-from polyharm.geometries import classify, nil
+from polyharm.geometries import ProductGeometry, classify, line, nil
+from polyharm.linalg import ExactMatrix
 from polyharm.oracle import OracleConfig, validate_chain
+from polyharm.parser import parse
+from polyharm.rationals import GaussianRational
 from polyharm.verify import (
     CheckResult,
     SuiteContext,
+    _classification_check,
     binomial_lemma_check,
     lemma_report,
+    rows_proportional,
     run_suite,
 )
-from polyharm.geometries import ProductGeometry, line
 
 
 def test_full_suite_is_green_and_fast():
@@ -30,6 +35,57 @@ def test_suite_respects_r_max_override():
     by_id = {r.check_id: r for r in results}
     assert by_id["sol/tower-order"].status == "exceeds-bound"
     assert not by_id["sol/tower-order"].ok
+    # every classification of a biharmonic family reaches bound 1
+    biharmonic = ["sol/h2h3-biharmonic"] + [
+        f"{label}[{convention}]"
+        for label in (
+            "h2xr/separable-biharmonic",
+            "h2xr/log-times-affine",
+            "s2pxr/separable-biharmonic",
+            "s2pxr/log-times-affine",
+            "h2/log-biharmonic",
+            "s2p/log-biharmonic",
+        )
+        for convention in ("metric", "paper")
+    ]
+    for check_id in biharmonic:
+        assert by_id[check_id].status == "exceeds-bound", check_id
+
+
+def test_classification_check_statuses():
+    g = line("t")
+    t3 = parse("t^3", g.atoms)  # proper biharmonic
+    assert _classification_check("c", [(g, t3, 2)], 8, "ok") == CheckResult("c", "pass", "ok")
+    assert _classification_check("c", [(g, t3, 2)], 1).status == "exceeds-bound"
+    wrong = _classification_check("c", [(g, t3, 2), (g, t3, 3)], 8)
+    assert wrong.status == "fail" and wrong.detail.startswith("case 1:")
+    # no case is a failure, never a vacuous pass
+    assert _classification_check("c", [], 8).status == "fail"
+
+
+def test_rows_proportional_up_to_permutation_and_row_scaling():
+    i = GaussianRational.of(0, 1)
+    expected = [[2, 0, 1], [0, 1, 0], [1, 3, 0]]
+
+    def matrix(rows):
+        return ExactMatrix.from_rows(rows)
+
+    assert rows_proportional(matrix(expected), expected)
+    assert rows_proportional(matrix([[1, 3, 0], [2, 0, 1], [0, 1, 0]]), expected)
+    real = [[-3, 0, Fraction(-3, 2)], [0, 7, 0], [Fraction(1, 2), Fraction(3, 2), 0]]
+    assert rows_proportional(matrix(real), expected)
+    complex_ = [[2 * (1 + 2 * i), 0, 1 + 2 * i], [0, i, 0], [1, 3, 0]]
+    assert rows_proportional(matrix(complex_), expected)
+    # a non-proportional row, an extra row, an extra column
+    assert not rows_proportional(matrix([[2, 0, 1], [0, 1, 0], [1, 2, 0]]), expected)
+    assert not rows_proportional(matrix(expected + [[0, 0, 1]]), expected)
+    assert not rows_proportional(matrix([row + [0] for row in expected]), expected)
+    # one actual row may not answer two expected rows
+    assert not rows_proportional(matrix([[2, 0, 1], [0, 1, 0]]), [[2, 0, 1], [4, 0, 2]])
+    # an all-zero row has no scale, so it matches nothing, not even itself
+    zero = [[0, 0, 0], [0, 1, 0]]
+    assert not rows_proportional(matrix(zero), zero)
+    assert not rows_proportional(matrix([[1, 0, 0], [0, 1, 0]]), zero)
 
 
 def test_suite_metric_only_has_no_paper_checks():
