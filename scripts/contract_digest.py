@@ -8,12 +8,13 @@ exponential branch), `classify` on the parser's error paths and budgets,
 `generate` on the large ansatz systems, the `sol.axis` families and every
 named family (defaults, explicit flags and the error paths), `verify-paper
 --format json` (also at `--r-max 1 --skip-oracle`, which pins the statuses at
-a lowered bound) and `scripts/family_gallery.py`.  Each command runs
+a lowered bound), `oracle --format json` on h2xr at `--levels 1`, `--levels 3`
+and `--samples 300`, and `scripts/family_gallery.py`.  Each command runs
 in-process; its line reads `<sha256 of stdout and stderr>  <exit code>
 <command>`.  No command prints the conformality operator, so one more line
 per chart hashes `str(g.conformality(f, h))` over fixed pairs, log pairs
-included.  Two trees are compared by diffing the output of this script run
-against each:
+included, and one more hashes a point-function `fd_tension` value.  Two
+trees are compared by diffing the output of this script run against each:
 
     PYTHONPATH=src python scripts/contract_digest.py > after.txt
 """
@@ -29,6 +30,7 @@ from pathlib import Path
 from polyharm.cli import main as cli_main
 from polyharm.errors import ClosureError
 from polyharm.geometries import by_id
+from polyharm.oracle import OracleConfig, fd_tension
 from polyharm.parser import parse
 
 # One expression per chart: fractional and complex coefficients, exponential
@@ -152,6 +154,21 @@ TENSION_EDGES = [
 ]
 
 
+# `oracle` sweeps on a log-bearing chart, in JSON so every digit of the
+# residual is pinned: one and three Richardson levels, and 300 points, which
+# spans more than one chunk of the stencil pass.
+ORACLE_FLAGS = [["--levels", "1"], ["--levels", "3"], ["--samples", "300"]]
+
+
+def print_point_function_tension() -> int:
+    """repr of one fd_tension through the point-function path (one call per
+    stencil point) on h2xr at three Richardson levels."""
+    g = by_id("h2xr")
+    f = parse(CHARTS["h2xr"], g.atoms)
+    print(repr(fd_tension(g, f.evaluate, (0.3, -0.2, 0.5), OracleConfig(levels=3))))
+    return 0
+
+
 def battery() -> list[list[str]]:
     commands = []
     for fmt in ("text", "json"):
@@ -176,6 +193,8 @@ def battery() -> list[list[str]]:
         for gid, convention, expr in TENSION_EDGES:
             commands.append(["tension", "-g", gid, "-r", "3", "--convention", convention,
                              "--format", fmt, expr])
+    for flags in ORACLE_FLAGS:
+        commands.append(["oracle", "-g", "h2xr", "--format", "json"] + flags + [CHARTS["h2xr"]])
     return commands
 
 
@@ -206,6 +225,8 @@ def main() -> int:
     for gid in CHARTS:
         sha, code = digest(lambda: print_conformality(gid))
         print(f"{sha}  {code}  conformality -g {gid}")
+    sha, code = digest(print_point_function_tension)
+    print(f"{sha}  {code}  fd_tension -g h2xr (point function, levels 3)")
     return 0
 
 

@@ -281,7 +281,7 @@ def _f1_harmonic(
     chart: str, mixed: str, a: Params, hol: Params, antihol: Params, geometry: Geometry | None
 ) -> Expr:
     """hol(x+iy) + antihol(x-iy) + a1 t + a2 (mixed) t on the nil or sl2 chart."""
-    if _all_zero(list(a) + list(hol) + list(antihol)):
+    if not _admissible_f1({"a": a, "hol": hol, "antihol": antihol}):
         raise UsageError(f"{chart} harmonic family needs a nonzero parameter")
     g = geometry or by_id(chart)
     a1, a2 = _coerce_all(a)
@@ -557,12 +557,24 @@ def _sample_separable(rng: random.Random) -> dict:
     return {"hol": hol, "antihol": antihol, "p": p}
 
 
-def _admissible_separable(params: dict) -> bool:
-    # the conformal part must not cancel between hol and antihol (the two
-    # lists overlap at the constant term)
-    hol, antihol = list(params["hol"]) or [0], list(params["antihol"]) or [0]
+def _plane_part_vanishes(hol: Params, antihol: Params) -> bool:
+    """Whether hol(w) + antihol(wb) is zero: the two lists overlap at the
+    constant term, so it cancels between them."""
+    hol, antihol = list(hol) or [0], list(antihol) or [0]
     constant = GaussianRational.coerce(hol[0]) + GaussianRational.coerce(antihol[0])
-    return not _all_zero(params["p"][2:]) and not _all_zero([constant] + hol[1:] + antihol[1:])
+    return _all_zero([constant] + hol[1:] + antihol[1:])
+
+
+def _admissible_separable(params: dict) -> bool:
+    return not _all_zero(params["p"][2:]) and not _plane_part_vanishes(
+        params["hol"], params["antihol"]
+    )
+
+
+def _admissible_f1(params: dict) -> bool:
+    return not _all_zero(params["a"]) or not _plane_part_vanishes(
+        params["hol"], params["antihol"]
+    )
 
 
 def _f1_f2_families(chart, harmonic, polynomial, size, proper) -> list[FamilyDescriptor]:
@@ -576,9 +588,7 @@ def _f1_f2_families(chart, harmonic, polynomial, size, proper) -> list[FamilyDes
             ParamSchema(("params", "hol", "antihol"), (("a", 2),), {"params": "1"}),
             lambda params: 1,
             _sample_f1,
-            lambda params: not _all_zero(
-                list(params["a"]) + list(params["hol"]) + list(params["antihol"])
-            ),
+            _admissible_f1,
         ),
         FamilyDescriptor(
             f"{chart}.f2",

@@ -12,17 +12,17 @@ configurable number of halved step sizes.  Complex-valued functions are
 differenced through their real and imaginary parts (the stencils are
 linear, so complex arithmetic does exactly that).
 
-All sample points of a sweep are differenced together.  For each
-Richardson level one array holds the full stencil of every point (centre,
-+-h e_i, and the four corners +-h e_i +-h e_j of each i < j: 1 + 2 dim +
-2 dim (dim - 1) rows per point), f is evaluated once on it, and B comes
-from the metric at the 1 + 2 dim metric points of every stencil: for dim <= 3
-(every chart of the paper) det and g^-1 = adj(g) / det are taken in closed
-form from the cofactors of the numeric metric entries, above that from one
-batched np.linalg det/inv.  The stencil offsets and axis pairs are built
-once per dimension.  Points go through in chunks of CHUNK_POINTS, which
-bounds the temporaries of a sweep of any size.  A function that is not an
-Expr is called once per stencil point.
+All sample points of a sweep are differenced together, every Richardson
+level in one pass.  One array holds the full stencil of every point: the
+centre once, +-h e_i of every level, then the four corners +-h e_i +-h e_j of
+each i < j of every level.  f is evaluated once on it, and B comes from one
+metric call at the 1 + 2 dim levels metric points of every stencil: for
+dim <= 3 (every chart of the paper) det and g^-1 = adj(g) / det are taken in
+closed form from the cofactors of the numeric metric entries, above that
+from one batched np.linalg det/inv.  The stencil is built once per dimension
+and level count.  Points go through in chunks of at most CHUNK_POINTS
+point-levels, which bounds the temporaries of a sweep of any size.  A
+function that is not an Expr is called once per stencil point.
 
 This is the second, independent route to the tension field: under the
 metric-derived operator convention the symbolic tau must agree with the
@@ -145,71 +145,68 @@ def _metric_coefficients(
 
 
 @functools.cache
-def _stencil(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(offsets, iu, ju), built once per dimension and read-only (callers share them).
+def _stencil(dim: int, levels: int) -> tuple[np.ndarray, ...]:
+    """(offsets, scales, iu, ju), built once per (dim, levels) and read-only.
 
-    offsets are the stencil rows in units of h, the first 1 + 2 dim being
-    the metric points; iu, ju index the pairs i < j in the order of the
-    corner rows.
+    offsets are the stencil rows in units of the base step: the centre, then
+    +-e_i of every level, then the four corners of each pair i < j of every
+    level, level k scaled by scales[k] = 2**-k.  The first 1 + 2 dim levels
+    rows are the metric points; iu, ju index the pairs in corner-row order.
     """
     e = np.eye(dim)
     iu, ju = np.triu_indices(dim, 1)
     signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
     corners = [si * e[i] + sj * e[j] for i, j in zip(iu, ju) for si, sj in signs]
-    offsets = np.vstack([np.zeros((1, dim)), e, -e] + corners)
-    for array in (offsets, iu, ju):
+    scales = np.ldexp(1.0, -np.arange(levels))[:, None]
+    axial = (scales[:, None] * np.vstack([e, -e])).reshape(-1, dim)
+    mixed = (scales[:, None] * np.reshape(corners, (-1, dim))).reshape(-1, dim)
+    offsets = np.vstack([np.zeros((1, dim)), axial, mixed])
+    for array in (offsets, scales, iu, ju):
         array.setflags(write=False)
-    return offsets, iu, ju
-
-
-def _stencil_tension(
-    geometry: Geometry, f: Expr | PointFunction, points: np.ndarray, h: float
-) -> np.ndarray:
-    """One expanded divergence-form stencil at step h for each row of points."""
-    n, dim = points.shape
-    offsets, iu, ju = _stencil(dim)
-    X = points[:, None, :] + h * offsets
-    if isinstance(f, Expr):
-        F = f.evaluate(X)
-    else:  # one call per stencil point
-        F = np.array([[f(tuple(x)) for x in row] for row in X], dtype=complex)
-    f0, plus, minus = F[:, :1], F[:, 1 : 1 + dim], F[:, 1 + dim : 1 + 2 * dim]
-    second = np.empty((n, dim, dim), dtype=complex)
-    axes = np.arange(dim)
-    second[:, axes, axes] = (plus - 2.0 * f0 + minus) / (h * h)
-    c = F[:, 1 + 2 * dim :].reshape(n, len(iu), 4)
-    mixed = (c[..., 0] - c[..., 1] - c[..., 2] + c[..., 3]) / (4.0 * h * h)
-    second[:, iu, ju] = second[:, ju, iu] = mixed
-    inv, root = _metric_coefficients(geometry, X[:, : 1 + 2 * dim])
-    B = inv * root[..., None, None]
-    # (d_j B)^ij from the +-h e_j neighbours, summed over j
-    div = np.einsum("njij->ni", B[:, 1 : 1 + dim] - B[:, 1 + dim :]) / (2.0 * h)
-    grad = (plus - minus) / (2.0 * h)
-    principal = np.einsum("nij,nij->n", inv[:, 0], second)
-    return principal + np.einsum("ni,ni->n", div / root[:, :1], grad)
+    return offsets, scales, iu, ju
 
 
 def _fd_tensions(
     geometry: Geometry, f: Expr | PointFunction, points: np.ndarray, config: OracleConfig
 ) -> np.ndarray:
-    """Richardson-extrapolated stencil tension at each row of ``points``."""
+    """Richardson-extrapolated stencil tension at each row of ``points``, every
+    level of a chunk of at most CHUNK_POINTS point-levels from one stencil pass."""
     geometry.check_point(points, 2.0 * config.step)
+    dim, levels = points.shape[1], config.levels
+    offsets, scales, iu, ju = _stencil(dim, levels)
+    h, axis_rows, axes = config.step * scales, 1 + 2 * dim * levels, np.arange(dim)
     out = np.empty(len(points), dtype=complex)
+    size = max(1, CHUNK_POINTS // levels)
     with np.errstate(all="ignore"):
-        for start in range(0, len(points), CHUNK_POINTS):
-            chunk = points[start : start + CHUNK_POINTS]
-            # Richardson table for an O(h^2) base stencil with step ratio 2.
-            table = [
-                _stencil_tension(geometry, f, chunk, config.step / 2.0**i)
-                for i in range(config.levels)
-            ]
-            for j in range(1, config.levels):
+        for start in range(0, len(points), size):
+            # repeated rows plus the offsets: the add runs over whole stencils
+            X = np.repeat(points[start : start + size], len(offsets), axis=0)
+            X = X.reshape(-1, *offsets.shape) + config.step * offsets
+            if isinstance(f, Expr):
+                F = f.evaluate(X)
+            else:  # one call per stencil point
+                F = np.array([[f(tuple(x)) for x in row] for row in X], dtype=complex)
+            n = len(F)
+            plus, minus = F[:, 1:axis_rows].reshape(n, levels, 2, dim).transpose(2, 0, 1, 3)
+            second = np.empty((n, levels, dim, dim), dtype=complex)
+            second[:, :, axes, axes] = (plus - 2.0 * F[:, :1, None] + minus) / (h * h)
+            c = F[:, axis_rows:].reshape(n, levels, len(iu), 4)
+            mixed = (c[..., 0] - c[..., 1] - c[..., 2] + c[..., 3]) / (4.0 * h * h)
+            second[:, :, iu, ju] = second[:, :, ju, iu] = mixed
+            inv, root = _metric_coefficients(geometry, X[:, :axis_rows])
+            B = (inv * root[..., None, None])[:, 1:].reshape(n, levels, 2, dim, dim, dim)
+            # (d_j B)^ij from the +-h e_j neighbours, summed over j
+            div = np.einsum("nljij->nli", B[:, :, 0] - B[:, :, 1]) / (2.0 * h)
+            grad = (plus - minus) / (2.0 * h)
+            principal = np.einsum("nij,nlij->nl", inv[:, 0], second)
+            tau = principal + np.einsum("nli,nli->nl", div / root[:, :1, None], grad)
+            # Richardson table for an O(h^2) base stencil with step ratio 2,
+            # one column of the table per pass over the level axis.
+            table = tau.T
+            for j in range(1, levels):
                 factor = 4.0**j
-                table = [
-                    (factor * table[i + 1] - table[i]) / (factor - 1.0)
-                    for i in range(len(table) - 1)
-                ]
-            out[start : start + CHUNK_POINTS] = table[0]
+                table = (factor * table[1:] - table[:-1]) / (factor - 1.0)
+            out[start : start + size] = table[0]
     return out
 
 

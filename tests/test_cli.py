@@ -369,10 +369,15 @@ def test_verify_paper_r_max_one_reports_exceeds_bound(capsys):
     )
     assert code == 1
     status = {c["id"]: c["status"] for c in payload["checks"]}
-    # the product check classifies factors of order up to 4: at bound 1 its
-    # factor and product both exceed it, which is never a pass
-    for check_id in ("sol/tower-order", "product/harmonic-times-r-harmonic"):
-        assert status[check_id] == "exceeds-bound"
+    # at bound 1 the factors and products of the product checks exceed it,
+    # which is never a pass
+    for check_id in (
+        "sol/tower-order",
+        "product/harmonic-times-r-harmonic",
+        "product/biharmonic-times-biharmonic-linexline",
+        "product/biharmonic-times-biharmonic-h2xr",
+    ):
+        assert status[check_id] == "exceeds-bound", check_id
 
 
 def test_verify_paper_is_deterministic(capsys):
@@ -507,6 +512,16 @@ def test_generate_nil_f1_with_holomorphic_part(capsys):
     )
     assert code == 0
     assert payload["order"] == 1
+
+
+@pytest.mark.parametrize("family_id", ["nil.f1", "sl2.f1"])
+def test_generate_f1_with_cancelling_constants_exits_4(capsys, family_id):
+    # hol and antihol share the constant term: 1 + (-1) leaves the zero function
+    code, out, err = run(
+        capsys, "generate", family_id, "--params", "0,0", "--hol", "1", "--antihol", "-1"
+    )
+    assert code == 4 and out == ""
+    assert "needs a nonzero parameter" in err
 
 
 def test_json_chains_reparse_to_identical_expressions(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import re
@@ -500,6 +501,30 @@ def test_descriptor_draw_is_admissible_and_keeps_fixed_parameters():
     # samples; draw never returns one
     h2h3 = FAMILIES["sol.h2h3"]
     assert all(h2h3.admissible(h2h3.draw(rng)) for _ in range(400))
+
+
+@pytest.mark.parametrize("chart", ["nil", "sl2"])
+def test_f1_cancelling_constant_terms_are_inadmissible(chart):
+    descriptor = FAMILIES[f"{chart}.f1"]
+    # hol and antihol overlap at the constant term, so 1 + (-1) builds zero
+    zero = {"a": [0, 0], "hol": [1], "antihol": [-1]}
+    assert not descriptor.admissible(zero)
+    with pytest.raises(UsageError):
+        descriptor.build("metric", **zero)
+    nonzero = [
+        {"a": [0, 0], "hol": [1], "antihol": [1]},
+        {"a": [0, 0], "hol": [1, 0], "antihol": [-1, 2]},
+        {"a": [0, 3], "hol": [1], "antihol": [-1]},
+        {"a": [0, 0], "hol": [0, 0, 1], "antihol": []},
+    ]
+    for params in nonzero:
+        assert descriptor.admissible(params), params
+        assert not descriptor.build("metric", **params)[1].is_zero(), params
+    # draw redraws past the zero function however often the sampler yields it
+    samples = iter([zero, zero, nonzero[0]])
+    rigged = dataclasses.replace(descriptor, sample=lambda rng: next(samples))
+    params = rigged.draw(random.Random(0))
+    assert params == nonzero[0] and not rigged.build("metric", **params)[1].is_zero()
 
 
 def test_readme_family_table_matches_the_schema():

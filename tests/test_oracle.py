@@ -1,3 +1,4 @@
+import collections
 import math
 import runpy
 import statistics
@@ -19,8 +20,11 @@ from polyharm.geometries import (
     sl2,
     sol,
 )
+from polyharm import oracle
 from polyharm.oracle import (
+    CHUNK_POINTS,
     OracleConfig,
+    _fd_tensions,
     _metric_coefficients,
     conformal_factor_ratio,
     cross_validate,
@@ -248,6 +252,125 @@ def test_convergence_is_second_order_before_extrapolation():
             ratios.append(abs(coarse - exact) / abs(fine - exact))
     assert len(ratios) >= 10
     assert 3.2 < statistics.median(ratios) < 4.8
+
+
+# -- one stencil pass against the per-level reference ------------------------------
+
+
+def _per_level_stencil_tension(geometry, f, points, h):
+    """The replaced per-level stencil: one evaluate and one metric call at step h."""
+    n, dim = points.shape
+    e = np.eye(dim)
+    iu, ju = np.triu_indices(dim, 1)
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    corners = [si * e[i] + sj * e[j] for i, j in zip(iu, ju) for si, sj in signs]
+    offsets = np.vstack([np.zeros((1, dim)), e, -e] + corners)
+    X = points[:, None, :] + h * offsets
+    if isinstance(f, Expr):
+        F = f.evaluate(X)
+    else:
+        F = np.array([[f(tuple(x)) for x in row] for row in X], dtype=complex)
+    f0, plus, minus = F[:, :1], F[:, 1 : 1 + dim], F[:, 1 + dim : 1 + 2 * dim]
+    second = np.empty((n, dim, dim), dtype=complex)
+    axes = np.arange(dim)
+    second[:, axes, axes] = (plus - 2.0 * f0 + minus) / (h * h)
+    c = F[:, 1 + 2 * dim :].reshape(n, len(iu), 4)
+    mixed = (c[..., 0] - c[..., 1] - c[..., 2] + c[..., 3]) / (4.0 * h * h)
+    second[:, iu, ju] = second[:, ju, iu] = mixed
+    inv, root = _metric_coefficients(geometry, X[:, : 1 + 2 * dim])
+    B = inv * root[..., None, None]
+    div = np.einsum("njij->ni", B[:, 1 : 1 + dim] - B[:, 1 + dim :]) / (2.0 * h)
+    grad = (plus - minus) / (2.0 * h)
+    principal = np.einsum("nij,nij->n", inv[:, 0], second)
+    return principal + np.einsum("ni,ni->n", div / root[:, :1], grad)
+
+
+def _per_level_fd_tensions(geometry, f, points, config):
+    """The replaced sweep: one stencil per Richardson level and chunk of
+    CHUNK_POINTS points, then the Richardson table.  Kept as the reference."""
+    out = np.empty(len(points), dtype=complex)
+    with np.errstate(all="ignore"):
+        for start in range(0, len(points), CHUNK_POINTS):
+            chunk = points[start : start + CHUNK_POINTS]
+            table = [
+                _per_level_stencil_tension(geometry, f, chunk, config.step / 2.0**i)
+                for i in range(config.levels)
+            ]
+            for j in range(1, config.levels):
+                factor = 4.0**j
+                table = [
+                    (factor * table[i + 1] - table[i]) / (factor - 1.0)
+                    for i in range(len(table) - 1)
+                ]
+            out[start : start + CHUNK_POINTS] = table[0]
+    return out
+
+
+# One expression per chart with every atom the chart has, so the exponential,
+# log and mixed-stencil rows all enter; product:nilxh2 (dim 5) takes the
+# LAPACK branch of the metric and line (dim 1) has no corner rows.
+ONE_PASS_CHARTS = {
+    "sol": "x^3*y*E(2) + (1+2i)/3*x*y*t^2 - 5/7*E(-1)",
+    "nil": "y^2*t + (2-3i)/5*x^3*t - x*y",
+    "sl2": "x*t^2 - 3/4*y^3 + 2i*x*y*t",
+    "h2": "(1+1i)/2*z^3*zb^2 + 3*log1m",
+    "s2p": "z*zb^2 - 2/3*log1p",
+    "h2xr": "t*log1m + (1-2i)/3*z*zb*t^2",
+    "s2pxr": "log1p*t^2 + z^2*zb*t",
+    "line": "t^5 - 1/3*t^2 + 7i",
+    "product:nilxh2": "x*z*zb + 1/2*t^2*z",
+}
+
+
+def _point_function(p):
+    # a cheap polynomial point function, so the per-point path stays fast
+    return complex(sum((k + 1) * c**3 for k, c in enumerate(p)), p[0] * p[-1])
+
+
+@pytest.mark.parametrize("gid", sorted(ONE_PASS_CHARTS))
+def test_one_pass_matches_the_per_level_reference(gid):
+    # levels 5 at 300 points spans six chunks of 51 points; the values
+    # agree exactly (1e-13 relative leaves room for another einsum order)
+    g = by_id(gid)
+    expr = parse(ONE_PASS_CHARTS[gid], g.atoms)
+    rng = np.random.default_rng(sum(map(ord, gid)))
+    for count in (1, 100, 300):
+        points = sample_points(g, count, rng)
+        for levels in (1, 2, 3, 5):
+            config = OracleConfig(levels=levels)
+            for f in (expr, _point_function):
+                got = _fd_tensions(g, f, points, config)
+                want = _per_level_fd_tensions(g, f, points, config)
+                assert np.allclose(got, want, rtol=1e-13, atol=0.0), (gid, count, levels)
+
+
+def test_one_pass_evaluates_and_builds_the_metric_once_per_chunk(monkeypatch):
+    g = nil()
+    f = parse("y^2*t + x^3*t - x*y", g.atoms)
+    calls = collections.Counter()
+    evaluate, metric = Expr.evaluate, oracle._metric_coefficients
+
+    def counted_evaluate(self, point):
+        calls["evaluate f" if self is f else "evaluate other"] += 1
+        return evaluate(self, point)
+
+    def counted_metric(geometry, points):
+        calls["metric"] += 1
+        return metric(geometry, points)
+
+    monkeypatch.setattr(Expr, "evaluate", counted_evaluate)
+    monkeypatch.setattr(oracle, "_metric_coefficients", counted_metric)
+    points = sample_points(g, 300, np.random.default_rng(4))
+    # a chunk holds CHUNK_POINTS // levels points: 2, 3 and 6 chunks
+    for levels, chunks in ((1, 2), (2, 3), (5, 6)):
+        calls.clear()
+        _fd_tensions(g, f, points, OracleConfig(levels=levels))
+        assert calls == {"evaluate f": chunks, "metric": chunks}, levels
+    # a default 100-point sweep is one chunk: one evaluate of f, one of its
+    # tension, and one metric call
+    calls.clear()
+    cross_validate(g, f, OracleConfig())
+    assert calls == {"evaluate f": 1, "evaluate other": 1, "metric": 1}
 
 
 # -- cross validation ---------------------------------------------------------------
