@@ -9,7 +9,8 @@ exponential branch), `classify` on the parser's error paths and budgets,
 named family (defaults, explicit flags and the error paths), `verify-paper
 --format json` (also at `--r-max 1 --skip-oracle`, which pins the statuses at
 a lowered bound), `oracle --format json` on h2xr at `--levels 1`, `--levels 3`
-and `--samples 300`, and `scripts/family_gallery.py`.  Each command runs
+and `--samples 300`, and `scripts/family_gallery.py`, plus the edge
+cases of `ANSATZ_EDGES` and `PAPER_ORACLE_CHARTS`.  Each command runs
 in-process; its line reads `<sha256 of stdout and stderr>  <exit code>
 <command>`.  No command prints the conformality operator, so one more line
 per chart hashes `str(g.conformality(f, h))` over fixed pairs, log pairs
@@ -159,6 +160,13 @@ TENSION_EDGES = [
 # spans more than one chunk of the stencil pass.
 ORACLE_FLAGS = [["--levels", "1"], ["--levels", "3"], ["--samples", "300"]]
 
+# `generate --ansatz` on sol with complex kernel members, a complex matrix row
+# and a negative row, which pin how rows and kernels are scaled to primitive
+# integers; and the paper-convention `oracle` on two conformal product charts,
+# which pins when the factor-4 ratio is reported.
+ANSATZ_EDGES = ["(1+1i)*x, 2i*y - 1/3*x*y, -4*t", "-x^2, 3/2*E(-2), (1+1i)*x*E(-1)"]
+PAPER_ORACLE_CHARTS = ["h2xr", "product:h2xline"]
+
 
 def print_point_function_tension() -> int:
     """repr of one fd_tension through the point-function path (one call per
@@ -195,6 +203,11 @@ def battery() -> list[list[str]]:
                              "--format", fmt, expr])
     for flags in ORACLE_FLAGS:
         commands.append(["oracle", "-g", "h2xr", "--format", "json"] + flags + [CHARTS["h2xr"]])
+    for fmt in ("text", "json"):
+        for basis in ANSATZ_EDGES:
+            commands.append(["generate", "-g", "sol", "--format", fmt, "--ansatz", basis])
+    for gid in PAPER_ORACLE_CHARTS:
+        commands.append(["oracle", "-g", gid, "--convention", "paper", "--format", "json", "z*zb"])
     return commands
 
 

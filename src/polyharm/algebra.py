@@ -201,32 +201,6 @@ def _canonical(atoms: AtomSet, raw: Iterable[Term], check: bool = False) -> tupl
     return tuple(out)
 
 
-def partial_terms(atoms: AtomSet, terms: Iterable[Term], var: str) -> list[Term]:
-    """The partial derivative in ``var`` of the sum of ``terms`` as a raw term
-    list: not merged or sorted (it may hold like terms), but free of zero
-    coefficients, so it can be differentiated again or canonicalised later.
-    A log-bearing term differentiated in z or zb raises ClosureError."""
-    idx = atoms.index(var)
-    conf = atoms.conformal_indices()
-    is_exp_var = atoms.exp_var == var
-    log_refused = conf is not None and idx in conf
-    raw = []
-    for t in terms:
-        coeff, powers, weight, logp = t
-        if logp and log_refused:
-            raise ClosureError(
-                "derivative of a log atom in z or zb is handled by the "
-                "geometry operators, not the term algebra"
-            )
-        k = powers[idx]
-        if k:
-            lowered = powers[:idx] + (k - 1,) + powers[idx + 1 :]
-            raw.append(Term(coeff if k == 1 else coeff * k, lowered, weight, logp))
-        if is_exp_var and weight:
-            raw.append(Term(coeff * weight, powers, weight, logp))
-    return raw
-
-
 @dataclass(frozen=True)
 class Expr:
     atoms: AtomSet
@@ -280,7 +254,7 @@ class Expr:
         """sum of c * m * terms over parts (c, powers, weight, terms) in one
         canonicalisation pass, with m = prod v^p * E(weight), ``powers`` an
         exponent tuple over ``atoms.variables`` and ``terms`` a sequence of
-        terms of ``atoms``, canonical or raw (see :func:`partial_terms`)."""
+        terms of ``atoms``, canonical or raw."""
         # streamed, and c = 1 or a zero monomial reuses the term's coefficient or
         # exponents: fewer live objects, so fewer garbage collections
         raw = (
@@ -342,9 +316,26 @@ class Expr:
     # -- calculus ----------------------------------------------------------
 
     def differentiate(self, var: str) -> "Expr":
-        """Exact partial derivative; z and zb are independent symbols."""
-        raw = partial_terms(self.atoms, self.terms, var)
-        return Expr(self.atoms, _canonical(self.atoms, raw))
+        """Exact partial derivative; z and zb are independent symbols.  A
+        log-bearing term differentiated in z or zb raises ClosureError."""
+        atoms = self.atoms
+        idx = atoms.index(var)
+        log_refused = atoms.conformal is not None and var in atoms.conformal
+        is_exp_var = atoms.exp_var == var
+        raw = []
+        for coeff, powers, weight, logp in self.terms:
+            if logp and log_refused:
+                raise ClosureError(
+                    "derivative of a log atom in z or zb is handled by the "
+                    "geometry operators, not the term algebra"
+                )
+            k = powers[idx]
+            if k:
+                lowered = powers[:idx] + (k - 1,) + powers[idx + 1 :]
+                raw.append(Term(coeff if k == 1 else coeff * k, lowered, weight, logp))
+            if is_exp_var and weight:
+                raw.append(Term(coeff * weight, powers, weight, logp))
+        return Expr(atoms, _canonical(atoms, raw))
 
     def evaluate(self, point) -> complex | np.ndarray:
         """Floating complex value at a real chart point.

@@ -39,8 +39,6 @@ from .oracle import OracleConfig, conformal_factor_ratio, cross_validate
 from .parser import parse, parse_scalar
 from .verify import SuiteContext, lemma_report, run_suite
 
-_CONFORMAL_IDS = ("h2", "s2p", "h2xr", "s2pxr")
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit with 4, not argparse's 2
@@ -50,7 +48,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _default_convention() -> str:
     value = os.environ.get("POLYHARM_CONVENTION", "metric")
-    return value if value in CONVENTIONS else "metric"
+    if value not in CONVENTIONS:
+        raise UsageError(f"unknown POLYHARM_CONVENTION {value!r}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -304,7 +304,7 @@ def _cmd_oracle(args) -> int:
     report = cross_validate(geometry, f, config)
     status = "ok" if report.within_tolerance else "tolerance-exceeded"
     sentinel = None
-    if args.convention == "paper" and args.geometry in _CONFORMAL_IDS:
+    if args.convention == "paper" and geometry.log_rule is not None:
         ratios = conformal_factor_ratio(geometry, f, config, count=20)
         if ratios:
             sentinel = sum(ratios) / len(ratios)
@@ -384,9 +384,8 @@ _DISPATCH = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         code = _DISPATCH[args.command](args)
         sys.stdout.flush()
         return code

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .algebra import AtomSet, Expr
 from .errors import UsageError
 from .geometries import Geometry, ProductGeometry, by_id, classify, iterated_tension, sol
-from .linalg import ExactMatrix, nullspace, primitive_real_scale, rank
-from .rationals import GaussianRational, ScalarLike
+from .linalg import ExactMatrix, nullspace, primitive_scale, rank
+from .rationals import GaussianRational, I, ScalarLike
 
 Params = Sequence[ScalarLike]
 
@@ -116,19 +115,11 @@ def primitive_normalized(f: Expr) -> Expr:
     """Rescale to coprime integer coefficients with positive leading term.
 
     Falls back to making the leading coefficient 1 when coefficients are
-    not all real.  Display-level normalization; scaling never changes a
-    properness order.
+    not all real (see :func:`primitive_scale`).  Display-level
+    normalization; scaling never changes a properness order.
     """
-    if f.is_zero():
-        return f
     coeffs = [t.coeff for t in f.terms]
-    try:
-        scale = GaussianRational(primitive_real_scale(coeffs))
-        if (coeffs[0] * scale).re < 0:
-            scale = -scale
-    except UsageError:
-        scale = GaussianRational.coerce(1) / coeffs[0]
-    return scale * f
+    return primitive_scale(coeffs, coeffs[0]) * f if coeffs else f
 
 
 def generate_kernel(system: AnsatzSystem) -> list[Expr]:
@@ -171,13 +162,9 @@ def sol_axis_family(n: int, axis: str = "x", geometry: Geometry | None = None) -
     if len(kernel) != 1:
         raise AssertionError(f"axis ansatz kernel has dimension {len(kernel)} != 1")
     f = kernel[0]
-    coeffs = [t.coeff for t in f.terms]
-    scale = GaussianRational(primitive_real_scale(coeffs))
     idx = g.atoms.index(axis)
     leading = next(t.coeff for t in f.terms if t.powers[idx] == n)
-    if (leading * scale).re < 0:
-        scale = -scale
-    return scale * f
+    return primitive_scale([t.coeff for t in f.terms], leading) * f
 
 
 def _sol_affine(atoms: AtomSet, c: Params) -> Expr:
@@ -232,9 +219,9 @@ def sol_mixed_harmonic(
     atoms = g.atoms
     fx = sol_axis_family(n, "x", g)
     fy = sol_axis_family(n, "y", g)
-    left = Expr.constant(atoms, alpha) + GaussianRational.coerce(beta) * Expr.variable(atoms, "y")
-    right = Expr.constant(atoms, gamma) + GaussianRational.coerce(delta) * Expr.variable(atoms, "x")
-    return GaussianRational.coerce(a) * (left * fx) + GaussianRational.coerce(b) * (right * fy)
+    left = Expr.constant(atoms, alpha) + beta * Expr.variable(atoms, "y")
+    right = Expr.constant(atoms, gamma) + delta * Expr.variable(atoms, "x")
+    return a * (left * fx) + b * (right * fy)
 
 
 def sol_h2h3(
@@ -251,12 +238,8 @@ def sol_h2h3(
     if _all_zero([a2, a3]) or _all_zero([b2, b3]):
         raise UsageError("each factor of the product family needs a nonzero pair")
     g = geometry or sol()
-    h2 = GaussianRational.coerce(a2) * sol_axis_family(2, "x", g) + GaussianRational.coerce(
-        a3
-    ) * sol_axis_family(3, "x", g)
-    h3 = GaussianRational.coerce(b2) * sol_axis_family(2, "y", g) + GaussianRational.coerce(
-        b3
-    ) * sol_axis_family(3, "y", g)
+    h2 = a2 * sol_axis_family(2, "x", g) + a3 * sol_axis_family(3, "x", g)
+    h3 = b2 * sol_axis_family(2, "y", g) + b3 * sol_axis_family(3, "y", g)
     return h2 * h3
 
 
@@ -265,14 +248,13 @@ def sol_h2h3(
 
 def plane_harmonic_part(atoms: AtomSet, hol: Params, antihol: Params) -> Expr:
     """hol(x + iy) + antihol(x - iy) with polynomial coefficient lists."""
-    i = GaussianRational.of(0, 1)
     x = Expr.variable(atoms, "x")
     y = Expr.variable(atoms, "y")
     terms = []
-    for coeffs, base in ((hol, x + i * y), (antihol, x - i * y)):
+    for coeffs, base in ((hol, x + I * y), (antihol, x - I * y)):
         power = Expr.constant(atoms, 1)
         for c in coeffs:
-            terms.append(GaussianRational.coerce(c) * power)
+            terms.append(c * power)
             power = power * base
     return Expr.sum(atoms, terms)
 
@@ -513,15 +495,14 @@ class FamilyDescriptor:
                 return params
 
 
-def _rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+def _rand_part(rng: random.Random) -> GaussianRational:
+    return GaussianRational.coerce(rng.randint(-6, 6)) / rng.randint(1, 3)
 
 
 def random_scalar(rng: random.Random, complex_ok: bool = True) -> GaussianRational:
     """Seeded scalar with parts in {-6..6}/{1,2,3}; complex with probability 0.3."""
-    re = _rand_fraction(rng)
-    im = _rand_fraction(rng) if complex_ok and rng.random() < 0.3 else Fraction(0)
-    return GaussianRational(re, im)
+    re = _rand_part(rng)
+    return re + _rand_part(rng) * I if complex_ok and rng.random() < 0.3 else re
 
 
 def _rand_vector(rng: random.Random, k: int, nonzero: bool = True) -> list[GaussianRational]:

@@ -23,8 +23,9 @@ one with i == j is g^ii, one with i != j stands for g^ij + g^ji.  tau is a
 per-term kernel compiled from the table once per atom set: the entries are
 grouped by (i, j), and for each term each group emits at most three terms
 with integer multipliers (see ``Geometry.tension``).  kappa = sum g^ij f_i h_j
-reads the same entries through Expr.differentiate: c m f_i h_i on the
-diagonal and c m (f_i h_j + f_j h_i) / 2 off it.  Entries on the conformal
+reads the same compiled groups: it forms f_i h_j (and f_j h_i off the
+diagonal) once per group, and each entry adds c m f_i h_i on the diagonal
+and c m (f_i h_j + f_j h_i) / 2 off it.  Entries on the conformal
 pair act on the log-free part of f; the log atom L follows the closed-form
 rule of its surface, tau(L) = s c, with its own kappa terms.  Adding a chart
 means adding one table and one ``metric``.
@@ -94,29 +95,19 @@ class Geometry:
         self.atoms = atoms
         self.sample_box = sample_box
         self.table = table
-        self._resolved: dict[AtomSet, tuple] = {}
         self._kernels: dict[AtomSet, tuple] = {}
-
-    def _entries(self, atoms: AtomSet) -> tuple:
-        """The table with ``powers`` as exponent tuples over ``atoms``."""
-        entries = self._resolved.get(atoms)
-        if entries is None:
-            entries = self._resolved[atoms] = tuple(
-                (c, atoms.exponents(powers), weight, i, j)
-                for c, powers, weight, i, j in self.table
-            )
-        return entries
 
     def _kernel(self, atoms: AtomSet) -> tuple:
         """The table compiled for ``atoms``: one group (i, j, i == j, i/j is
         the exp variable, i/j is in the conformal pair, entries) per (i, j)
         pair, each entry (c, weight, shifts) with shifts[k] its exponents less
-        the units that output k of ``tension`` lowers."""
+        the units that output k of ``tension`` lowers (so shifts[3] is the
+        entry's exponent tuple over ``atoms``)."""
         kernel = self._kernels.get(atoms)
         if kernel is None:
             groups, conformal = {}, atoms.conformal or ()
-            for c, p, w, i, j in self._entries(atoms):
-                vi, vj = atoms.index(i), atoms.index(j)
+            for c, powers, w, i, j in self.table:
+                p, vi, vj = atoms.exponents(powers), atoms.index(i), atoms.index(j)
                 group = groups.setdefault((i, j), (vi, vj, vi == vj, i == atoms.exp_var,
                                                    j == atoms.exp_var, i in conformal,
                                                    j in conformal, []))
@@ -172,14 +163,15 @@ class Geometry:
         (fp, fa), (hp, ha) = f.split_log(), h.split_log()
         df = _first_partials(f, fp)
         dh = _first_partials(h, hp)
+        names = f.atoms.variables
         parts = []
-        for c, powers, weight, i, j in self._entries(f.atoms):
-            if i == j:
-                parts.append((c, powers, weight, (df(i) * dh(i)).terms))
-            else:
-                half = GaussianRational.coerce(c) / 2
-                parts.append((half, powers, weight, (df(i) * dh(j)).terms))
-                parts.append((half, powers, weight, (df(j) * dh(i)).terms))
+        for vi, vj, same, *_, entries in self._kernel(f.atoms):
+            i, j = names[vi], names[vj]
+            pairs = ((i, j),) if same else ((i, j), (j, i))
+            products = [(df(a) * dh(b)).terms for a, b in pairs]
+            for c, w, shifts in entries:
+                scale = c if same else GaussianRational.coerce(c) / 2
+                parts.extend((scale, shifts[3], w, terms) for terms in products)
         if self.log_rule is not None:
             parts.extend(self.log_rule.log_conformality_parts(f.atoms, fa, ha, df, dh))
         return Expr.combine(f.atoms, parts)
@@ -484,11 +476,7 @@ def product_tension_binomial(
         raise UsageError("n must be at least 1")
     chain1 = iterated_tension(first, f1, n)
     chain2 = iterated_tension(second, f2, n)
-    total = None
-    for k in range(n + 1):
-        piece = math.comb(n, k) * (chain1[n - k] * chain2[k])
-        total = piece if total is None else total + piece
-    return total
+    return Expr.sum(f1.atoms, [math.comb(n, k) * (chain1[n - k] * chain2[k]) for k in range(n + 1)])
 
 
 # -- registry ----------------------------------------------------------------

@@ -10,14 +10,15 @@ change the result: the reduced row echelon form of a matrix is unique, so
 kernels are the same under any pivot row order.  The arithmetic is exact,
 so there is no numerical pivot selection.  Kernel basis vectors are
 normalized so that their first nonzero entry is 1, which makes hand
-comparisons "equal up to one declared scale factor".
+comparisons "equal up to one declared scale factor".  For printing,
+:func:`primitive_scale` is the one rule that scales a vector to coprime
+integers with a positive lead (or to lead 1 when it is complex).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import UsageError
@@ -142,14 +143,6 @@ def rank(m: ExactMatrix) -> int:
     return len(_eliminate(m)[1])
 
 
-def _normalize_leading(v: list[GaussianRational]) -> Vector:
-    lead = next((x for x in v if not x.is_zero()), None)
-    if lead is None:
-        return tuple(v)
-    inv = ONE / lead
-    return tuple(x if x.is_zero() else x * inv for x in v)
-
-
 def nullspace(m: ExactMatrix) -> list[Vector]:
     """Exact kernel basis; empty list for a trivial kernel.
 
@@ -193,42 +186,26 @@ def solve(m: ExactMatrix, rhs: Sequence[ScalarLike]) -> Vector | None:
     return tuple(x)
 
 
-def primitive_real_scale(values: Iterable[GaussianRational]) -> Fraction:
-    """Positive rational s such that s*values has coprime integer entries.
-
-    Only defined for vectors of real rationals; used to print kernel vectors
-    and ansatz matrix rows the way tables of integer coefficients are
-    usually typeset.
-    """
-    fracs = []
-    for v in values:
-        if v.im != 0:
-            raise UsageError("primitive scaling needs real rational entries")
-        fracs.append(v.re)
-    nonzero = [f for f in fracs if f != 0]
-    if not nonzero:
-        return Fraction(1)
-    denom_lcm = 1
-    for f in nonzero:
-        denom_lcm = denom_lcm * f.denominator // math.gcd(denom_lcm, f.denominator)
-    nums = [abs(int(f * denom_lcm)) for f in nonzero]
-    g = 0
-    for n in nums:
-        g = math.gcd(g, n)
-    return Fraction(denom_lcm, g)
+def primitive_scale(values: Iterable[GaussianRational], lead: GaussianRational) -> GaussianRational:
+    """The scale s that prints ``values`` the way tables of integer
+    coefficients are usually typeset: when every value is real, s*values are
+    coprime integers and s*lead is positive; when one is complex, s = 1/lead;
+    when all are zero, s = 1."""
+    values = [v for v in values if v]
+    if not values:
+        return ONE
+    if any(v.b for v in values):
+        return ONE / lead
+    d = math.lcm(*(v.d for v in values))
+    g = math.gcd(*(v.a * (d // v.d) for v in values))
+    return GaussianRational.coerce(-d if lead.a < 0 else d) / g
 
 
 def primitive_rows(m: ExactMatrix) -> list[list[GaussianRational]]:
-    """Rows rescaled to coprime integers with positive first nonzero entry."""
+    """Rows scaled by :func:`primitive_scale`, each led by its first nonzero entry."""
     out = []
     for i in range(m.rows):
-        row = list(m.row(i))
-        try:
-            s = primitive_real_scale(row)
-            lead = next((x for x in row if not x.is_zero()), None)
-            if lead is not None and lead.re * s < 0:
-                s = -s
-            out.append([x * s for x in row])
-        except UsageError:
-            out.append(list(_normalize_leading(row)))
+        row = m.row(i)
+        s = primitive_scale(row, next((x for x in row if x), ONE))
+        out.append([x * s for x in row])
     return out

@@ -42,7 +42,6 @@ Budgets keep every input to a clean error:
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, Term, _canonical, _validated
 from .errors import ParseError, UsageError
@@ -121,9 +120,9 @@ class _Parser:
 
     # -- scalar literals ----------------------------------------------------
 
-    def parse_unsigned_rational(self) -> Fraction:
-        num = self.expect_uint()
-        return Fraction(num, self.expect_denominator()) if self.accept_op("/") else Fraction(num)
+    def parse_unsigned_rational(self) -> GaussianRational:
+        num = GaussianRational.coerce(self.expect_uint())
+        return num / self.expect_denominator() if self.accept_op("/") else num
 
     def try_complex_paren_literal(self) -> GaussianRational | None:
         """'(' rational ('+'|'-') rational 'i' ')' ['/' uint], or rollback."""
@@ -144,7 +143,7 @@ class _Parser:
         except ParseError:
             self.pos = saved
             return None
-        value = GaussianRational(real, im if kind == "+" else -im)
+        value = real + im * I if kind == "+" else real - im * I
         if self.accept_op("/"):
             value = value / self.expect_denominator()
         return value
@@ -159,7 +158,7 @@ class _Parser:
             if value is None:
                 raise ParseError("expected a complex literal", pos)
         elif kind == "NUM":
-            value = GaussianRational(self.parse_unsigned_rational())
+            value = self.parse_unsigned_rational()
             if self.peek()[:2] == ("NAME", "i"):
                 self.pos += 1
                 value = value * I

@@ -466,23 +466,12 @@ def _check_oracle(ctx) -> list[CheckResult]:
     out = []
     cfg = OracleConfig(samples=20, seed=ctx.seed)
     if "metric" in ctx.conventions:
-        report = cross_validate(sol(), parse("x^3*y*E(2)", sol().atoms), cfg)
-        out.append(
-            _result(
-                "oracle/sol-agreement",
-                report.within_tolerance,
-                f"max_rel={report.max_rel:.3e}",
-            )
-        )
-        g = disc_times_line("metric")
-        report = cross_validate(g, parse("z^2*zb*t + t^3", g.atoms), cfg)
-        out.append(
-            _result(
-                "oracle/h2xr-agreement[metric]",
-                report.within_tolerance,
-                f"max_rel={report.max_rel:.3e}",
-            )
-        )
+        for check_id, g, text in (
+            ("oracle/sol-agreement", sol(), "x^3*y*E(2)"),
+            ("oracle/h2xr-agreement[metric]", disc_times_line("metric"), "z^2*zb*t + t^3"),
+        ):
+            report = cross_validate(g, parse(text, g.atoms), cfg)
+            out.append(_result(check_id, report.within_tolerance, f"max_rel={report.max_rel:.3e}"))
     if "paper" in ctx.conventions:
         g = hyperbolic_disc("paper")
         ratios = conformal_factor_ratio(g, parse("z*zb", g.atoms), cfg, count=10)

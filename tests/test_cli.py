@@ -256,6 +256,17 @@ def test_oracle_sentinel_under_paper_convention(capsys):
     assert payload["sentinel_ratio"] == pytest.approx(4.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("gid", ["h2xr", "product:h2xline", "product:nilxh2"])
+def test_oracle_sentinel_follows_the_chart_not_its_id(capsys, gid):
+    # product:h2xline is h2xr under another id, and nilxh2 carries the same
+    # conformal factor: the paper convention reports the ratio on all three
+    code, out, _ = run(capsys, "oracle", "-g", gid, "--convention", "paper", "z*zb",
+                       "--samples", "10")
+    assert code == 0
+    assert "status: expected-mismatch" in out.splitlines()
+    assert "mean symbolic/oracle ratio: 4.000000" in out.splitlines()
+
+
 def test_oracle_nan_step_is_usage_error(capsys):
     code, _, err = run(capsys, "oracle", "-g", "line", "t^2", "--step", "nan")
     assert code == 4
@@ -498,6 +509,12 @@ def test_environment_variable_sets_default_convention(capsys, monkeypatch):
     monkeypatch.setenv("POLYHARM_CONVENTION", "metric")
     code, out, _ = run(capsys, "tension", "-g", "h2", "-r", "1", "--", "-log1m")
     assert out.strip().splitlines()[1] == "tau^1: 1"
+    # a mistyped value is a usage error, not a silent fallback to metric
+    monkeypatch.setenv("POLYHARM_CONVENTION", "papr")
+    for argv in (["classify", "-g", "h2", "log1m"], ["lemma-check", "-n", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == "error: unknown POLYHARM_CONVENTION 'papr'\n"
 
 
 def test_generate_nil_f1_with_holomorphic_part(capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 from itertools import product as cartesian
 
@@ -456,6 +457,31 @@ def test_product_r_harmonic_rejects_biharmonic_first_factor():
         product_r_harmonic(g, f1, f2)
     # direct classification shows the product is triharmonic instead
     assert classify(g, f1 * f2).order == 3
+
+
+# -- seeded sampler -----------------------------------------------------------------------------
+
+
+def _reference_rand_fraction(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+
+def _reference_random_scalar(rng, complex_ok=True):
+    """families.random_scalar as it was drawn through Fractions."""
+    re = _reference_rand_fraction(rng)
+    im = _reference_rand_fraction(rng) if complex_ok and rng.random() < 0.3 else Fraction(0)
+    return GaussianRational(re, im)
+
+
+@pytest.mark.parametrize("complex_ok", [True, False])
+def test_random_scalar_matches_the_fraction_reference(complex_ok):
+    rng, ref = random.Random(f"scalar-{complex_ok}"), random.Random(f"scalar-{complex_ok}")
+    values = []
+    for _ in range(500):
+        values.append(random_scalar(rng, complex_ok))
+        assert values[-1] == _reference_random_scalar(ref, complex_ok)
+        assert rng.getstate() == ref.getstate()
+    assert any(v.b for v in values) == complex_ok
 
 
 # -- descriptor registry ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from polyharm.families import (
 )
 from polyharm.geometries import (
     _BASE_IDS,
+    CONVENTIONS,
     Geometry,
     ProductGeometry,
     by_id,
@@ -28,8 +29,10 @@ from polyharm.geometries import (
     punctured_sphere,
     sl2,
     sol,
+    _first_partials,
 )
 from polyharm.parser import parse
+from polyharm.rationals import GaussianRational
 from polyharm.verify import random_expr, random_nonzero_scalar, random_scalar
 
 def _random_pair(rng, geometry, **kwargs):
@@ -379,7 +382,8 @@ def _reference_tension(g, f):
     free, logc = f.split_log()
     conformal = f.atoms.conformal or ()
     first, second, parts = {}, {}, []
-    for c, powers, weight, i, j in g._entries(f.atoms):
+    for c, p, weight, i, j in g.table:
+        powers = f.atoms.exponents(p)
         if (i, j) not in second:
             if j not in first:
                 first[j] = (free if j in conformal else f).differentiate(j)
@@ -417,6 +421,69 @@ def test_raw_partial_tension_matches_per_partial_reference(case, rng):
                     allow_log=atoms.log_kind is not None)
     got = _tension_outcome(type(g).tension, g, f)
     assert got == _tension_outcome(_reference_tension, g, f)
+
+
+def _reference_conformality(g, f, h):
+    """kappa(f, h) with the first-partial products formed once per table
+    entry, as conformality was computed before it read the compiled groups."""
+    g._require(f)
+    g._require(h)
+    (fp, fa), (hp, ha) = f.split_log(), h.split_log()
+    df = _first_partials(f, fp)
+    dh = _first_partials(h, hp)
+    parts = []
+    for c, p, weight, i, j in g.table:
+        powers = f.atoms.exponents(p)
+        if i == j:
+            parts.append((c, powers, weight, (df(i) * dh(i)).terms))
+        else:
+            half = GaussianRational.coerce(c) / 2
+            parts.append((half, powers, weight, (df(i) * dh(j)).terms))
+            parts.append((half, powers, weight, (df(j) * dh(i)).terms))
+    if g.log_rule is not None:
+        parts.extend(g.log_rule.log_conformality_parts(f.atoms, fa, ha, df, dh))
+    return Expr.combine(f.atoms, parts)
+
+
+def _kappa_outcome(kappa, g, f, h):
+    try:
+        return ("ok", kappa(g, f, h))
+    except ClosureError as exc:
+        return (ClosureError, str(exc))
+
+
+_CONFORMALITY_CASES = [(gid, convention, None) for gid in (*_BASE_IDS, "product:nilxh2",
+                       "product:solxs2p", "product:linexline") for convention in CONVENTIONS]
+_CONFORMALITY_CASES += [(gid, "metric", _XY_LOG) for gid in ("sol", "nil", "sl2")]
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(_CONFORMALITY_CASES), st.randoms(use_true_random=False))
+def test_conformality_matches_the_per_entry_reference(case, rng):
+    gid, convention, atoms = case
+    g = by_id(gid, convention)
+    atoms = atoms or g.atoms
+    f, h = (random_expr(rng, atoms, max_terms=4, max_power=3,
+                        weights=(-2, -1, 0, 1, 2) if atoms.exp_var else (0,),
+                        allow_log=atoms.log_kind is not None) for _ in range(2))
+    got = _kappa_outcome(type(g).conformality, g, f, h)
+    assert got == _kappa_outcome(_reference_conformality, g, f, h)
+
+
+@pytest.mark.parametrize("gid", ["h2", "s2p", "h2xr", "s2pxr", "product:nilxh2"])
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_conformality_of_log_pairs_matches_the_per_entry_reference(gid, convention):
+    g = by_id(gid, convention)
+    log = g.atoms.log_kind
+    texts = [log, f"2*{log} + z*zb^2", f"z^2 - 1/3*{log}"]
+    if "t" in g.atoms.variables:
+        texts += [f"t*{log}", f"t^2*{log} - z*t", f"(1+1i)*t*{log} + {log}"]
+    for f, h in ((parse(a, g.atoms), parse(b, g.atoms)) for a in texts for b in texts):
+        got = _kappa_outcome(type(g).conformality, g, f, h)
+        assert got == _kappa_outcome(_reference_conformality, g, f, h)
+    if "t" in g.atoms.variables:  # kappa(t L, t L) carries L^2
+        with pytest.raises(ClosureError, match="log atom squared"):
+            g.conformality(parse(f"t*{log}", g.atoms), parse(f"t*{log}", g.atoms))
 
 
 def test_raw_partial_tension_raises_the_reference_closure_errors():

@@ -1,20 +1,31 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polyharm.algebra import Expr
 from polyharm.errors import UsageError
+from polyharm.families import (
+    AnsatzSystem,
+    generate_kernel,
+    primitive_normalized,
+    sol_axis_basis,
+    sol_axis_family,
+)
+from polyharm.geometries import sol
 from polyharm.linalg import (
     ExactMatrix,
     nullspace,
     primitive_rows,
+    primitive_scale,
     rank,
     rref,
     solve,
 )
-from polyharm.rationals import GaussianRational
+from polyharm.rationals import ONE, GaussianRational
 
 from conftest import fractions, gaussian_rationals
 
@@ -175,6 +186,133 @@ def test_primitive_rows():
     rows = primitive_rows(m)
     assert [v.re for v in rows[0]] == [2, 0, 1]
     assert [v.re for v in rows[1]] == [0, 1, 0]
+
+
+# -- primitive scaling against the Fraction bodies it replaced -----------------------
+
+
+def _reference_primitive_real_scale(values):
+    """linalg.primitive_real_scale, which scaled through the Fraction parts."""
+    fracs = []
+    for v in values:
+        if v.im != 0:
+            raise UsageError("primitive scaling needs real rational entries")
+        fracs.append(v.re)
+    nonzero = [f for f in fracs if f != 0]
+    if not nonzero:
+        return Fraction(1)
+    denom_lcm = 1
+    for f in nonzero:
+        denom_lcm = denom_lcm * f.denominator // math.gcd(denom_lcm, f.denominator)
+    nums = [abs(int(f * denom_lcm)) for f in nonzero]
+    g = 0
+    for n in nums:
+        g = math.gcd(g, n)
+    return Fraction(denom_lcm, g)
+
+
+def _reference_normalize_leading(v):
+    lead = next((x for x in v if not x.is_zero()), None)
+    if lead is None:
+        return tuple(v)
+    inv = ONE / lead
+    return tuple(x if x.is_zero() else x * inv for x in v)
+
+
+def _reference_primitive_rows(m):
+    out = []
+    for i in range(m.rows):
+        row = list(m.row(i))
+        try:
+            s = _reference_primitive_real_scale(row)
+            lead = next((x for x in row if not x.is_zero()), None)
+            if lead is not None and lead.re * s < 0:
+                s = -s
+            out.append([x * s for x in row])
+        except UsageError:
+            out.append(list(_reference_normalize_leading(row)))
+    return out
+
+
+def _reference_primitive_normalized(f):
+    if f.is_zero():
+        return f
+    coeffs = [t.coeff for t in f.terms]
+    try:
+        scale = GaussianRational(_reference_primitive_real_scale(coeffs))
+        if (coeffs[0] * scale).re < 0:
+            scale = -scale
+    except UsageError:
+        scale = GaussianRational.coerce(1) / coeffs[0]
+    return scale * f
+
+
+def _reference_axis_scaled(f, axis, n):
+    """The tail of families.sol_axis_family: primitive, positive v^n term."""
+    coeffs = [t.coeff for t in f.terms]
+    scale = GaussianRational(_reference_primitive_real_scale(coeffs))
+    idx = f.atoms.index(axis)
+    leading = next(t.coeff for t in f.terms if t.powers[idx] == n)
+    if (leading * scale).re < 0:
+        scale = -scale
+    return scale * f
+
+
+_BIG_PART = fractions(max_num=10**6, max_den=10**6)
+
+
+@st.composite
+def scaling_rows(draw, complex_ok=True):
+    """Rows of up to 6 entries, each zero about a third of the time (so whole
+    rows vanish too), real, or complex when ``complex_ok``; denominators up to
+    10^6 and both signs, so leads are often negative."""
+    part = st.one_of(_BIG_PART, fractions())
+    value = st.one_of(st.just(Fraction(0)), part)
+    if complex_ok and draw(st.booleans()):
+        value = st.one_of(value, st.builds(GaussianRational, part, part))
+    return [GaussianRational.coerce(v) for v in draw(st.lists(value, min_size=1, max_size=6))]
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 4).flatmap(lambda cols: st.lists(
+    scaling_rows().map(lambda row: (row * cols)[:cols]), min_size=1, max_size=5)))
+def test_primitive_rows_match_the_fraction_reference(rows):
+    m = ExactMatrix.from_rows(rows)
+    assert primitive_rows(m) == _reference_primitive_rows(m)
+
+
+def _x_polynomial(row):
+    """sum row[k] x^k on sol: one term per nonzero entry, so the canonical
+    first term is the highest power."""
+    atoms = sol().atoms
+    return Expr.sum(atoms, [Expr.monomial(atoms, c, {"x": k}) for k, c in enumerate(row)])
+
+
+@settings(max_examples=300)
+@given(scaling_rows())
+def test_primitive_normalized_matches_the_fraction_reference(row):
+    f = _x_polynomial(row)
+    assert primitive_normalized(f) == _reference_primitive_normalized(f)
+
+
+@settings(max_examples=300)
+@given(scaling_rows(complex_ok=False), st.integers(0, 5))
+def test_primitive_scale_with_any_lead_matches_the_axis_reference(row, k):
+    # sol_axis_family leads with its v^n term, which is not the first term
+    f = _x_polynomial(row)
+    assume(not f.is_zero())
+    n = f.terms[k % len(f.terms)].powers[0]
+    lead = next(t.coeff for t in f.terms if t.powers[0] == n)
+    got = primitive_scale([t.coeff for t in f.terms], lead) * f
+    assert got == _reference_axis_scaled(f, "x", n)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sol_axis_family_matches_the_fraction_reference(n, axis):
+    g = sol()
+    kernel = generate_kernel(AnsatzSystem.build(g, sol_axis_basis(n, axis, g)))
+    assert sol_axis_family(n, axis, g) == _reference_axis_scaled(kernel[0], axis, n)
 
 
 # -- sparse storage against a dense reference ---------------------------------------

@@ -13,7 +13,7 @@ from polyharm.geometries import by_id, disc_times_line, sol
 from polyharm.parser import (
     MAX_DEPTH, MAX_POWER_TERM_PRODUCTS, _Parser, _power, parse, parse_scalar,
 )
-from polyharm.rationals import GaussianRational
+from polyharm.rationals import GaussianRational, I
 from polyharm.verify import random_expr
 
 from conftest import gaussian_rationals
@@ -245,6 +245,53 @@ class _ReferenceParser(_Parser):
         super().__init__(src, atoms)
         self.tokens = _reference_tokenize(src)
 
+    # the literal path as it was, through Fractions
+
+    def parse_unsigned_rational(self):
+        num = self.expect_uint()
+        return Fraction(num, self.expect_denominator()) if self.accept_op("/") else Fraction(num)
+
+    def try_complex_paren_literal(self):
+        saved = self.pos
+        try:
+            self.expect_op("(")
+            neg = self.accept_op("-")
+            real = -self.parse_unsigned_rational() if neg else self.parse_unsigned_rational()
+            kind, _, pos = self.peek()
+            if kind != "+" and kind != "-":
+                raise ParseError("expected '+' or '-'", pos)
+            self.pos += 1
+            im = self.parse_unsigned_rational()
+            if self.peek()[:2] != ("NAME", "i"):
+                raise ParseError("expected 'i'", self.peek()[2])
+            self.pos += 1
+            self.expect_op(")")
+        except ParseError:
+            self.pos = saved
+            return None
+        value = GaussianRational(real, im if kind == "+" else -im)
+        if self.accept_op("/"):
+            value = value / self.expect_denominator()
+        return value
+
+    def parse_scalar_literal(self):
+        negate = False
+        while self.accept_op("-"):
+            negate = not negate
+        kind, _, pos = self.peek()
+        if kind == "(":
+            value = self.try_complex_paren_literal()
+            if value is None:
+                raise ParseError("expected a complex literal", pos)
+        elif kind == "NUM":
+            value = GaussianRational(self.parse_unsigned_rational())
+            if self.peek()[:2] == ("NAME", "i"):
+                self.pos += 1
+                value = value * I
+        else:
+            raise ParseError("expected a number", pos)
+        return -value if negate else value
+
     def parse_expr(self):
         negate = self.accept_op("-")
         first = self.parse_term()
@@ -362,6 +409,7 @@ def test_raw_term_parser_matches_expr_reference(gid):
         if d.geometry_id == gid:
             texts.extend(str(d.build("metric", **d.sample(rng))[1]) for _ in range(3))
     texts += [f"({a})*({b})^2 - {c}" for a, b, c in zip(texts, texts[1:], texts[2:])][:10]
+    texts += ["0/5", "007", "(0+0i)/3", "(-1/2-3/4i)/6", "1/0", "9" * 4301]
     cases = []
     for text in texts:
         cases.append(text)
