@@ -4,7 +4,8 @@ Symbolic tension (Laplace-Beltrami) and conformality operators over exact
 Gaussian-rational term algebras on sol, nil, sl2, the hyperbolic disc, the
 punctured sphere, the line and their products; generators for the explicit
 harmonic and polyharmonic families; and a metric-derived finite-difference
-oracle that cross-validates every symbolic operator rule.
+oracle that cross-validates every symbolic operator rule.  The names below
+are the public Python API; the README's "Python API" section lists them.
 """
 
 from .algebra import AtomSet, Expr, Term
@@ -38,16 +39,15 @@ from .geometries import (
     iterated_tension,
     line,
     nil,
-    product,
     product_tension_binomial,
     punctured_sphere,
     sl2,
     sol,
     sphere_times_line,
 )
-from .linalg import ExactMatrix, nullspace, rank, rref, solve
-from .oracle import OracleConfig, ResidualReport, cross_validate, fd_tension, metric_at
+from .linalg import ExactMatrix, nullspace, rank
+from .oracle import OracleConfig, ResidualReport, cross_validate, fd_tension, validate_chain
 from .parser import parse, parse_scalar
-from .rationals import GaussianRational, Rational
+from .rationals import GaussianRational
 
 __version__ = "0.1.0"

@@ -221,10 +221,6 @@ class Expr:
         return Expr.monomial(atoms, 1, {name: power})
 
     @staticmethod
-    def exponential(atoms: AtomSet, weight: int) -> "Expr":
-        return Expr.monomial(atoms, 1, weight=weight)
-
-    @staticmethod
     def log(atoms: AtomSet) -> "Expr":
         return Expr.monomial(atoms, 1, log=1)
 

@@ -330,7 +330,7 @@ def _cmd_oracle(args) -> int:
     if sentinel is not None:
         lines.append(f"mean symbolic/oracle ratio: {sentinel:.6f}")
     _emit(args, payload, lines)
-    if args.convention == "metric" and not report.within_tolerance:
+    if status == "tolerance-exceeded":
         return EXIT_CHECK_FAILED
     return EXIT_OK
 

@@ -44,19 +44,18 @@ def _leading_signature(e: Expr):
     return min(t.signature() for t in e.terms)
 
 
-def _operator_matrix(images: Sequence[Expr]) -> tuple[ExactMatrix, tuple]:
+def _operator_matrix(images: Sequence[Expr]) -> ExactMatrix:
     """The matrix with one column per image and one row per signature that
-    occurs in them (sorted), filled straight from each image's coefficients."""
+    occurs in them (sorted; no rows when every image vanishes), filled
+    straight from each image's coefficients."""
     columns = [img.coefficients() for img in images]
     signatures = sorted({sig for col in columns for sig in col})
-    if not signatures:  # all images vanish: the 0 x n matrix, every vector in kernel
-        return ExactMatrix(1, len(images), ({},)), (None,)
     row_of = {sig: i for i, sig in enumerate(signatures)}
     rows = [{} for _ in signatures]
     for j, col in enumerate(columns):
         for sig, c in col.items():
             rows[row_of[sig]][j] = c
-    return ExactMatrix(len(rows), len(images), tuple(rows)), tuple(signatures)
+    return ExactMatrix(len(rows), len(images), tuple(rows))
 
 
 def _dependent(ordered: Sequence[Expr]) -> bool:
@@ -69,7 +68,7 @@ def _dependent(ordered: Sequence[Expr]) -> bool:
     leads = [_leading_signature(b) for b in ordered]
     if all(a != b for a, b in zip(leads, leads[1:])):
         return False
-    return rank(_operator_matrix(ordered)[0]) < len(ordered)
+    return rank(_operator_matrix(ordered)) < len(ordered)
 
 
 @dataclass(frozen=True)
@@ -77,15 +76,15 @@ class AnsatzSystem:
     """Tension restricted to the span of a finite term basis, as a matrix.
 
     ``matrix`` is the first-power tension map (columns indexed by the
-    sorted basis, rows by ``image_signatures``); ``order_matrix`` is the
-    map for tau^order, which generate_kernel inverts.  Construction fails
-    with a closure error if tau leaves the algebra on any basis element,
-    so existence of the system certifies closure.
+    sorted basis, rows by the sorted term signatures of the images, so no
+    rows when every image vanishes); ``order_matrix`` is the map for
+    tau^order, which generate_kernel inverts.  Construction fails with a
+    closure error if tau leaves the algebra on any basis element, so
+    existence of the system certifies closure.
     """
 
     geometry: Geometry
     basis: tuple[Expr, ...]
-    image_signatures: tuple
     matrix: ExactMatrix
     order: int
     order_matrix: ExactMatrix
@@ -100,15 +99,15 @@ class AnsatzSystem:
         if _dependent(ordered):
             raise UsageError("ansatz basis is linearly dependent")
         first_images = [geometry.tension(b) for b in ordered]
-        matrix, signatures = _operator_matrix(first_images)
+        matrix = _operator_matrix(first_images)
         if order == 1:
             order_matrix = matrix
         else:
             power_images = [
                 iterated_tension(geometry, img, order - 1)[-1] for img in first_images
             ]
-            order_matrix, _ = _operator_matrix(power_images)
-        return AnsatzSystem(geometry, ordered, signatures, matrix, order, order_matrix)
+            order_matrix = _operator_matrix(power_images)
+        return AnsatzSystem(geometry, ordered, matrix, order, order_matrix)
 
 
 def primitive_normalized(f: Expr) -> Expr:
@@ -124,10 +123,9 @@ def primitive_normalized(f: Expr) -> Expr:
 
 def generate_kernel(system: AnsatzSystem) -> list[Expr]:
     """Exact basis of {f in span(basis) : tau^order f = 0}."""
-    vectors = nullspace(system.order_matrix)
     kernel = []
-    for v in vectors:
-        f = Expr.sum(system.geometry.atoms, [b.scale(c) for c, b in zip(v, system.basis) if c])
+    for v in nullspace(system.order_matrix):
+        f = Expr.sum(system.geometry.atoms, [system.basis[j].scale(c) for j, c in v.items()])
         check = iterated_tension(system.geometry, f, system.order)[-1]
         if not check.is_zero():
             raise AssertionError("kernel member failed exact re-verification")

@@ -176,9 +176,6 @@ class Geometry:
             parts.extend(self.log_rule.log_conformality_parts(f.atoms, fa, ha, df, dh))
         return Expr.combine(f.atoms, parts)
 
-    def metric(self, point) -> np.ndarray:
-        raise NotImplementedError
-
     def contains(self, point, slack: float = 0.0) -> np.ndarray:
         return np.ones(np.shape(point)[:-1], dtype=bool)
 
@@ -404,10 +401,6 @@ class ProductGeometry(Geometry):
         return inside & self.second.contains(P[..., n1:], slack)
 
 
-def product(first: Geometry, second: Geometry, name: str | None = None) -> ProductGeometry:
-    return ProductGeometry(first, second, name)
-
-
 # -- iterated tension and properness classification -------------------------
 
 
@@ -425,7 +418,6 @@ class VerificationReport:
     order: int | None
     bound: int
     zero_input: bool = False
-    residuals: object = None
 
     @property
     def exceeds_bound(self) -> bool:

@@ -1,18 +1,19 @@
 """Sparse exact linear algebra over the Gaussian rationals.
 
 An :class:`ExactMatrix` stores only its nonzero entries, as one
-``{column: value}`` map per row; ``entries`` is the row-major dense view,
-built on demand.  Every reduction is one Gauss-Jordan elimination that
-starts from copies of those maps and touches only nonzero entries.  Pivot
-columns are taken left to right; of the rows holding the column, the
-shortest becomes the pivot row to keep fill-in low.  That choice cannot
-change the result: the reduced row echelon form of a matrix is unique, so
-kernels are the same under any pivot row order.  The arithmetic is exact,
-so there is no numerical pivot selection.  Kernel basis vectors are
-normalized so that their first nonzero entry is 1, which makes hand
-comparisons "equal up to one declared scale factor".  For printing,
-:func:`primitive_scale` is the one rule that scales a vector to coprime
-integers with a positive lead (or to lead 1 when it is complex).
+``{column: value}`` map per row, and may have no rows at all (the map of a
+basis whose images all vanish).  Every reduction is one Gauss-Jordan
+elimination that starts from copies of those maps and touches only nonzero
+entries.  Pivot columns are taken left to right; of the rows holding the
+column, the shortest becomes the pivot row to keep fill-in low.  That
+choice cannot change the result: the reduced row echelon form of a matrix
+is unique, so kernels are the same under any pivot row order.  The
+arithmetic is exact, so there is no numerical pivot selection.  Kernel
+basis vectors are ``{column: value}`` maps as well, normalized so that
+their first nonzero entry is 1, which makes hand comparisons "equal up to
+one declared scale factor".  For printing, :func:`primitive_scale` is the
+one rule that scales a vector to coprime integers with a positive lead (or
+to lead 1 when it is complex).
 """
 
 from __future__ import annotations
@@ -56,12 +57,8 @@ class ExactMatrix:
             maps.append({j: v for j, v in enumerate(values) if v})
         return ExactMatrix(len(rows), ncols, tuple(maps))
 
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
+    # ``entries`` and ``at`` are dense reads for the benchmark (perfbench), which
+    # counts nonzeros through ``entries`` and copies a matrix to floats with ``at``.
     @property
     def entries(self) -> tuple[GaussianRational, ...]:
         """All rows * cols entries, row-major."""
@@ -75,26 +72,6 @@ class ExactMatrix:
     def row(self, i: int) -> Vector:
         m = self.row_maps[i]
         return tuple(m.get(j, ZERO) for j in range(self.cols))
-
-    def matvec(self, v: Sequence[ScalarLike]) -> Vector:
-        if len(v) != self.cols:
-            raise UsageError("vector length does not match column count")
-        vv = [GaussianRational.coerce(x) for x in v]
-        out = []
-        for m in self.row_maps:
-            acc = ZERO
-            for j, a in m.items():
-                acc = acc + a * vv[j]
-            out.append(acc)
-        return tuple(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.row_maps) == (other.rows, other.cols, other.row_maps)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, tuple(frozenset(m.items()) for m in self.row_maps)))
 
 
 def _eliminate(m: ExactMatrix) -> tuple[list[RowMap], tuple[int, ...]]:
@@ -131,20 +108,13 @@ def _eliminate(m: ExactMatrix) -> tuple[list[RowMap], tuple[int, ...]]:
     return [rows[p] for p in chosen], tuple(chosen.values())
 
 
-def rref(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form (all m.rows rows, zero rows last) and the
-    ascending list of pivot columns."""
-    reduced, pivots = _eliminate(m)
-    padding = tuple({} for _ in range(m.rows - len(reduced)))
-    return ExactMatrix(m.rows, m.cols, tuple(reduced) + padding), pivots
-
-
 def rank(m: ExactMatrix) -> int:
     return len(_eliminate(m)[1])
 
 
-def nullspace(m: ExactMatrix) -> list[Vector]:
-    """Exact kernel basis; empty list for a trivial kernel.
+def nullspace(m: ExactMatrix) -> list[RowMap]:
+    """Exact kernel basis as ``{column: value}`` maps; empty list for a
+    trivial kernel.
 
     One basis vector per free column, each normalized to leading entry 1.
     """
@@ -160,30 +130,8 @@ def nullspace(m: ExactMatrix) -> list[Vector]:
     basis = []
     for entries in kernel.values():
         inv = ONE / entries[min(entries)]
-        vector = [ZERO] * m.cols
-        for j, v in entries.items():
-            vector[j] = v * inv
-        basis.append(tuple(vector))
+        basis.append({j: v * inv for j, v in entries.items()})
     return basis
-
-
-def solve(m: ExactMatrix, rhs: Sequence[ScalarLike]) -> Vector | None:
-    """One exact solution of m x = rhs, or None when inconsistent."""
-    if len(rhs) != m.rows:
-        raise UsageError("right-hand side length does not match row count")
-    b = [GaussianRational.coerce(v) for v in rhs]
-    augmented = ExactMatrix(
-        m.rows,
-        m.cols + 1,
-        tuple({**row, m.cols: v} if v else row for row, v in zip(m.row_maps, b)),
-    )
-    reduced, pivots = _eliminate(augmented)
-    if m.cols in pivots:  # pivot in the augmented column
-        return None
-    x = [ZERO] * m.cols
-    for row, pc in zip(reduced, pivots):
-        x[pc] = row.get(m.cols, ZERO)
-    return tuple(x)
 
 
 def primitive_scale(values: Iterable[GaussianRational], lead: GaussianRational) -> GaussianRational:

@@ -85,12 +85,6 @@ class OracleConfig:
             raise UsageError("oracle needs at least one sample point")
 
 
-def metric_at(geometry: Geometry, point) -> np.ndarray:
-    """Metric matrices (..., dim, dim) at chart points (..., dim); raises outside the chart."""
-    geometry.check_point(point)
-    return geometry.metric(point)
-
-
 # Cyclic successors n = (i+1) % 3 and a = (i+2) % 3 of each 3x3 index: the
 # cofactor is C_ij = g[n_i, n_j] g[a_i, a_j] - g[n_i, a_j] g[a_i, n_j].
 _N = np.array([1, 2, 0])

@@ -25,8 +25,6 @@ from typing import Union
 
 from .errors import UsageError
 
-Rational = Fraction
-
 ScalarLike = Union[int, Fraction, "GaussianRational"]
 
 
@@ -63,10 +61,6 @@ class GaussianRational:
             raise TypeError(f"cannot coerce {value!r} to a GaussianRational")
         return o
 
-    @staticmethod
-    def of(re: ScalarLike = 0, im: ScalarLike = 0) -> "GaussianRational":
-        return GaussianRational(re, im)
-
     @property
     def re(self) -> Fraction:
         return Fraction(self.a, self.d)
@@ -88,12 +82,6 @@ class GaussianRational:
         if o is None:
             return NotImplemented
         return _sum(self.a, self.b, self.d, -o.a, -o.b, o.d)
-
-    def __rsub__(self, other: ScalarLike):
-        o = _operand(other)
-        if o is None:
-            return NotImplemented
-        return _sum(o.a, o.b, o.d, -self.a, -self.b, self.d)
 
     def __neg__(self) -> "GaussianRational":
         return _make(-self.a, -self.b, self.d)
@@ -132,16 +120,6 @@ class GaussianRational:
         # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
         a, b = self.a * f, self.b * f
         return _reduced(a * c + b * e, b * c - a * e, self.d * (c * c + e * e))
-
-    def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
-        return GaussianRational.coerce(other) / self
-
-    def conjugate(self) -> "GaussianRational":
-        return _make(self.a, -self.b, self.d)
-
-    def abs2(self) -> Fraction:
-        """Squared modulus, an exact non-negative rational."""
-        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def is_zero(self) -> bool:
         return not (self.a or self.b)

@@ -121,6 +121,23 @@ def test_generate_ansatz_trivial_kernel(capsys):
     assert "trivial" in out
 
 
+def test_generate_ansatz_with_vanishing_images_prints_an_empty_matrix(capsys):
+    # every image is zero: no matrix row at all, every member in the kernel
+    ansatz = ("--ansatz", "(1+1i)*x, 2i*y - 1/3*x*y, -4*t", "-g", "sol")
+    code, out, _ = run(capsys, "generate", *ansatz)
+    assert code == 0
+    lines = out.splitlines()
+    header = lines.index("matrix (rows scaled to primitive integers):")
+    assert lines[header + 1].startswith("kernel[0]: ")
+    assert not any(line.startswith("  [") for line in lines)
+    code, payload, _ = run_json(capsys, "generate", *ansatz)
+    assert code == 0
+    assert payload["matrix"] == []
+    assert payload["kernel"] == [
+        {"expr": e, "order": 1} for e in ("t", "x*y - 6i*y", "x")
+    ]
+
+
 @pytest.mark.parametrize("ansatz", ["x,2*x", "x,x,y^2"])
 def test_generate_dependent_ansatz_basis_exits_4(capsys, ansatz):
     code, out, err = run(capsys, "generate", "-g", "nil", "--ansatz", ansatz)
@@ -265,6 +282,15 @@ def test_oracle_sentinel_follows_the_chart_not_its_id(capsys, gid):
     assert code == 0
     assert "status: expected-mismatch" in out.splitlines()
     assert "mean symbolic/oracle ratio: 4.000000" in out.splitlines()
+
+
+@pytest.mark.parametrize("convention", ["metric", "paper"])
+def test_oracle_tolerance_failure_exits_1_under_both_conventions(capsys, convention):
+    # nil has no conformal factor, so the paper convention changes nothing
+    code, out, _ = run(capsys, "oracle", "-g", "nil", "--convention", convention, "x^3*y",
+                       "--tol", "1e-30", "--samples", "10")
+    assert code == 1
+    assert "status: tolerance-exceeded" in out.splitlines()
 
 
 def test_oracle_nan_step_is_usage_error(capsys):

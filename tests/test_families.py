@@ -33,6 +33,7 @@ from polyharm.families import (
     sol_tower_literal,
 )
 from polyharm.geometries import (
+    ProductGeometry,
     by_id,
     classify,
     disc_times_line,
@@ -40,7 +41,6 @@ from polyharm.geometries import (
     iterated_tension,
     line,
     nil,
-    product,
     sl2,
     sol,
 )
@@ -76,6 +76,16 @@ def test_kernel_of_constant_basis():
     kernel = generate_kernel(AnsatzSystem.build(g, [Expr.constant(g.atoms, 1)]))
     assert len(kernel) == 1
     assert kernel[0] == Expr.constant(g.atoms, 1)
+
+
+def test_basis_whose_images_all_vanish_has_an_empty_matrix():
+    g = sol()
+    basis = [parse(t, g.atoms) for t in ("(1+1i)*x", "2i*y - 1/3*x*y", "-4*t")]
+    system = AnsatzSystem.build(g, basis)
+    assert (system.matrix.rows, system.matrix.cols) == (0, 3)
+    assert system.order_matrix is system.matrix
+    assert sorted(map(str, system.basis)) == sorted(map(str, basis))
+    assert generate_kernel(system) == list(system.basis)
 
 
 def test_kernel_for_higher_order():
@@ -304,7 +314,7 @@ def test_nil_harmonic_constant():
 def _running_sum_plane_harmonic_part(atoms, hol, antihol):
     """The replaced body of plane_harmonic_part: one re-canonicalisation of
     the growing sum per coefficient.  Kept as the reference."""
-    i = GaussianRational.of(0, 1)
+    i = GaussianRational(0, 1)
     x = Expr.variable(atoms, "x")
     y = Expr.variable(atoms, "y")
     zplus = x + i * y
@@ -450,7 +460,7 @@ def test_product_r_harmonic_orders():
 
 
 def test_product_r_harmonic_rejects_biharmonic_first_factor():
-    g = product(line("s"), line("t"))
+    g = ProductGeometry(line("s"), line("t"))
     f1 = parse("s^2", g.atoms)
     f2 = parse("t^2", g.atoms)
     with pytest.raises(UsageError):

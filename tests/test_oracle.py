@@ -29,13 +29,18 @@ from polyharm.oracle import (
     conformal_factor_ratio,
     cross_validate,
     fd_tension,
-    metric_at,
     sample_points,
 )
 from polyharm.parser import parse
 
 
 # -- metric evaluation -----------------------------------------------------------
+
+
+def metric_at(geometry, point):
+    """Metric matrices at chart points; raises outside the chart."""
+    geometry.check_point(point)
+    return geometry.metric(point)
 
 
 def test_sol_metric_at_origin_is_euclidean():
