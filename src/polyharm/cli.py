@@ -33,9 +33,9 @@ from .families import (
     primitive_normalized,
     product_r_harmonic,
 )
-from .geometries import CONVENTIONS, ProductGeometry, by_id, classify, iterated_tension
+from .geometries import CONVENTIONS, R_MAX, ProductGeometry, by_id, classify, iterated_tension
 from .linalg import primitive_rows
-from .oracle import OracleConfig, conformal_factor_ratio, cross_validate
+from .oracle import OracleConfig, cross_validate
 from .parser import parse, parse_scalar
 from .verify import SuiteContext, lemma_report, run_suite
 
@@ -76,7 +76,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("classify", help="determine the properness order")
     common(p)
     p.add_argument("expression")
-    p.add_argument("--r-max", type=int, default=8)
+    p.add_argument("--r-max", type=int, default=R_MAX)
 
     p = sub.add_parser("generate", help="build a named family or an ansatz kernel")
     common(p)
@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-r", type=int, default=1, help="tower order / ansatz kernel power")
     p.add_argument("--axis", choices=("x", "y"), default="x")
     p.add_argument("--ansatz", default=None, help="comma-separated candidate terms")
-    p.add_argument("--r-max", type=int, default=8)
+    p.add_argument("--r-max", type=int, default=R_MAX)
     p.add_argument("--g1", default=None, help="first factor id for product.generic")
     p.add_argument("--f1", default=None, help="first factor expression")
     p.add_argument("--g2", default=None, help="second factor id for product.generic")
@@ -98,11 +98,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="finite-difference cross-validation sweep")
     common(p)
     p.add_argument("expression")
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--levels", type=int, default=2)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--step", type=float, default=OracleConfig.step)
+    p.add_argument("--levels", type=int, default=OracleConfig.levels)
+    p.add_argument("--samples", type=int, default=OracleConfig.samples)
+    p.add_argument("--tol", type=float, default=OracleConfig.rel_tol)
+    p.add_argument("--seed", type=int, default=OracleConfig.seed)
 
     p = sub.add_parser("lemma-check", help="randomized product-formula property test")
     p.add_argument("-n", type=int, default=4, help="highest tension power (<= 4)")
@@ -118,8 +118,8 @@ def _build_parser() -> _Parser:
         choices=CONVENTIONS + ("both",),
         default="both",
     )
-    p.add_argument("--r-max", type=int, default=8)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--r-max", type=int, default=R_MAX)
+    p.add_argument("--seed", type=int, default=SuiteContext.seed)
     p.add_argument("--skip-oracle", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -305,9 +305,8 @@ def _cmd_oracle(args) -> int:
     status = "ok" if report.within_tolerance else "tolerance-exceeded"
     sentinel = None
     if args.convention == "paper" and geometry.log_rule is not None:
-        ratios = conformal_factor_ratio(geometry, f, config, count=20)
-        if ratios:
-            sentinel = sum(ratios) / len(ratios)
+        if report.ratios:
+            sentinel = sum(report.ratios) / len(report.ratios)
         if not report.within_tolerance:
             status = "expected-mismatch"
     payload = _report(

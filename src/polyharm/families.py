@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 from .algebra import AtomSet, Expr
 from .errors import UsageError
-from .geometries import Geometry, ProductGeometry, by_id, classify, iterated_tension, sol
+from .geometries import R_MAX, Geometry, ProductGeometry, by_id, classify, iterated_tension, sol
 from .linalg import ExactMatrix, nullspace, primitive_scale, rank
 from .rationals import GaussianRational, I, ScalarLike
 
@@ -411,7 +411,7 @@ def log_biharmonic(geometry: Geometry, p: Params | None = None) -> Expr:
 
 
 def product_r_harmonic(
-    geometry: ProductGeometry, f1: Expr, f2: Expr, r_max: int = 8
+    geometry: ProductGeometry, f1: Expr, f2: Expr, r_max: int = R_MAX
 ) -> Expr:
     """f1 * f2 for harmonic f1 on the first factor and r-harmonic f2 on the
     second; the product is proper r-harmonic on the product chart."""
@@ -497,10 +497,10 @@ def _rand_part(rng: random.Random) -> GaussianRational:
     return GaussianRational.coerce(rng.randint(-6, 6)) / rng.randint(1, 3)
 
 
-def random_scalar(rng: random.Random, complex_ok: bool = True) -> GaussianRational:
+def random_scalar(rng: random.Random) -> GaussianRational:
     """Seeded scalar with parts in {-6..6}/{1,2,3}; complex with probability 0.3."""
     re = _rand_part(rng)
-    return re + _rand_part(rng) * I if complex_ok and rng.random() < 0.3 else re
+    return re + _rand_part(rng) * I if rng.random() < 0.3 else re
 
 
 def _rand_vector(rng: random.Random, k: int, nonzero: bool = True) -> list[GaussianRational]:

@@ -417,14 +417,13 @@ class VerificationReport:
     chain: tuple[Expr, ...]
     order: int | None
     bound: int
-    zero_input: bool = False
 
     @property
     def exceeds_bound(self) -> bool:
         return self.order is None
 
     def describe(self) -> str:
-        if self.zero_input:
+        if self.order == 0:
             return "zero function"
         if self.order is None:
             return f"order exceeds bound {self.bound}"
@@ -443,12 +442,15 @@ def iterated_tension(geometry: Geometry, f: Expr, r: int) -> list[Expr]:
     return chain
 
 
-def classify(geometry: Geometry, f: Expr, r_max: int = 8) -> VerificationReport:
+R_MAX = 8  # default properness bound of classify and everything built on it
+
+
+def classify(geometry: Geometry, f: Expr, r_max: int = R_MAX) -> VerificationReport:
     """Smallest r <= r_max with tau^r f = 0, or "exceeds bound"."""
     if r_max < 1:
         raise UsageError("the properness bound must be at least 1")
     if f.is_zero():
-        return VerificationReport(f, (f,), 0, r_max, zero_input=True)
+        return VerificationReport(f, (f,), 0, r_max)
     chain = [f]
     for k in range(1, r_max + 1):
         chain.append(geometry.tension(chain[-1]))

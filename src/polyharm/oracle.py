@@ -26,9 +26,9 @@ function that is not an Expr is called once per stencil point.
 
 This is the second, independent route to the tension field: under the
 metric-derived operator convention the symbolic tau must agree with the
-oracle at every admissible point, and on the conformal charts it exposes
-the factor-4 mismatch of the printed operator convention as a deliberate
-sentinel rather than a bug.
+oracle at every admissible point.  On the conformal charts the pointwise
+ratios |sym| / |fd| of the same sweep expose the factor-4 mismatch of the
+printed operator convention as a deliberate sentinel rather than a bug.
 """
 
 from __future__ import annotations
@@ -48,32 +48,29 @@ ChartPoint = tuple[float, ...]
 PointFunction = Callable[[ChartPoint], complex]
 
 CHUNK_POINTS = 256
+ABS_FLOOR = 1e-9  # below this magnitude a value counts as zero in a ratio
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Finite-difference settings.
 
-    step          -- base step size h.
-    levels        -- Richardson levels over h, h/2, ... (1 = plain stencil).
-                     The finest step step/2**(levels-1) must still change
-                     1.0, and levels is at most 512 (the Richardson factor
-                     4**(levels-1) must be a float).
-    rel_tol       -- residual tolerance, relative with a unit floor:
-                     |sym - fd| / max(1, |sym|) <= rel_tol.
-    abs_floor     -- below this magnitude a value counts as zero.
-    samples       -- points drawn per cross-validation sweep.
-    seed          -- RNG seed for point sampling.
-    domain_margin -- distance kept from chart boundaries when sampling.
+    step    -- base step size h.
+    levels  -- Richardson levels over h, h/2, ... (1 = plain stencil).
+               The finest step step/2**(levels-1) must still change 1.0,
+               and levels is at most 512 (the Richardson factor
+               4**(levels-1) must be a float).
+    rel_tol -- residual tolerance, relative with a unit floor:
+               |sym - fd| / max(1, |sym|) <= rel_tol.
+    samples -- points drawn per sweep, at sample_points' default margin.
+    seed    -- RNG seed for point sampling.
     """
 
     step: float = 1e-3
     levels: int = 2
     rel_tol: float = 1e-6
-    abs_floor: float = 1e-9
     samples: int = 100
     seed: int = 0
-    domain_margin: float = 0.05
 
     def __post_init__(self):
         # chained comparisons are false for NaN, so NaN and inf are rejected
@@ -240,13 +237,12 @@ def sample_points(
 class ResidualReport:
     """Residuals of the symbolic tension against the finite-difference oracle."""
 
-    geometry: str
-    expression: str
     points: int
     max_abs: float
     max_rel: float
     worst_point: ChartPoint | None
     rel_tol: float
+    ratios: tuple[float, ...]
 
     @property
     def within_tolerance(self) -> bool:
@@ -266,23 +262,28 @@ def cross_validate(
     is never nested).  Residuals are relative with a unit floor; a
     non-finite one counts as inf, so it fails the report.  The worst point
     is the first that reaches the largest residual, None when all are 0.
+    ``ratios`` are |sym| / |fd| wherever neither is below ABS_FLOOR, NaN kept:
+    the convention sentinel, 4 on the conformal charts under the printed
+    operator convention and 1 under the metric-derived one.
     """
     sym = symbolic_tension if symbolic_tension is not None else geometry.tension(f)
     rng = np.random.default_rng(config.seed)
-    points = sample_points(geometry, config.samples, rng, config.domain_margin)
+    points = sample_points(geometry, config.samples, rng)
     s = sym.evaluate(points)
-    err = np.abs(s - _fd_tensions(geometry, f, points, config))
+    fd = _fd_tensions(geometry, f, points, config)
+    err = np.abs(s - fd)
     err[np.isnan(err)] = math.inf
-    rel = err / np.maximum(1.0, np.abs(s))
+    s, fd = np.abs(s), np.abs(fd)
+    rel = err / np.maximum(1.0, s)
+    keep = ~((fd < ABS_FLOOR) | (s < ABS_FLOOR))  # NaN is kept
     worst = int(np.argmax(rel))
     return ResidualReport(
-        geometry=geometry.name,
-        expression=str(f),
         points=len(points),
         max_abs=float(err.max()),
         max_rel=float(rel[worst]),
         worst_point=tuple(float(c) for c in points[worst]) if rel[worst] > 0 else None,
         rel_tol=config.rel_tol,
+        ratios=tuple((s[keep] / fd[keep]).tolist()),
     )
 
 
@@ -301,24 +302,3 @@ def validate_chain(
         cross_validate(geometry, chain[k - 1], config, symbolic_tension=chain[k])
         for k in range(1, len(chain))
     ]
-
-
-def conformal_factor_ratio(
-    geometry: Geometry,
-    f: Expr,
-    config: OracleConfig = OracleConfig(),
-    count: int = 20,
-) -> list[float]:
-    """Pointwise symbolic/oracle ratios (the operator-convention sentinel).
-
-    On the conformal charts under the printed operator convention, these
-    ratios sit at 4; under the metric-derived convention they sit at 1.
-    Points where either side is below the absolute floor are skipped.
-    """
-    sym = geometry.tension(f)
-    rng = np.random.default_rng(config.seed)
-    points = sample_points(geometry, count, rng, config.domain_margin)
-    fd = np.abs(_fd_tensions(geometry, f, points, config))
-    s = np.abs(sym.evaluate(points))
-    keep = ~((fd < config.abs_floor) | (s < config.abs_floor))  # NaN is kept
-    return (s[keep] / fd[keep]).tolist()

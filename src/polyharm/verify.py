@@ -45,6 +45,7 @@ from .families import (
     FAMILIES,
 )
 from .geometries import (
+    R_MAX,
     Geometry,
     ProductGeometry,
     classify,
@@ -59,7 +60,7 @@ from .geometries import (
     sol,
 )
 from .linalg import ExactMatrix
-from .oracle import OracleConfig, conformal_factor_ratio, cross_validate
+from .oracle import OracleConfig, cross_validate
 from .parser import parse
 
 TRIALS = 20  # draws of the h2h3, separable and binomial-lemma checks
@@ -332,6 +333,8 @@ def binomial_lemma_check(
     """tau^n(f1 f2) on the product equals the binomial expansion, exactly."""
     if n_max > 4:
         raise UsageError("the binomial check is capped at n = 4 for cost")
+    if trials < 1:
+        raise UsageError("the binomial check needs at least one trial")
     check_id = f"product/binomial-lemma-{geometry.name}"
     rng = random.Random(seed)
     for trial in range(trials):
@@ -355,7 +358,7 @@ def _biharmonic_line_poly(rng: random.Random, atoms, var: str) -> Expr:
 
 
 def biharmonic_product_remark_check(
-    geometry: ProductGeometry, trials: int, seed: int, r_max: int = 8
+    geometry: ProductGeometry, trials: int, seed: int, r_max: int = R_MAX
 ) -> CheckResult:
     """biharmonic x biharmonic: tau^2 = 2 tau(f1) tau(f2) != 0 and tau^3 = 0,
     with the factor proper biharmonic and the product proper 3-harmonic
@@ -387,7 +390,7 @@ def biharmonic_product_remark_check(
     return _classification_check(check_id, cases, r_max, f"{trials} trials")
 
 
-def harmonic_times_r_check(trials: int, seed: int, r_max: int = 8) -> CheckResult:
+def harmonic_times_r_check(trials: int, seed: int, r_max: int) -> CheckResult:
     """harmonic x proper r-harmonic is proper r-harmonic on the product."""
     rng = random.Random(seed)
     geometry = disc_times_line()
@@ -474,7 +477,7 @@ def _check_oracle(ctx) -> list[CheckResult]:
             out.append(_result(check_id, report.within_tolerance, f"max_rel={report.max_rel:.3e}"))
     if "paper" in ctx.conventions:
         g = hyperbolic_disc("paper")
-        ratios = conformal_factor_ratio(g, parse("z*zb", g.atoms), cfg, count=10)
+        ratios = cross_validate(g, parse("z*zb", g.atoms), cfg).ratios
         ok = bool(ratios) and all(abs(r - 4.0) < 1e-4 for r in ratios)
         out.append(
             CheckResult(
@@ -489,7 +492,7 @@ def _check_oracle(ctx) -> list[CheckResult]:
 @dataclass(frozen=True)
 class SuiteContext:
     conventions: tuple[str, ...] = ("metric", "paper")
-    r_max: int = 8
+    r_max: int = R_MAX
     seed: int = 7
     oracle: bool = True
 

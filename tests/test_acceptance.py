@@ -38,7 +38,7 @@ from polyharm.geometries import (
     sol,
     sphere_times_line,
 )
-from polyharm.oracle import OracleConfig, conformal_factor_ratio, cross_validate
+from polyharm.oracle import OracleConfig, cross_validate
 from polyharm.parser import parse
 from polyharm.rationals import GaussianRational
 from polyharm.verify import (
@@ -289,9 +289,8 @@ def test_criterion_12_convention_sentinel():
     with criterion(12, 5.0, "printed-convention factor is 4 within 1e-4 at 20 points"):
         g = hyperbolic_disc("paper")
         for text in ("z*zb", "z^2*zb^2"):
-            ratios = conformal_factor_ratio(
-                g, parse(text, g.atoms), OracleConfig(seed=707), count=20
-            )
+            config = OracleConfig(samples=20, seed=707)
+            ratios = cross_validate(g, parse(text, g.atoms), config).ratios
             assert len(ratios) == 20
             for r in ratios:
                 assert abs(r - 4.0) <= 1e-4

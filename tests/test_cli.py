@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import polyharm
 from polyharm.cli import main
 from polyharm.families import FAMILIES
-from polyharm.geometries import by_id
+from polyharm.geometries import Geometry, by_id
 from polyharm.parser import parse
 from polyharm.rationals import I
 
@@ -282,6 +283,27 @@ def test_oracle_sentinel_follows_the_chart_not_its_id(capsys, gid):
     assert code == 0
     assert "status: expected-mismatch" in out.splitlines()
     assert "mean symbolic/oracle ratio: 4.000000" in out.splitlines()
+
+
+def test_oracle_paper_convention_runs_one_sweep(capsys, monkeypatch):
+    # the sentinel ratio comes from the residual sweep's own points: one
+    # batched oracle call and one symbolic tension, not a second draw
+    calls = collections.Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    fd_tensions = counted("fd", polyharm.oracle._fd_tensions)
+    monkeypatch.setattr(polyharm.oracle, "_fd_tensions", fd_tensions)
+    monkeypatch.setattr(Geometry, "tension", counted("tension", Geometry.tension))
+    code, out, _ = run(capsys, "oracle", "-g", "h2xr", "--convention", "paper", "z*zb")
+    assert code == 0
+    assert "mean symbolic/oracle ratio: 4.000000" in out.splitlines()
+    assert calls == {"fd": 1, "tension": 1}
 
 
 @pytest.mark.parametrize("convention", ["metric", "paper"])

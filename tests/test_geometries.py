@@ -180,7 +180,7 @@ def test_classify_zero_function():
     g = sol()
     report = classify(g, Expr.zero(g.atoms))
     assert report.order == 0
-    assert report.zero_input
+    assert report.chain == (report.expr,)
     assert report.describe() == "zero function"
 
 

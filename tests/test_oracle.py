@@ -26,7 +26,6 @@ from polyharm.oracle import (
     OracleConfig,
     _fd_tensions,
     _metric_coefficients,
-    conformal_factor_ratio,
     cross_validate,
     fd_tension,
     sample_points,
@@ -407,6 +406,9 @@ def test_cross_validate_fails_on_a_nan_residual(monkeypatch):
     report = cross_validate(g, parse("t^2", g.atoms), OracleConfig(samples=5))
     assert not report.within_tolerance
     assert report.worst_point == tuple(sampled[0][2])
+    # the NaN points stay in the sentinel ratios, so they cannot pass it
+    assert len(report.ratios) == 5
+    assert [math.isnan(r) for r in report.ratios] == [False, False, True, False, True]
 
 
 def test_cross_validate_constant():
@@ -446,18 +448,19 @@ def test_cross_validate_log_expression_on_product():
 
 def test_conformal_sentinel_ratio_under_paper_convention():
     g = hyperbolic_disc("paper")
-    ratios = conformal_factor_ratio(g, parse("z*zb", g.atoms), count=20)
+    ratios = cross_validate(g, parse("z*zb", g.atoms), OracleConfig(samples=20)).ratios
     assert len(ratios) == 20
     assert all(abs(r - 4.0) < 1e-4 for r in ratios)
     # and the log function shows the same factor
-    ratios = conformal_factor_ratio(g, log_biharmonic(g), count=20)
+    ratios = cross_validate(g, log_biharmonic(g), OracleConfig(samples=20)).ratios
     assert all(abs(r - 4.0) < 1e-4 for r in ratios)
 
 
 def test_metric_convention_has_unit_ratio():
     g = hyperbolic_disc("metric")
-    ratios = conformal_factor_ratio(g, parse("z*zb", g.atoms), count=10)
-    assert all(abs(r - 1.0) < 1e-6 for r in ratios)
+    report = cross_validate(g, parse("z*zb", g.atoms), OracleConfig(samples=10))
+    assert len(report.ratios) == 10
+    assert all(abs(r - 1.0) < 1e-6 for r in report.ratios)
 
 
 def _fd_conformality(geometry, f, h, point, step=1e-4):

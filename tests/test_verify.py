@@ -1,6 +1,11 @@
+import math
 import time
 from fractions import Fraction
 
+import pytest
+
+from polyharm import oracle
+from polyharm.errors import UsageError
 from polyharm.families import nil_biharmonic12
 from polyharm.geometries import ProductGeometry, classify, line, nil
 from polyharm.linalg import ExactMatrix
@@ -106,6 +111,28 @@ def test_binomial_lemma_check_names_geometry():
     result = binomial_lemma_check(g, 2, 5, 1)
     assert result.check_id == "product/binomial-lemma-linexline"
     assert result.ok
+
+
+def test_binomial_lemma_check_needs_a_trial():
+    # zero trials would report a vacuous pass
+    g = ProductGeometry(line("s"), line("t"), name="linexline")
+    with pytest.raises(UsageError, match="at least one trial"):
+        binomial_lemma_check(g, 2, 0, 1)
+
+
+def test_convention_sentinel_fails_on_a_nan_point(monkeypatch):
+    # one NaN oracle value among the sentinel's points fails the check
+    exact = oracle._fd_tensions
+
+    def nan_at_second_point(geometry, f, points, config):
+        values = exact(geometry, f, points, config)
+        values[1] = math.nan
+        return values
+
+    monkeypatch.setattr(oracle, "_fd_tensions", nan_at_second_point)
+    results = run_suite(SuiteContext(conventions=("paper",)))
+    sentinel = [r for r in results if r.check_id == "oracle/conformal-convention-sentinel"]
+    assert [r.status for r in sentinel] == ["fail"]
 
 
 def test_validate_chain_attaches_oracle_residuals():
