@@ -138,6 +138,9 @@ PARSE_EDGES = [
     ("nil", "x*q"), ("nil", "E(1)*x"), ("nil", "x#2"), ("nil", "2x"),
     ("nil", "(" * 101 + "x" + ")" * 101), ("nil", "1/0*x"), ("nil", "x*1i/0"),
     ("nil", "x^"), ("sol", "E(-1)^3*x^0*2^3*(1-1i)^2"), ("h2", "0^0*(z-z)^0"),
+    ("sol", "E( - 3 )*x"), ("sol", "E x"), ("sol", "E(1)^2*x"), ("nil", "3 i*x"),
+    ("nil", "( 1/2 + 3/4 i )/5*x"), ("nil", "1/2i*x"), ("nil", "x ^ 2*y"),
+    ("nil", "(1+2i)^2*x"), ("nil", "2^3*x"), ("nil", "(1+2i)x"), ("nil", "x*(1+2i)^"),
 ]
 
 # `tension -r 3` where the operator table's branches meet: the products with a

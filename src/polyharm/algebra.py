@@ -345,6 +345,7 @@ class Expr:
         values = self.atoms.symbol_values(P)
         self.atoms.check_domain(P)
         total = np.zeros(P.shape[:-1], dtype=complex)
+        raised = {}  # (k, p) -> values[k] ** p, shared by the terms of this call
         with np.errstate(all="ignore"):
             log_val = self.atoms.log_value(P) if self._has_log() else None
             if self.atoms.exp_var is not None:
@@ -356,7 +357,9 @@ class Expr:
                     raise DomainError("coefficient is too large for a float") from None
                 for k, p in enumerate(t.powers):
                     if p:
-                        v = v * values[k] ** p
+                        if (k, p) not in raised:
+                            raised[k, p] = values[k] if p == 1 else values[k] ** p
+                        v = v * raised[k, p]
                 if t.weight:
                     v = v * np.exp(t.weight * exp_base)
                 if t.logp:

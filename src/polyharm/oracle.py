@@ -248,6 +248,11 @@ class ResidualReport:
     def within_tolerance(self) -> bool:
         return self.max_rel <= self.rel_tol
 
+    @property
+    def paper_sentinel_holds(self) -> bool:
+        """At least one ratio, and each within 1e-4 of 4 (NaN fails)."""
+        return bool(self.ratios) and all(abs(r - 4.0) < 1e-4 for r in self.ratios)
+
 
 def cross_validate(
     geometry: Geometry,

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the expression grammar.
+"""Factor-level scanner for the expression grammar.
 
     expr    := ['-'] term (('+'|'-') term)*
     term    := factor ('*' factor)*
@@ -11,17 +11,22 @@
 
 A uint is [0-9]+ and a name [A-Za-z][A-Za-z0-9_]*, both ASCII; any other
 non-space character is unexpected.  'E(m)' is exp(m*t) on charts with an
-exponential atom.  Whitespace is insignificant;
-juxtaposition is not multiplication.  The sign inside a plain rational
-literal is only accepted inside E(...) and inside the parenthesised complex
-form; everywhere else '-' is the binary operator.  Parse of the canonical
-printed form is the identity.
+exponential atom.  Whitespace is insignificant; juxtaposition is not
+multiplication.  The sign inside a plain rational literal is only accepted
+inside E(...) and inside the parenthesised complex form; everywhere else '-'
+is the binary operator.  Parse of the canonical printed form is the identity.
 
-A product of atoms, atom powers and literals is one raw Term (an Expr only
-once a sum in parentheses, or a power of one or of a literal, enters it),
-and a flat sum of products is canonicalised once.  A closure error is raised
-at the factor that breaks a product: ``log1m*log1m*0`` is refused, while
-``0*log1m*log1m`` is 0.
+After one search for unexpected characters, each factor is one regex match
+at the scan position: an atom or 'E(m)', a rational with its 'i', or a
+parenthesised complex literal, with its '^n' and the operator after it.  It
+folds straight into the raw Term of its product: an atom adds exponents, and
+a literal's (a, b, d) triple is built from its integers with one
+normalisation.  Any other '(' opens a sum, scanned by the same loop one
+level down.  A product becomes an Expr only once a sum in parentheses, or a
+power of one or of a literal, enters it, and a flat sum of products is
+canonicalised once.  Errors keep the class, message and token position of
+the grammar.  A closure error is raised at the factor that breaks a product:
+``log1m*log1m*0`` is refused, while ``0*log1m*log1m`` is 0.
 
 Budgets keep every input to a clean error:
 
@@ -36,8 +41,7 @@ Budgets keep every input to a clean error:
   while ``(x+y+t)^200`` and ``2^100000000`` are refused;
 * the '*' products that involve a sum spend at most
   ``MAX_POWER_TERM_PRODUCTS`` term-by-term products over the whole parse,
-  else UsageError, so ``(x+y+t)^20*(x+y+t)^20`` (231 * 231) is refused.
-"""
+  else UsageError, so ``(x+y+t)^20*(x+y+t)^20`` (231 * 231) is refused."""
 
 from __future__ import annotations
 
@@ -45,158 +49,154 @@ import re
 
 from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, Term, _canonical, _validated
 from .errors import ParseError, UsageError
-from .rationals import GaussianRational, I, ONE, ZERO
+from .rationals import GaussianRational, ONE, ZERO, _reduced
 
 MAX_DEPTH = 100
 MAX_POWER_TERM_PRODUCTS = 50_000
 MAX_POWER_COEFFICIENT_BITS = 4096
 
-# whitespace | uint | name | operator | any other character
-_TOKEN = re.compile(r"\s+|([0-9]+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()])|(.)", re.DOTALL)
+# A non-space character outside the grammar, or a '_' that does not continue
+# a name; the lookbehind is slow, so only a text with a '_' is searched for it.
+_UNEXPECTED = re.compile(r"[^\sA-Za-z0-9_()*/^+\-]")
+_UNEXPECTED_OR_UNDERSCORE = re.compile(_UNEXPECTED.pattern + r"|(?<![A-Za-z0-9_])[0-9]*_")
+_WS = re.compile(r"\s*")
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|.")
+_NEGATIONS = re.compile(r"(?:\s*-)*\s*")
+_SIGN = re.compile(r"\s*(-?)")
+# A factor's match ends with the space and the '*', '+' or '-' after it.  A
+# uint after '/' or '^' is optional in the match, so that a missing one is
+# reported at its position; a complex literal matches only with nonzero
+# denominators, else it is read as a parenthesised sum.
+_NUMBER = r"(?P<num>[0-9]+)(?:(?P<slash>\s*/\s*)(?P<den>[0-9]+)?)?(?P<i>\s*i(?![A-Za-z0-9_]))?"
+_COMPLEX = (
+    r"\(\s*(?P<rneg>-)?\s*(?P<rnum>[0-9]+)(?:\s*/\s*(?P<rden>0*[1-9][0-9]*))?"
+    r"\s*(?P<op>[-+])\s*(?P<inum>[0-9]+)(?:\s*/\s*(?P<iden>0*[1-9][0-9]*))?\s*i\s*\)"
+    r"(?:(?P<cslash>\s*/\s*)(?P<cden>[0-9]+)?)?"
+)
+_POWER = r"(?:(?P<caret>\s*\^\s*)(?P<exp>[0-9]+)?)?\s*(?P<then>[-+*]?)"
+_FACTOR = re.compile(
+    r"\s*(?:(?P<call>E\s*\(\s*(?P<eneg>-?)\s*)(?P<w>[0-9]+)?\s*(?P<close>\))?"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)|" + _NUMBER + r"|(?P<paren>\())" + _POWER
+)
+_COMPLEX_FACTOR = re.compile(_COMPLEX + _POWER)
+_AFTER_GROUP = re.compile(_POWER)
+_SCALAR = re.compile(f"(?:{_NUMBER}|{_COMPLEX})\\s*")
+_RESERVED = ("E", "i", LOG_DISC, LOG_SPHERE)
 
 
-def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) per token, kind NUM, NAME, END or the
-    operator itself."""
-    tokens = []
-    for m in _TOKEN.finditer(src):
-        group, text = m.lastindex, m.group()
-        if group == 4:
-            raise ParseError(f"unexpected character {text!r}", m.start())
-        if group:
-            tokens.append((("NUM", "NAME", text)[group - 1], text, m.start()))
-    tokens.append(("END", "", len(src)))
-    return tokens
+class _Scanner:
+    """One parse of ``src``: its chart and the '*' budget of its products."""
 
-
-class _Parser:
-    def __init__(self, src: str, atoms: AtomSet | None):
-        self.tokens = _tokenize(src)
-        self.pos = 0
-        self.depth = 0
-        self.atoms = atoms
-        self.zeros = None if atoms is None else (0,) * len(atoms.variables)
+    def __init__(self, src: str, atoms: AtomSet):
+        self.src, self.atoms = src, atoms
+        self.zeros = (0,) * len(atoms.variables)
         self.spent = 0  # term products of the Expr '*' operators of the whole parse
 
-    # -- token helpers -----------------------------------------------------
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def accept_op(self, text: str) -> bool:
-        if self.tokens[self.pos][0] == text:
-            self.pos += 1
-            return True
-        return False
-
-    def expect_op(self, text: str) -> None:
-        if not self.accept_op(text):
-            raise ParseError(f"expected {text!r}", self.peek()[2])
-
-    def expect_uint(self) -> int:
-        kind, text, pos = self.peek()
-        if kind != "NUM":
-            raise ParseError("expected an unsigned integer", pos)
-        self.pos += 1
-        try:
-            return int(text)
-        except ValueError:  # more digits than Python converts
-            raise ParseError("integer literal too long", pos) from None
-
-    def expect_int(self) -> int:
-        neg = self.accept_op("-")
-        return -self.expect_uint() if neg else self.expect_uint()
-
-    def expect_denominator(self) -> int:
-        den = self.expect_uint()
-        if den == 0:
-            raise ParseError("zero denominator", self.peek()[2])
-        return den
-
-    def expect_end(self) -> None:
-        kind, text, pos = self.peek()
-        if kind != "END":
-            raise ParseError(f"unexpected trailing input {text!r}", pos)
-
-    # -- scalar literals ----------------------------------------------------
-
-    def parse_unsigned_rational(self) -> GaussianRational:
-        num = GaussianRational.coerce(self.expect_uint())
-        return num / self.expect_denominator() if self.accept_op("/") else num
-
-    def try_complex_paren_literal(self) -> GaussianRational | None:
-        """'(' rational ('+'|'-') rational 'i' ')' ['/' uint], or rollback."""
-        saved = self.pos
-        try:
-            self.expect_op("(")
-            neg = self.accept_op("-")
-            real = -self.parse_unsigned_rational() if neg else self.parse_unsigned_rational()
-            kind, _, pos = self.peek()
-            if kind != "+" and kind != "-":
-                raise ParseError("expected '+' or '-'", pos)
-            self.pos += 1
-            im = self.parse_unsigned_rational()
-            if self.peek()[:2] != ("NAME", "i"):
-                raise ParseError("expected 'i'", self.peek()[2])
-            self.pos += 1
-            self.expect_op(")")
-        except ParseError:
-            self.pos = saved
-            return None
-        value = real + im * I if kind == "+" else real - im * I
-        if self.accept_op("/"):
-            value = value / self.expect_denominator()
-        return value
-
-    def parse_scalar_literal(self) -> GaussianRational:
-        negate = False
-        while self.accept_op("-"):
-            negate = not negate
-        kind, _, pos = self.peek()
-        if kind == "(":
-            value = self.try_complex_paren_literal()
-            if value is None:
-                raise ParseError("expected a complex literal", pos)
-        elif kind == "NUM":
-            value = self.parse_unsigned_rational()
-            if self.peek()[:2] == ("NAME", "i"):
-                self.pos += 1
-                value = value * I
-        else:
-            raise ParseError("expected a number", pos)
-        return -value if negate else value
-
-    # -- grammar ------------------------------------------------------------
-
-    def parse_expr(self) -> list[Term]:
-        """The raw terms of a sum, signs applied."""
+    def sum(self, pos: int, depth: int) -> tuple[list[Term], int]:
+        """The raw terms of the sum at pos, signs applied, and the position
+        of the token after it."""
+        src, atoms, zeros, variables = self.src, self.atoms, self.zeros, self.atoms.variables
         raw = []
-        negate = self.accept_op("-")
+        m = _SIGN.match(src, pos)
+        then, pos = m.group(1), m.end()
         while True:
-            product = self.parse_term()
-            terms = (product,) if type(product) is Term else product.terms
-            if negate:
-                terms = [Term(-t.coeff, t.powers, t.weight, t.logp) for t in terms]
-            raw.extend(terms)
-            kind = self.peek()[0]
-            if kind != "+" and kind != "-":
-                return raw
-            self.pos += 1
-            negate = kind == "-"
+            negate = then == "-"
+            # the product: Term(c, powers, weight, logp), or expr once a sum entered it
+            c, powers, weight, logp, expr, first = ONE, list(zeros), 0, 0, None, True
+            while True:
+                if expr is not None:  # the raw Term holds this factor alone
+                    c, powers, weight, logp = ONE, list(zeros), 0, 0
+                f = None  # the factor, when it is not folded into the raw Term
+                m = _FACTOR.match(src, pos)
+                if m is None:
+                    pos = _WS.match(src, pos).end()
+                    raise ParseError("expected a variable, literal or '('", pos)
+                pos = m.end()
+                call, eneg, w, close, name, num, slash, den, i, paren, caret, exp, then = m.groups()
+                if name is not None:
+                    if name in variables and name not in _RESERVED:
+                        n = 1 if caret is None else _exponent(m, False, True)
+                        powers[variables.index(name)] += n
+                    elif name == atoms.log_kind:
+                        logp += 1 if caret is None else _exponent(m, True, True)
+                    elif name == "E" and atoms.exp_var is not None:
+                        raise ParseError("expected '('", _WS.match(src, m.end("name")).end())
+                    elif name == "i":
+                        raise ParseError("write the imaginary unit as '1i'", m.start("name"))
+                    else:
+                        raise ParseError(f"unknown atom {name!r} for this chart", m.start("name"))
+                elif call is not None:
+                    if atoms.exp_var is None:
+                        raise ParseError("unknown atom 'E' for this chart", m.start("call"))
+                    k = _uint(m, "w", "call")
+                    if close is None:
+                        raise ParseError("expected ')'", _WS.match(src, m.end("w")).end())
+                    n = 1 if caret is None else _exponent(m, False, True)
+                    weight += (-k if eneg else k) * n
+                else:
+                    if num is not None:
+                        value = _number(m, slash, i)
+                    else:
+                        p = m.start("paren")
+                        m = _COMPLEX_FACTOR.match(src, p)
+                        value = None if m is None else _complex(m)
+                        if value is not None:
+                            pos, caret, then = m.end(), *m.group("caret", "then")
+                    if value is None:
+                        f, then, pos = self.group(p, depth)
+                    elif caret is None:
+                        c = value if c is ONE else c * value
+                    else:
+                        f = self.power(Term(value, zeros), m)
+                if expr is not None and f is None:
+                    f = Term(c, tuple(powers), weight, logp)
+                if f is not None:
+                    if expr is None and type(f) is Term:
+                        c = f.coeff if c is ONE else c * f.coeff
+                        powers = [p + q for p, q in zip(powers, f.powers)]
+                        weight, logp = weight + f.weight, logp + f.logp
+                    elif first:
+                        expr = f
+                    else:
+                        a = Term(c, tuple(powers), weight, logp)
+                        expr = self.multiply(a if expr is None else expr, f)
+                if type(expr) is Term:
+                    c, powers, weight, logp = expr.coeff, list(expr.powers), expr.weight, expr.logp
+                    expr = None
+                elif expr is None and logp and c:
+                    _validated(atoms, Term(c, tuple(powers), weight, logp))
+                first = False
+                if then != "*":
+                    break
+            if expr is None:
+                raw.append(Term(-c if negate else c, tuple(powers), weight, logp))
+            else:
+                raw.extend((-expr if negate else expr).terms)
+            if not then:
+                return raw, pos
 
-    def parse_term(self) -> Term | Expr:
-        product = self.parse_factor()
-        while self.accept_op("*"):
-            product = self.multiply(product, self.parse_factor())
-        return product
+    def group(self, pos: int, depth: int) -> tuple[Term | Expr, str, int]:
+        """The parenthesised sum at pos (a '(') with its '^n', the operator
+        after it ('' if none) and the position after that."""
+        if depth == MAX_DEPTH:
+            raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
+        raw, pos = self.sum(pos + 1, depth + 1)
+        if not self.src.startswith(")", pos):
+            raise ParseError("expected ')'", pos)
+        base = raw[0] if len(raw) == 1 else self.lean(Expr(self.atoms, _canonical(self.atoms, raw)))
+        m = _AFTER_GROUP.match(self.src, pos + 1)
+        return self.power(base, m), m.group("then"), m.end()
+
+    def power(self, base: Term | Expr, m: re.Match) -> Term | Expr:
+        """A literal or parenthesised base raised to the '^n' of m, if any."""
+        if m.group("caret") is None:
+            return base
+        base = self.expr(base)
+        return self.lean(_power(base, _exponent(m, base._has_log())))
 
     def multiply(self, a: Term | Expr, b: Term | Expr) -> Term | Expr:
-        if type(a) is Term and type(b) is Term:
-            c = a.coeff * b.coeff
-            powers = tuple([p + q for p, q in zip(a.powers, b.powers)])
-            t = Term(c, powers, a.weight + b.weight, a.logp + b.logp)
-            return _validated(self.atoms, t) if c and t.logp else t
-        a, b = (self.expr(f) for f in (a, b))
+        """a * b where one of them is a sum, within the budget of the parse."""
+        a, b = self.expr(a), self.expr(b)
         self.spent += len(a.terms) * len(b.terms)
         if self.spent > MAX_POWER_TERM_PRODUCTS:
             raise UsageError(f"products need more than {MAX_POWER_TERM_PRODUCTS} term products")
@@ -207,69 +207,63 @@ class _Parser:
 
     def lean(self, e: Expr) -> Term | Expr:
         """e, or as a raw Term if it has at most one term."""
-        if len(e.terms) > 1:
-            return e
-        return e.terms[0] if e.terms else Term(ZERO, self.zeros)
+        return e if len(e.terms) > 1 else e.terms[0] if e.terms else Term(ZERO, self.zeros)
 
-    def expect_exponent(self, has_log: bool) -> int:
-        pos = self.peek()[2]
-        n = self.expect_uint()
-        if has_log and n >= 2:
-            raise ParseError("log atom squared", pos)
-        return n
 
-    def parse_factor(self) -> Term | Expr:
-        kind, _, pos = self.peek()
-        atoms = self.atoms
-        if kind == "NAME":
-            atom = self.parse_name()
-            if not self.accept_op("^"):
-                return atom
-            n = self.expect_exponent(atom.logp)
-            # what binary exponentiation of one term would spend
-            if n.bit_count() + n.bit_length() - 1 > MAX_POWER_TERM_PRODUCTS:
-                raise UsageError(f"power needs more than {MAX_POWER_TERM_PRODUCTS} term products")
-            return Term(ONE, tuple([p * n for p in atom.powers]), atom.weight * n, atom.logp * n)
-        if kind == "NUM":
-            literal = self.parse_scalar_literal()
-        elif kind == "(":
-            literal = self.try_complex_paren_literal()
-        else:
-            raise ParseError("expected a variable, literal or '('", pos)
-        if literal is not None:
-            base = Term(literal, self.zeros)
-        else:
-            if self.depth == MAX_DEPTH:
-                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
-            self.depth += 1
-            self.pos += 1
-            raw = self.parse_expr()
-            self.expect_op(")")
-            self.depth -= 1
-            base = raw[0] if len(raw) == 1 else self.lean(Expr(atoms, _canonical(atoms, raw)))
-        if not self.accept_op("^"):
-            return base
-        base = self.expr(base)
-        return self.lean(_power(base, self.expect_exponent(base._has_log())))
+def _uint(m: re.Match, group: str, after: str = "", denominator: bool = False) -> int:
+    """The uint of ``group`` of m, an optional group that follows group ``after``."""
+    text = m.group(group)
+    if text is None:
+        raise ParseError("expected an unsigned integer", m.end(after))
+    try:
+        n = int(text)
+    except ValueError:  # more digits than Python converts
+        raise ParseError("integer literal too long", m.start(group)) from None
+    if denominator and n == 0:
+        raise ParseError("zero denominator", _WS.match(m.string, m.end(group)).end())
+    return n
 
-    def parse_name(self) -> Term:
-        _, name, pos = self.peek()
-        self.pos += 1
-        atoms = self.atoms
-        if name == "E" and atoms.exp_var is not None:
-            self.expect_op("(")
-            weight = self.expect_int()
-            self.expect_op(")")
-            return Term(ONE, self.zeros, weight)
-        if name == atoms.log_kind:
-            return Term(ONE, self.zeros, 0, 1)
-        if name == "i":
-            raise ParseError("write the imaginary unit as '1i'", pos)
-        if name in atoms.variables and name not in ("E", LOG_DISC, LOG_SPHERE):
-            powers = list(self.zeros)
-            powers[atoms.variables.index(name)] = 1
-            return Term(ONE, tuple(powers))
-        raise ParseError(f"unknown atom {name!r} for this chart", pos)
+
+def _exponent(m: re.Match, has_log: bool, atom: bool = False) -> int:
+    """The n of the '^n' of m, which holds a '^'."""
+    n = _uint(m, "exp", "caret")
+    if has_log and n >= 2:
+        raise ParseError("log atom squared", m.start("exp"))
+    # an atom's power: what binary exponentiation of one term would spend
+    if atom and n.bit_count() + n.bit_length() - 1 > MAX_POWER_TERM_PRODUCTS:
+        raise UsageError(f"power needs more than {MAX_POWER_TERM_PRODUCTS} term products")
+    return n
+
+
+def _number(m: re.Match, slash: str | None, i: str | None) -> GaussianRational:
+    """The rational [i] literal of m; slash and i are the texts of its groups."""
+    a = _uint(m, "num")
+    d = 1 if slash is None else _uint(m, "den", "slash", True)
+    return _reduced(a, 0, d) if i is None else _reduced(0, a, d)
+
+
+def _complex(m: re.Match) -> GaussianRational | None:
+    """The parenthesised complex literal of m; None when a part has too many
+    digits to convert, and it is then read as a parenthesised sum."""
+    rneg, rnum, rden, op, inum, iden, cslash = m.group(
+        "rneg", "rnum", "rden", "op", "inum", "iden", "cslash")
+    try:
+        a, p, b, q = int(rnum), int(rden or 1), int(inum), int(iden or 1)
+    except ValueError:
+        return None
+    k = 1 if cslash is None else _uint(m, "cden", "cslash", True)
+    return _reduced((-a if rneg else a) * q, (-b if op == "-" else b) * p, p * q * k)
+
+
+def _check_characters(src: str) -> None:
+    m = (_UNEXPECTED_OR_UNDERSCORE if "_" in src else _UNEXPECTED).search(src)
+    if m:
+        raise ParseError(f"unexpected character {src[m.end() - 1]!r}", m.end() - 1)
+
+
+def _expect_end(src: str, pos: int) -> None:
+    if pos < len(src):
+        raise ParseError(f"unexpected trailing input {_TOKEN.match(src, pos).group()!r}", pos)
 
 
 def _power(base: Expr, n: int) -> Expr:
@@ -303,15 +297,20 @@ def _coefficient_bits(e: Expr) -> int:
 
 def parse(src: str, atoms: AtomSet) -> Expr:
     """Parse source text into a canonical Expr of the given chart algebra."""
-    parser = _Parser(src, atoms)
-    raw = parser.parse_expr()
-    parser.expect_end()
+    _check_characters(src)
+    raw, pos = _Scanner(src, atoms).sum(0, 0)
+    _expect_end(src, pos)
     return Expr(atoms, _canonical(atoms, raw, check=True))
 
 
 def parse_scalar(src: str) -> GaussianRational:
     """Parse one exact scalar literal (used for family parameters)."""
-    parser = _Parser(src, None)
-    value = parser.parse_scalar_literal()
-    parser.expect_end()
-    return value
+    _check_characters(src)
+    pos = _NEGATIONS.match(src).end()
+    m = _SCALAR.match(src, pos)
+    value = m and (_complex(m) if m.group("num") is None else _number(m, *m.group("slash", "i")))
+    if value is None:
+        raise ParseError("expected a complex literal" if src.startswith("(", pos)
+                         else "expected a number", pos)
+    _expect_end(src, m.end())
+    return -value if src.count("-", 0, pos) % 2 else value

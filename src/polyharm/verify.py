@@ -477,8 +477,7 @@ def _check_oracle(ctx) -> list[CheckResult]:
             out.append(_result(check_id, report.within_tolerance, f"max_rel={report.max_rel:.3e}"))
     if "paper" in ctx.conventions:
         g = hyperbolic_disc("paper")
-        ratios = cross_validate(g, parse("z*zb", g.atoms), cfg).ratios
-        ok = bool(ratios) and all(abs(r - 4.0) < 1e-4 for r in ratios)
+        ok = cross_validate(g, parse("z*zb", g.atoms), cfg).paper_sentinel_holds
         out.append(
             CheckResult(
                 "oracle/conformal-convention-sentinel",

@@ -333,6 +333,40 @@ def test_array_evaluate_matches_scalar_reference(gid):
             assert f.evaluate(tuple(p)) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
+def _evaluate_per_term(f, points):
+    """Expr.evaluate as it was, raising every power of every term anew.  It
+    uses ``**`` as evaluate does: numpy's ``z ** 2`` squares a complex z,
+    which can differ from ``np.power(z, 2)`` in the last bit."""
+    P = np.asarray(points, dtype=float)
+    atoms = f.atoms
+    values = atoms.symbol_values(P)
+    total = np.zeros(P.shape[:-1], dtype=complex)
+    with np.errstate(all="ignore"):
+        for t in f.terms:
+            v = complex(t.coeff)
+            for k, p in enumerate(t.powers):
+                if p:
+                    v = v * values[k] ** p
+            if t.weight:
+                v = v * np.exp(t.weight * P[..., atoms.index(atoms.exp_var)])
+            if t.logp:
+                v = v * atoms.log_value(P)
+            total += v
+    return total
+
+
+@pytest.mark.parametrize("gid", ["sol", "nil", "sl2", "h2", "s2p", "h2xr", "s2pxr", "line"])
+def test_evaluate_shares_raised_powers_bit_for_bit(gid):
+    g = by_id(gid)
+    rng = random.Random(f"powers-{gid}")
+    weights = (-2, -1, 0, 1, 2) if g.atoms.exp_var else (0,)
+    points = sample_points(g, 40, np.random.default_rng(7))
+    for _ in range(12):
+        f = random_expr(rng, g.atoms, max_terms=6, max_power=4, weights=weights,
+                        allow_log=g.atoms.log_kind is not None)
+        assert np.array_equal(f.evaluate(points), _evaluate_per_term(f, points))
+
+
 def test_evaluate_overflow_is_domain_error():
     f = parse("E(2000)", SOL)
     assert f.evaluate((0.0, 0.0, 0.1)) == pytest.approx(math.exp(200.0))

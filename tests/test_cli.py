@@ -306,6 +306,37 @@ def test_oracle_paper_convention_runs_one_sweep(capsys, monkeypatch):
     assert calls == {"fd": 1, "tension": 1}
 
 
+def test_oracle_paper_convention_checks_the_sentinel(capsys, monkeypatch):
+    # a NaN point fails the residuals and the factor-4 sentinel alike, so it
+    # is a tolerance failure, not the expected mismatch of the convention
+    def one_nan_point(*args, **kwargs):
+        fd = fd_tensions(*args, **kwargs)
+        fd[0] = float("nan")
+        return fd
+
+    fd_tensions = polyharm.oracle._fd_tensions
+    monkeypatch.setattr(polyharm.oracle, "_fd_tensions", one_nan_point)
+    code, out, _ = run(capsys, "oracle", "-g", "h2", "--convention", "paper",
+                       "--samples", "10", "z*zb")
+    assert code == 1
+    lines = out.splitlines()
+    assert "status: tolerance-exceeded" in lines
+    assert "mean symbolic/oracle ratio: nan" in lines
+
+
+def test_json_report_is_strict_json(capsys):
+    # E(700) overflows the sweep: max_rel is inf, written as a string
+    code, out, _ = run(capsys, "oracle", "-g", "sol", "E(700)", "--format", "json")
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(out, parse_constant=refuse)
+    assert code == 1 and payload["status"] == "tolerance-exceeded"
+    assert payload["residuals"]["max_rel"] == "inf"
+    assert float(payload["residuals"]["max_rel"]) == float("inf")
+
+
 @pytest.mark.parametrize("convention", ["metric", "paper"])
 def test_oracle_tolerance_failure_exits_1_under_both_conventions(capsys, convention):
     # nil has no conformal factor, so the paper convention changes nothing

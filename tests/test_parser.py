@@ -1,6 +1,8 @@
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,14 @@ from polyharm.algebra import LOG_DISC, LOG_SPHERE, Expr
 from polyharm.errors import ClosureError, ParseError, UsageError
 from polyharm.families import FAMILIES
 from polyharm.geometries import by_id, disc_times_line, sol
-from polyharm.parser import (
-    MAX_DEPTH, MAX_POWER_TERM_PRODUCTS, _Parser, _power, parse, parse_scalar,
-)
+from polyharm.parser import MAX_DEPTH, MAX_POWER_TERM_PRODUCTS, _power, parse, parse_scalar
 from polyharm.rationals import GaussianRational, I
 from polyharm.verify import random_expr
 
 from conftest import gaussian_rationals
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 SOL = sol().atoms
 DISC_LINE = disc_times_line().atoms
@@ -238,12 +241,55 @@ def _reference_tokenize(src):
     return tokens
 
 
-class _ReferenceParser(_Parser):
-    """The grammar with every atom an Expr and every '*' an Expr product."""
+class _ReferenceParser:
+    """The grammar token by token, with every atom an Expr and every '*' an
+    Expr product."""
 
     def __init__(self, src, atoms):
-        super().__init__(src, atoms)
         self.tokens = _reference_tokenize(src)
+        self.pos = 0
+        self.depth = 0
+        self.atoms = atoms
+
+    # token helpers
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def accept_op(self, text):
+        if self.tokens[self.pos][0] == text:
+            self.pos += 1
+            return True
+        return False
+
+    def expect_op(self, text):
+        if not self.accept_op(text):
+            raise ParseError(f"expected {text!r}", self.peek()[2])
+
+    def expect_uint(self):
+        kind, text, pos = self.peek()
+        if kind != "NUM":
+            raise ParseError("expected an unsigned integer", pos)
+        self.pos += 1
+        try:
+            return int(text)
+        except ValueError:  # more digits than Python converts
+            raise ParseError("integer literal too long", pos) from None
+
+    def expect_int(self):
+        neg = self.accept_op("-")
+        return -self.expect_uint() if neg else self.expect_uint()
+
+    def expect_denominator(self):
+        den = self.expect_uint()
+        if den == 0:
+            raise ParseError("zero denominator", self.peek()[2])
+        return den
+
+    def expect_end(self):
+        kind, text, pos = self.peek()
+        if kind != "END":
+            raise ParseError(f"unexpected trailing input {text!r}", pos)
 
     # the literal path as it was, through Fractions
 
@@ -395,6 +441,25 @@ def _mutations(rng, text, count):
     return out
 
 
+def _respaced(rng, text):
+    """text with a random run of spaces, tabs and newlines (or none) around
+    every token."""
+    spaces = ("", "", " ", "\t", "\n", "   ", " \t\n ")
+    return rng.choice(spaces) + "".join(p + rng.choice(spaces) for p in _PIECES.findall(text))
+
+
+def _benchmark_texts(rng, gid):
+    """The texts the benchmark's generators feed the parser on this chart."""
+    if gid not in workloads.WORKLOAD_GEOMETRIES["oracle"]:
+        return []
+    texts = [workloads.random_polynomial(rng, gid, 4, n, log_ok)
+             for n in (1, 3, 6) for log_ok in (False, True)]
+    texts += rng.sample(workloads.monomial_basis(gid, 3), 6)
+    if gid == "sol":
+        texts += workloads.sol_axis_basis(5, "x") + workloads.sol_axis_basis(4, "y")
+    return texts
+
+
 @pytest.mark.parametrize("gid", ["sol", "nil", "sl2", "h2", "s2p", "h2xr", "s2pxr", "line"])
 def test_raw_term_parser_matches_expr_reference(gid):
     atoms = by_id(gid).atoms
@@ -409,10 +474,12 @@ def test_raw_term_parser_matches_expr_reference(gid):
         if d.geometry_id == gid:
             texts.extend(str(d.build("metric", **d.sample(rng))[1]) for _ in range(3))
     texts += [f"({a})*({b})^2 - {c}" for a, b, c in zip(texts, texts[1:], texts[2:])][:10]
-    texts += ["0/5", "007", "(0+0i)/3", "(-1/2-3/4i)/6", "1/0", "9" * 4301]
+    texts += _benchmark_texts(rng, gid)
+    texts += ["0/5", "007", "(0+0i)/3", "(-1/2-3/4i)/6", "1/0", "9" * 4301,
+              "E( - 3 )*x", "( 1/2 - 3/4 i )/5", "E(\t-\n3\t)^ 2", "(\n1 /2-3/ 4\ti )\t/ 5*t"]
     cases = []
     for text in texts:
-        cases.append(text)
+        cases += [text, _respaced(rng, text)]
         cases.extend(_mutations(rng, text, 6))
     outcomes = {"ok": 0, "error": 0}
     for text in cases:
@@ -462,3 +529,21 @@ def test_products_share_one_term_budget():
     # the products of one parse add up: 4,356 + 15,246 + 32,736 term products
     with pytest.raises(UsageError):
         parse("*".join(["(x+y+t)^10"] * 4), SOL)
+
+
+def test_parse_scans_nested_sums_without_reentering_parse(monkeypatch):
+    import polyharm.parser as parser_module
+
+    calls = []
+    original = parser_module.parse
+
+    def counted(src, atoms):
+        calls.append(src)
+        return original(src, atoms)
+
+    monkeypatch.setattr(parser_module, "parse", counted)
+    text = "(x+y)^2*(1+2i)/3 - (t)"
+    f = parser_module.parse(text, SOL)
+    assert calls == [text]
+    x, y, t = (Expr.variable(SOL, v) for v in ("x", "y", "t"))
+    assert f == (x + y) * (x + y) * GaussianRational(Fraction(1, 3), Fraction(2, 3)) - t
