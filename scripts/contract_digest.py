@@ -6,7 +6,8 @@ The battery is the set of outputs a refactor must leave byte-identical:
 the operator table's edge cases (products, the paper convention, sol's
 exponential branch), `classify` on the parser's error paths and budgets,
 `generate` on the large ansatz systems, the `sol.axis` families and every
-named family (defaults, explicit flags and the error paths), `verify-paper
+named family (defaults, explicit flags and the error paths), `generate -r 3
+--ansatz` on the bases of `ANSATZ_LEVELS`, `verify-paper
 --format json` (also at `--r-max 1 --skip-oracle`, which pins the statuses at
 a lowered bound), `oracle --format json` on h2xr at `--levels 1`, `--levels 3`
 and `--samples 300`, and `scripts/family_gallery.py`, plus the edge
@@ -170,6 +171,15 @@ ORACLE_FLAGS = [["--levels", "1"], ["--levels", "3"], ["--samples", "300"]]
 ANSATZ_EDGES = ["(1+1i)*x, 2i*y - 1/3*x*y, -4*t", "-x^2, 3/2*E(-2), (1+1i)*x*E(-1)"]
 PAPER_ORACLE_CHARTS = ["h2xr", "product:h2xline"]
 
+# `generate -r 3 --ansatz`, where the tau^3 matrix is built from the images of
+# the images: sol with exponential weights, and log-bearing bases on h2xr and
+# on a product with a 3-dimensional factor.
+ANSATZ_LEVELS = [
+    ("sol", "t^4,t^3,x*E(-1),y*E(1),t^2*E(2),1"),
+    ("h2xr", "log1m,t*log1m,z*zb,t^3,z^2*zb^2*t"),
+    ("product:nilxh2", "t*log1m,x,x*t^2,y^2*log1m,z*zb*t"),
+]
+
 
 def print_point_function_tension() -> int:
     """repr of one fd_tension through the point-function path (one call per
@@ -211,6 +221,9 @@ def battery() -> list[list[str]]:
             commands.append(["generate", "-g", "sol", "--format", fmt, "--ansatz", basis])
     for gid in PAPER_ORACLE_CHARTS:
         commands.append(["oracle", "-g", gid, "--convention", "paper", "--format", "json", "z*zb"])
+    for fmt in ("text", "json"):
+        for gid, basis in ANSATZ_LEVELS:
+            commands.append(["generate", "-g", gid, "-r", "3", "--format", fmt, "--ansatz", basis])
     return commands
 
 

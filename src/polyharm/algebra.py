@@ -388,10 +388,6 @@ class Expr:
         stripped = tuple(Term(t.coeff, t.powers, t.weight) for t in self.terms if t.logp)
         return Expr(self.atoms, poly), Expr(self.atoms, stripped)
 
-    def coefficients(self) -> dict[tuple, GaussianRational]:
-        """Signature -> coefficient map (for assembling exact linear systems)."""
-        return {t.signature(): t.coeff for t in self.terms}
-
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:

@@ -10,17 +10,20 @@ so callers should always re-classify rather than trust the label.
 The ansatz machinery turns a finite list of candidate terms into the exact
 matrix of the tension operator restricted to their span; harmonic (or
 r-harmonic) members are its kernel, computed over the Gaussian rationals.
+Each power of tau merges the geometry's raw tension terms of all basis images
+into sparse rows in one pass; each kernel member is re-verified on its own.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
-from .algebra import AtomSet, Expr
+from .algebra import AtomSet, Expr, Term, _canonical, _validated
 from .errors import UsageError
-from .geometries import R_MAX, Geometry, ProductGeometry, by_id, classify, iterated_tension, sol
+from .geometries import R_MAX, Geometry, ProductGeometry, by_id, classify, sol
 from .linalg import ExactMatrix, nullspace, primitive_scale, rank
 from .rationals import GaussianRational, I, ScalarLike
 
@@ -44,31 +47,37 @@ def _leading_signature(e: Expr):
     return min(t.signature() for t in e.terms)
 
 
-def _operator_matrix(images: Sequence[Expr]) -> ExactMatrix:
-    """The matrix with one column per image and one row per signature that
-    occurs in them (sorted; no rows when every image vanishes), filled
-    straight from each image's coefficients."""
-    columns = [img.coefficients() for img in images]
-    signatures = sorted({sig for col in columns for sig in col})
-    row_of = {sig: i for i, sig in enumerate(signatures)}
-    rows = [{} for _ in signatures]
-    for j, col in enumerate(columns):
-        for sig, c in col.items():
-            rows[row_of[sig]][j] = c
-    return ExactMatrix(len(rows), len(images), tuple(rows))
+def _merged_rows(atoms: AtomSet, columns: Sequence[Iterable[tuple]]) -> tuple[ExactMatrix, list]:
+    """The raw terms of the columns merged by signature: the matrix with one
+    row ``{column: value}`` per signature with a nonzero value (sorted, each
+    signature validated once), and each column's merged terms."""
+    merged: dict[tuple, dict[int, GaussianRational]] = {}
+    for j, raw in enumerate(columns):
+        for coeff, powers, weight, logp in raw:
+            if coeff:
+                row = merged.setdefault((logp, weight, powers), {})
+                row[j] = row[j] + coeff if j in row else coeff
+    rows, images = [], [[] for _ in columns]
+    for logp, weight, powers in sorted(merged):
+        row = {j: c for j, c in merged[logp, weight, powers].items() if c}
+        if row:
+            _validated(atoms, Term(None, powers, weight, logp))
+            rows.append(row)
+            for j, c in row.items():
+                images[j].append((c, powers, weight, logp))
+    return ExactMatrix(len(rows), len(columns), tuple(rows)), images
 
 
-def _dependent(ordered: Sequence[Expr]) -> bool:
-    """Whether a basis sorted by leading signature is linearly dependent.
+def _dependent(ordered: Sequence[Expr], leads: Sequence[tuple]) -> bool:
+    """Whether a basis sorted by leading signature (``leads``) is linearly dependent.
 
     Distinct leading signatures make it independent (in a vanishing
     combination, the smallest leading signature of a member with a nonzero
     coefficient occurs in no other such member); only a tie needs the rank.
     """
-    leads = [_leading_signature(b) for b in ordered]
     if all(a != b for a, b in zip(leads, leads[1:])):
         return False
-    return rank(_operator_matrix(ordered)) < len(ordered)
+    return rank(_merged_rows(ordered[0].atoms, [b.terms for b in ordered])[0]) < len(ordered)
 
 
 @dataclass(frozen=True)
@@ -78,9 +87,10 @@ class AnsatzSystem:
     ``matrix`` is the first-power tension map (columns indexed by the
     sorted basis, rows by the sorted term signatures of the images, so no
     rows when every image vanishes); ``order_matrix`` is the map for
-    tau^order, which generate_kernel inverts.  Construction fails with a
-    closure error if tau leaves the algebra on any basis element, so
-    existence of the system certifies closure.
+    tau^order, which generate_kernel inverts.  Each power's rows merge the
+    raw tension terms of the previous power's images, no Expr in between.
+    Construction fails with a closure error if tau leaves the algebra on
+    any basis element, so existence of the system certifies closure.
     """
 
     geometry: Geometry
@@ -95,19 +105,19 @@ class AnsatzSystem:
             raise UsageError("ansatz order must be at least 1")
         if not basis:
             raise UsageError("empty ansatz basis")
-        ordered = tuple(sorted(basis, key=_leading_signature))
-        if _dependent(ordered):
+        keyed = sorted(((_leading_signature(b), b) for b in basis), key=itemgetter(0))
+        ordered = tuple(b for _, b in keyed)
+        atoms = ordered[0].atoms
+        if any(b.atoms != atoms for b in ordered):
+            raise UsageError("operands live in different chart algebras")
+        if _dependent(ordered, [lead for lead, _ in keyed]):
             raise UsageError("ansatz basis is linearly dependent")
-        first_images = [geometry.tension(b) for b in ordered]
-        matrix = _operator_matrix(first_images)
-        if order == 1:
-            order_matrix = matrix
-        else:
-            power_images = [
-                iterated_tension(geometry, img, order - 1)[-1] for img in first_images
-            ]
-            order_matrix = _operator_matrix(power_images)
-        return AnsatzSystem(geometry, ordered, matrix, order, order_matrix)
+        geometry._require(ordered[0])
+        images, matrices = [b.terms for b in ordered], []
+        for _ in range(order):
+            m, images = _merged_rows(atoms, [geometry._raw_tension(atoms, c) for c in images])
+            matrices.append(m)
+        return AnsatzSystem(geometry, ordered, matrices[0], order, matrices[-1])
 
 
 def primitive_normalized(f: Expr) -> Expr:
@@ -122,12 +132,17 @@ def primitive_normalized(f: Expr) -> Expr:
 
 
 def generate_kernel(system: AnsatzSystem) -> list[Expr]:
-    """Exact basis of {f in span(basis) : tau^order f = 0}."""
-    kernel = []
+    """Exact basis of {f in span(basis) : tau^order f = 0}.  Each member is
+    re-verified from its own terms, not from the matrix: tau^order f, through the
+    geometry's emission and a closure-checked exact merge, must vanish."""
+    atoms, kernel = system.basis[0].atoms, []
     for v in nullspace(system.order_matrix):
-        f = Expr.sum(system.geometry.atoms, [system.basis[j].scale(c) for j, c in v.items()])
-        check = iterated_tension(system.geometry, f, system.order)[-1]
-        if not check.is_zero():
+        f = Expr(atoms, _canonical(atoms, [(t.coeff * c, t.powers, t.weight, t.logp)
+                                           for j, c in v.items() for t in system.basis[j].terms]))
+        image = f.terms
+        for _ in range(system.order):
+            image = _canonical(atoms, system.geometry._raw_tension(atoms, image), check=True)
+        if image:
             raise AssertionError("kernel member failed exact re-verification")
         kernel.append(f)
     return kernel

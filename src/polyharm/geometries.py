@@ -22,13 +22,14 @@ c * prod v^p * E(weight) * d_i d_j, so the entries list the inverse metric:
 one with i == j is g^ii, one with i != j stands for g^ij + g^ji.  tau is a
 per-term kernel compiled from the table once per atom set: the entries are
 grouped by (i, j), and for each term each group emits at most three terms
-with integer multipliers (see ``Geometry.tension``).  kappa = sum g^ij f_i h_j
-reads the same compiled groups: it forms f_i h_j (and f_j h_i off the
-diagonal) once per group, and each entry adds c m f_i h_i on the diagonal
-and c m (f_i h_j + f_j h_i) / 2 off it.  Entries on the conformal
-pair act on the log-free part of f; the log atom L follows the closed-form
-rule of its surface, tau(L) = s c, with its own kappa terms.  Adding a chart
-means adding one table and one ``metric``.
+with integer multipliers (``Geometry._raw_tension``, the one body of tau: its
+terms become an Expr in ``tension`` and ansatz matrix rows in
+``polyharm.families``).  kappa = sum g^ij f_i h_j reads the same groups: it
+forms f_i h_j (and f_j h_i off the diagonal) once per group, and each entry
+adds c m f_i h_i on the diagonal and c m (f_i h_j + f_j h_i) / 2 off it.
+Entries on the conformal pair act on the log-free part of f; the log atom L
+follows the closed-form rule of its surface, tau(L) = s c, with its own
+kappa terms.  Adding a chart means adding one table and one ``metric``.
 
 Two operator conventions exist for the conformal surfaces because the
 printed conformal factor of the operator (4(1 -+ u)^2) is four times the
@@ -52,7 +53,7 @@ from operator import add
 
 import numpy as np
 
-from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, _canonical, merge_atom_sets
+from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, Term, _canonical, merge_atom_sets
 from .errors import ClosureError, DomainError, UsageError
 from .rationals import GaussianRational
 
@@ -117,21 +118,24 @@ class Geometry:
         return kernel
 
     def tension(self, f: Expr) -> Expr:
-        """tau f from the compiled table, term by term.  For t = c v^a E(w) L^p,
-        d_i d_j t has at most three terms with integer multipliers (k = 0..3):
+        """tau f: ``_raw_tension`` in one closure-checked canonicalisation pass."""
+        self._require(f)
+        return Expr(f.atoms, _canonical(f.atoms, self._raw_tension(f.atoms, f.terms), check=True))
+
+    def _raw_tension(self, atoms: AtomSet, terms) -> list:
+        """Unmerged terms of tau (sum of ``terms``), term by term.  For t = c v^a
+        E(w) L^p, d_i d_j t has at most three terms with integer multipliers (k = 0..3):
             0: a_j (a_i - [i = j]) t / (v_i v_j)
             1: (1 + [i = j]) a_i w t / v_i   when j is the exp variable
             2: a_j w t / v_j                 when only i is
             3: w^2 t                         when both are
         Each is emitted once per entry of the group, shifted by its powers and
-        weight, into one canonicalisation pass.  Log terms skip groups with j
-        in the conformal pair (those act on the log-free part) and leave the
-        algebra through a conformal i when d_j of them is nonzero."""
-        self._require(f)
-        atoms = f.atoms
+        weight.  Log terms skip groups with j in the conformal pair (those act
+        on the log-free part) and leave the algebra through a conformal i when
+        d_j of them is nonzero."""
         raw = []
         for i, j, same, i_exp, j_exp, i_conf, j_conf, entries in self._kernel(atoms):
-            for coeff, powers, w, logp in f.terms:
+            for coeff, powers, w, logp in terms:
                 if logp and j_conf:
                     continue
                 a_i, a_j = powers[i], powers[j]
@@ -150,12 +154,12 @@ class Geometry:
                         for c, we, shifts in entries:
                             raw.append((coeff * (m * c), tuple(map(add, powers, shifts[k])),
                                         w + we, logp))
-        logc = f.split_log()[1]
-        if logc is not None and self.log_rule is not None:
-            c, powers, weight, terms = self.log_rule.log_tension_part(logc)
+        logc = tuple(Term(c, p, w) for c, p, w, logp in terms if logp)
+        if logc and self.log_rule is not None:
+            c, powers, weight, logc = self.log_rule.log_tension_part(Expr(atoms, logc))
             raw.extend((t.coeff * c, tuple(map(add, t.powers, powers)), t.weight + weight, t.logp)
-                       for t in terms)
-        return Expr(atoms, _canonical(atoms, raw, check=True))
+                       for t in logc)
+        return raw
 
     def conformality(self, f: Expr, h: Expr) -> Expr:
         self._require(f)

@@ -130,7 +130,7 @@ def nullspace(m: ExactMatrix) -> list[RowMap]:
     basis = []
     for entries in kernel.values():
         inv = ONE / entries[min(entries)]
-        basis.append({j: v * inv for j, v in entries.items()})
+        basis.append(entries if inv == ONE else {j: v * inv for j, v in entries.items()})
     return basis
 
 

@@ -7,9 +7,12 @@ from pathlib import Path
 from itertools import product as cartesian
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyharm.algebra import Expr
-from polyharm.errors import UsageError
+from polyharm import families
+from polyharm.algebra import LOG_DISC, AtomSet, Expr
+from polyharm.errors import ClosureError, UsageError
 from polyharm.families import (
     FAMILIES,
     AnsatzSystem,
@@ -33,6 +36,7 @@ from polyharm.families import (
     sol_tower_literal,
 )
 from polyharm.geometries import (
+    Geometry,
     ProductGeometry,
     by_id,
     classify,
@@ -44,9 +48,10 @@ from polyharm.geometries import (
     sl2,
     sol,
 )
+from polyharm.linalg import ExactMatrix, nullspace, rank
 from polyharm.parser import parse
 from polyharm.rationals import GaussianRational
-from polyharm.verify import AXIS_FAMILY_TEXT, random_scalar
+from polyharm.verify import AXIS_FAMILY_TEXT, random_nonzero_expr, random_scalar
 
 
 # -- ansatz kernels -----------------------------------------------------------
@@ -154,6 +159,98 @@ def test_golden_kernels_are_unchanged():
     assert dims["nil"] == 81 and dims["sol"] == 1
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_KERNEL_DIGEST
+
+
+# -- ansatz matrices against the per-image reference ----------------------------
+
+
+def _reference_operator_matrix(images):
+    """Rows of the matrix with one column per canonical image Expr and one row
+    per signature occurring in them, in sorted order (the per-image build)."""
+    columns = [{t.signature(): t.coeff for t in img.terms} for img in images]
+    signatures = sorted({sig for col in columns for sig in col})
+    return [{j: col[sig] for j, col in enumerate(columns) if sig in col} for sig in signatures]
+
+
+def _reference_system(g, basis, order):
+    """(sorted basis, matrix rows, order_matrix rows) from geometry.tension per
+    basis element and iterated_tension per image."""
+    ordered = sorted(basis, key=lambda b: min(t.signature() for t in b.terms))
+    rows = _reference_operator_matrix(ordered)
+    if rank(ExactMatrix(len(rows), len(ordered), tuple(rows))) < len(ordered):
+        raise UsageError("ansatz basis is linearly dependent")
+    first = [g.tension(b) for b in ordered]
+    power = first if order == 1 else [iterated_tension(g, img, order - 1)[-1] for img in first]
+    return ordered, _reference_operator_matrix(first), _reference_operator_matrix(power)
+
+
+def _built_system(g, basis, order):
+    system = AnsatzSystem.build(g, basis, order=order)
+    return system.basis, list(system.matrix.row_maps), list(system.order_matrix.row_maps)
+
+
+def _system_outcome(build, g, basis, order):
+    try:
+        ordered, matrix, power = build(g, basis, order)
+        return ("ok", [str(b) for b in ordered], matrix, power)
+    except (UsageError, ClosureError) as exc:
+        return (type(exc), str(exc))
+
+
+# sol, nil and sl2 also act on the chart where (x, y) is a conformal pair with a
+# log atom, where the emission of tau refuses a mixed partial of a log term; and
+# an entry z d_t d_t takes t^2 L to 2 z L, which only the closure check refuses
+_XY_LOG = AtomSet(("x", "y", "t"), exp_var="t", log_kind=LOG_DISC, conformal=("x", "y"))
+_Z_SHIFT = Geometry("z-shift", disc_times_line().atoms, ((-0.5, 0.5),) * 3,
+                    ((1, {"z": 1}, 0, "t", "t"),))
+_ANSATZ_CASES = [(gid, by_id(gid), None) for gid in ("sol", "nil", "sl2", "h2xr", "s2pxr",
+                                                     "product:nilxh2")]
+_ANSATZ_CASES += [(f"{gid} paper", by_id(gid, "paper"), None) for gid in ("h2xr", "s2pxr")]
+_ANSATZ_CASES += [(f"{gid} on _XY_LOG", by_id(gid), _XY_LOG) for gid in ("sol", "nil", "sl2")]
+_ANSATZ_CASES += [("z-shift", _Z_SHIFT, None)]
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(_ANSATZ_CASES), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_ansatz_rows_match_the_per_image_reference(case, order, seed):
+    _, g, atoms = case
+    rng = random.Random(seed)
+    atoms = atoms or g.atoms
+    basis = [
+        random_nonzero_expr(rng, atoms, max_terms=3, max_power=3,
+                            weights=(-2, -1, 0, 1, 2) if atoms.exp_var else (0,),
+                            allow_log=atoms.log_kind is not None)
+        for _ in range(rng.randint(1, 5))
+    ]
+    tie = rng.choice([None, "scaled", "sum"])  # a shared leading signature, or none
+    if tie == "scaled":
+        basis.append(random_scalar(rng) * basis[0] if rng.random() < 0.5 else 2 * basis[-1])
+    elif tie == "sum" and len(basis) > 1:
+        basis.append(basis[0] + basis[1])
+    basis = [b for b in basis if not b.is_zero()]
+    got = _system_outcome(_built_system, g, basis, order)
+    assert got == _system_outcome(_reference_system, g, basis, order)
+
+
+def test_basis_mixing_chart_algebras_is_a_usage_error():
+    g = nil()
+    basis = [parse("x", g.atoms), parse("y", _XY_LOG)]
+    with pytest.raises(UsageError, match="^operands live in different chart algebras$"):
+        generate_kernel(AnsatzSystem.build(g, basis))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_kernel_members_are_re_verified_from_their_own_terms(monkeypatch, order):
+    # E(-2) - 1/2 x^2 spans the kernel; a member perturbed off it is not
+    # annihilated by tau^order, which only the re-verification can see
+    g = sol()
+    system = AnsatzSystem.build(g, [parse(t, g.atoms) for t in ("x^2", "x*E(-1)", "E(-2)")],
+                                order=order)
+    (v,) = nullspace(system.order_matrix)
+    perturbed = {j: c + 1 if j == min(v) else c for j, c in v.items()}
+    monkeypatch.setattr(families, "nullspace", lambda m: [perturbed])
+    with pytest.raises(AssertionError, match="^kernel member failed exact re-verification$"):
+        generate_kernel(system)
 
 
 # -- sol axis families ----------------------------------------------------------
