@@ -15,16 +15,7 @@ from polyharm.families import (
     sol_h2h3,
     sol_tower,
 )
-from polyharm.geometries import (
-    classify,
-    disc_times_line,
-    hyperbolic_disc,
-    nil,
-    punctured_sphere,
-    sl2,
-    sol,
-    sphere_times_line,
-)
+from polyharm.geometries import by_id, classify
 
 
 def show(label, geometry, f, r_max=8):
@@ -38,7 +29,7 @@ def main() -> int:
     cli.add_argument("--max-tower", type=int, default=5)
     args = cli.parse_args()
 
-    g = sol()
+    g = by_id("sol")
     print("# sol: single-axis harmonic families")
     for n in range(2, args.max_degree + 1):
         show(f"axis x, degree {n}", g, sol_axis_family(n, "x", g))
@@ -49,18 +40,18 @@ def main() -> int:
     show("h2*h3 (1,1,1,1)", g, sol_h2h3(1, 1, 1, 1))
 
     print("\n# nil and sl2 polynomial families")
-    show("nil f2, all b=1", nil(), nil_biharmonic12([1] * 12))
-    show("sl2 f2, all b=1", sl2(), sl2_biharmonic6([1] * 6))
+    show("nil f2, all b=1", by_id("nil"), nil_biharmonic12([1] * 12))
+    show("sl2 f2, all b=1", by_id("sl2"), sl2_biharmonic6([1] * 6))
 
     print("\n# conformal charts and products")
-    disc = hyperbolic_disc()
+    disc = by_id("h2")
     show("disc -log(1-z zb)", disc, log_biharmonic(disc))
-    sphere = punctured_sphere()
+    sphere = by_id("s2p")
     show("sphere log(1+z zb)", sphere, log_biharmonic(sphere))
-    dl = disc_times_line()
+    dl = by_id("h2xr")
     show("disc x line, z t^3", dl, separable_product(dl, [0, 1], [], [0, 0, 0, 1]))
     show("disc x line, -L(1+t)", dl, log_biharmonic(dl, [1, 1]))
-    sl = sphere_times_line()
+    sl = by_id("s2pxr")
     show("sphere x line, L t", sl, log_biharmonic(sl, [0, 1]))
     return 0
 

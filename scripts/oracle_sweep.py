@@ -17,7 +17,7 @@ and the unit-floor relative residual cannot tell the two apart.
 import argparse
 
 from polyharm.families import nil_biharmonic12, sol_h2h3
-from polyharm.geometries import by_id, classify, nil, sol
+from polyharm.geometries import by_id, classify
 from polyharm.oracle import OracleConfig, cross_validate, validate_chain
 from polyharm.parser import parse
 
@@ -50,8 +50,8 @@ def main(argv: list[str] | None = None) -> int:
     print("\nchain validation (one finite-difference layer per step; informational,")
     print("not in the exit code):")
     for name, geometry, member in (
-        ("sol h2*h3", sol(), sol_h2h3(1, 2, 3, 1)),
-        ("nil f2", nil(), nil_biharmonic12(list(range(1, 13)))),
+        ("sol h2*h3", by_id("sol"), sol_h2h3(1, 2, 3, 1)),
+        ("nil f2", by_id("nil"), nil_biharmonic12(list(range(1, 13)))),
     ):
         report = classify(geometry, member)
         residuals = validate_chain(geometry, report.chain, config)

@@ -34,16 +34,10 @@ from .geometries import (
     VerificationReport,
     by_id,
     classify,
-    disc_times_line,
-    hyperbolic_disc,
     iterated_tension,
-    line,
     nil,
     product_tension_binomial,
-    punctured_sphere,
-    sl2,
     sol,
-    sphere_times_line,
 )
 from .linalg import ExactMatrix, nullspace, rank
 from .oracle import OracleConfig, ResidualReport, cross_validate, fd_tension, validate_chain

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 from .algebra import AtomSet, Expr, Term, _canonical, _validated
 from .errors import UsageError
-from .geometries import R_MAX, Geometry, ProductGeometry, by_id, classify, sol
+from .geometries import R_MAX, Geometry, ProductGeometry, by_id, classify
 from .linalg import ExactMatrix, nullspace, primitive_scale, rank
 from .rationals import GaussianRational, I, ScalarLike
 
@@ -157,7 +157,7 @@ def sol_axis_basis(n: int, axis: str = "x", geometry: Geometry | None = None) ->
         raise UsageError("axis families start at degree 2")
     if axis not in ("x", "y"):
         raise UsageError("axis must be 'x' or 'y'")
-    g = geometry or sol()
+    g = geometry or by_id("sol")
     sign = -1 if axis == "x" else 1
     return [
         Expr.monomial(g.atoms, 1, {axis: k}, weight=sign * (n - k))
@@ -168,7 +168,7 @@ def sol_axis_basis(n: int, axis: str = "x", geometry: Geometry | None = None) ->
 def sol_axis_family(n: int, axis: str = "x", geometry: Geometry | None = None) -> Expr:
     """The unique harmonic combination of the axis basis, scaled to the
     primitive integer coefficient vector with positive leading v^n term."""
-    g = geometry or sol()
+    g = geometry or by_id("sol")
     basis = sol_axis_basis(n, axis, g)
     system = AnsatzSystem.build(g, basis, order=1)
     kernel = generate_kernel(system)
@@ -207,7 +207,7 @@ def sol_tower_literal(r: int, a: Params, b: Params, geometry: Geometry | None = 
         raise UsageError("tower index must be non-negative")
     if _all_zero(list(a) + list(b)):
         raise UsageError("tower parameters must not all vanish")
-    g = geometry or sol()
+    g = geometry or by_id("sol")
     t_even = Expr.monomial(g.atoms, 1, {"t": 2 * r})
     t_odd = Expr.monomial(g.atoms, 1, {"t": 2 * r + 1})
     return t_even * _sol_affine(g.atoms, a) + t_odd * _sol_affine(g.atoms, b)
@@ -228,7 +228,7 @@ def sol_mixed_harmonic(
         raise UsageError("the mixed harmonic family is stated for n = 2 and 3")
     if _all_zero([a, b]) or _all_zero([alpha, beta]) or _all_zero([gamma, delta]):
         raise UsageError("degenerate parameters for the mixed harmonic family")
-    g = geometry or sol()
+    g = geometry or by_id("sol")
     atoms = g.atoms
     fx = sol_axis_family(n, "x", g)
     fy = sol_axis_family(n, "y", g)
@@ -250,7 +250,7 @@ def sol_h2h3(
     """
     if _all_zero([a2, a3]) or _all_zero([b2, b3]):
         raise UsageError("each factor of the product family needs a nonzero pair")
-    g = geometry or sol()
+    g = geometry or by_id("sol")
     h2 = a2 * sol_axis_family(2, "x", g) + a3 * sol_axis_family(3, "x", g)
     h3 = b2 * sol_axis_family(2, "y", g) + b3 * sol_axis_family(3, "y", g)
     return h2 * h3

@@ -29,7 +29,8 @@ forms f_i h_j (and f_j h_i off the diagonal) once per group, and each entry
 adds c m f_i h_i on the diagonal and c m (f_i h_j + f_j h_i) / 2 off it.
 Entries on the conformal pair act on the log-free part of f; the log atom L
 follows the closed-form rule of its surface, tau(L) = s c, with its own
-kappa terms.  Adding a chart means adding one table and one ``metric``.
+kappa terms.  Adding a chart means adding one table, one ``metric`` and one
+``_CHARTS`` entry.
 
 Two operator conventions exist for the conformal surfaces because the
 printed conformal factor of the operator (4(1 -+ u)^2) is four times the
@@ -53,7 +54,7 @@ from operator import add
 
 import numpy as np
 
-from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, Term, _canonical, merge_atom_sets
+from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, _canonical, merge_atom_sets
 from .errors import ClosureError, DomainError, UsageError
 from .rationals import GaussianRational
 
@@ -132,7 +133,7 @@ class Geometry:
         Each is emitted once per entry of the group, shifted by its powers and
         weight.  Log terms skip groups with j in the conformal pair (those act
         on the log-free part) and leave the algebra through a conformal i when
-        d_j of them is nonzero."""
+        d_j of them is nonzero; the log rule adds ``log_tension`` A per A L."""
         raw = []
         for i, j, same, i_exp, j_exp, i_conf, j_conf, entries in self._kernel(atoms):
             for coeff, powers, w, logp in terms:
@@ -154,11 +155,9 @@ class Geometry:
                         for c, we, shifts in entries:
                             raw.append((coeff * (m * c), tuple(map(add, powers, shifts[k])),
                                         w + we, logp))
-        logc = tuple(Term(c, p, w) for c, p, w, logp in terms if logp)
-        if logc and self.log_rule is not None:
-            c, powers, weight, logc = self.log_rule.log_tension_part(Expr(atoms, logc))
-            raw.extend((t.coeff * c, tuple(map(add, t.powers, powers)), t.weight + weight, t.logp)
-                       for t in logc)
+        if self.log_rule is not None:
+            s = self.log_rule.log_tension
+            raw.extend((coeff * s, powers, w, 0) for coeff, powers, w, logp in terms if logp)
         return raw
 
     def conformality(self, f: Expr, h: Expr) -> Expr:
@@ -290,17 +289,11 @@ class ConformalSurface(Geometry):
     ``convention`` flag only scales the symbolic operator factor.
     """
 
-    def __init__(self, sign: int, convention: str = "metric"):
-        if convention not in CONVENTIONS:
-            raise UsageError(f"unknown convention {convention!r}")
-        if sign == -1:
-            name, log_kind = "h2", LOG_DISC
-        elif sign == 1:
-            name, log_kind = "s2p", LOG_SPHERE
-        else:
-            raise UsageError("sign must be -1 or +1")
+    def __init__(self, sign: int, convention: str):
+        name, log_kind = ("h2", LOG_DISC) if sign == -1 else ("s2p", LOG_SPHERE)
         self.sign = sign
         self.factor = 4 if convention == "paper" else 1
+        self.log_tension = sign * self.factor  # tau(A L) = s c A for A free of z, zb
         c = self.factor
         super().__init__(
             name,
@@ -318,10 +311,6 @@ class ConformalSurface(Geometry):
         # a property, not an attribute holding self: that would make every
         # surface a reference cycle left to the cyclic garbage collector
         return self
-
-    def log_tension_part(self, logc: Expr) -> tuple:
-        """tau(A L) = s c A for a log coefficient A free of z and zb."""
-        return (self.sign * self.factor, (0,) * len(logc.atoms.variables), 0, logc.terms)
 
     def log_conformality_parts(self, atoms: AtomSet, fa, ha, df, dh) -> list:
         """The L-bearing kappa terms of f = fp + fa L and h = hp + ha L:
@@ -422,10 +411,6 @@ class VerificationReport:
     order: int | None
     bound: int
 
-    @property
-    def exceeds_bound(self) -> bool:
-        return self.order is None
-
     def describe(self) -> str:
         if self.order == 0:
             return "zero function"
@@ -479,6 +464,8 @@ def product_tension_binomial(
 
 # -- registry ----------------------------------------------------------------
 
+# sol() and nil() are by_id("sol") and by_id("nil"), kept for perfbench/tests
+
 
 def sol() -> SolGeometry:
     return SolGeometry()
@@ -488,37 +475,23 @@ def nil() -> NilGeometry:
     return NilGeometry()
 
 
-def sl2() -> Sl2Geometry:
-    return Sl2Geometry()
-
-
-def hyperbolic_disc(convention: str = "metric") -> ConformalSurface:
-    return ConformalSurface(-1, convention)
-
-
-def punctured_sphere(convention: str = "metric") -> ConformalSurface:
-    return ConformalSurface(1, convention)
-
-
-def line(var: str = "t") -> Line:
-    return Line(var)
-
-
-def disc_times_line(convention: str = "metric") -> ProductGeometry:
-    return ProductGeometry(hyperbolic_disc(convention), Line("t"), name="h2xr")
-
-
-def sphere_times_line(convention: str = "metric") -> ProductGeometry:
-    return ProductGeometry(punctured_sphere(convention), Line("t"), name="s2pxr")
-
-
-_BASE_IDS = ("sol", "nil", "sl2", "h2", "s2p", "h2xr", "s2pxr", "line")
+# id -> the chart under a convention; the only list of chart ids
+_CHARTS = {
+    "sol": lambda convention: SolGeometry(),
+    "nil": lambda convention: NilGeometry(),
+    "sl2": lambda convention: Sl2Geometry(),
+    "h2": lambda convention: ConformalSurface(-1, convention),
+    "s2p": lambda convention: ConformalSurface(1, convention),
+    "h2xr": lambda convention: ProductGeometry(ConformalSurface(-1, convention), Line(), "h2xr"),
+    "s2pxr": lambda convention: ProductGeometry(ConformalSurface(1, convention), Line(), "s2pxr"),
+    "line": lambda convention: Line(),
+}
 
 
 def by_id(geometry_id: str, convention: str = "metric") -> Geometry:
-    """Build a geometry from its stable id.
+    """Build a geometry from its stable id under ``convention``.
 
-    Ids: sol, nil, sl2, h2, s2p, h2xr, s2pxr, line, product:<id>x<id>.
+    Ids: the keys of ``_CHARTS``, and product:<id>x<id> over two of them.
     When both product factors are lines the factors are renamed to the
     chart variables s and t.
     """
@@ -527,24 +500,14 @@ def by_id(geometry_id: str, convention: str = "metric") -> Geometry:
     if geometry_id.startswith("product:"):
         spec = geometry_id[len("product:") :]
         left, sep, right = spec.partition("x")
-        if not sep or left not in _BASE_IDS or right not in _BASE_IDS:
+        if not sep or left not in _CHARTS or right not in _CHARTS:
             raise UsageError(f"malformed product geometry id {geometry_id!r}")
         if left == "line" and right == "line":
             return ProductGeometry(Line("s"), Line("t"), name="linexline")
-        g1 = by_id(left, convention)
-        g2 = by_id(right, convention)
+        g1 = _CHARTS[left](convention)
+        g2 = _CHARTS[right](convention)
         return ProductGeometry(g1, g2)
-    builders = {
-        "sol": sol,
-        "nil": nil,
-        "sl2": sl2,
-        "h2": lambda: hyperbolic_disc(convention),
-        "s2p": lambda: punctured_sphere(convention),
-        "h2xr": lambda: disc_times_line(convention),
-        "s2pxr": lambda: sphere_times_line(convention),
-        "line": line,
-    }
-    try:
-        return builders[geometry_id]()
-    except KeyError:
-        raise UsageError(f"unknown geometry id {geometry_id!r}") from None
+    build = _CHARTS.get(geometry_id)
+    if build is None:
+        raise UsageError(f"unknown geometry id {geometry_id!r}")
+    return build(convention)

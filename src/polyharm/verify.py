@@ -48,16 +48,10 @@ from .geometries import (
     R_MAX,
     Geometry,
     ProductGeometry,
+    by_id,
     classify,
-    disc_times_line,
-    hyperbolic_disc,
     iterated_tension,
-    line,
-    nil,
     product_tension_binomial,
-    punctured_sphere,
-    sl2,
-    sol,
 )
 from .linalg import ExactMatrix
 from .oracle import OracleConfig, cross_validate
@@ -177,7 +171,7 @@ def rows_proportional(actual: ExactMatrix, expected: Sequence[Sequence[int]]) ->
 
 
 def _check_sol_axis(ctx) -> list[CheckResult]:
-    g = sol()
+    g = by_id("sol")
     out = []
     for n, text in AXIS_FAMILY_TEXT.items():
         f = sol_axis_family(n, "x", g)
@@ -188,7 +182,7 @@ def _check_sol_axis(ctx) -> list[CheckResult]:
 
 
 def _check_sol_ansatz(ctx) -> list[CheckResult]:
-    g = sol()
+    g = by_id("sol")
     out = []
     for n, rows in ANSATZ_MATRIX_TEXT.items():
         system = AnsatzSystem.build(g, sol_axis_basis(n, "x", g))
@@ -277,7 +271,7 @@ def _check_sol_towers(ctx) -> list[CheckResult]:
     rng = random.Random(ctx.seed + 3)
     shifted = [_case(tower, tower.draw(rng, r=r)) for r in range(1, 6)]
     literal = [tower.draw(rng, r=r) for r in range(1, 5)]
-    g = sol()
+    g = by_id("sol")
     return [
         _classification_check("sol/tower-order", shifted, ctx.r_max),
         _classification_check(
@@ -291,8 +285,8 @@ def _check_sol_towers(ctx) -> list[CheckResult]:
 def _check_nil_sl2(ctx) -> list[CheckResult]:
     out = []
     for g, offset, polynomial, texts in (
-        (nil(), 4, nil_biharmonic12, NIL_F2_TENSION_TEXT),
-        (sl2(), 5, sl2_biharmonic6, SL2_F2_TENSION_TEXT),
+        (by_id("nil"), 4, nil_biharmonic12, NIL_F2_TENSION_TEXT),
+        (by_id("sl2"), 5, sl2_biharmonic6, SL2_F2_TENSION_TEXT),
     ):
         rng = random.Random(ctx.seed + offset)
         harmonic = FAMILIES[f"{g.name}.f1"]
@@ -393,7 +387,7 @@ def biharmonic_product_remark_check(
 def harmonic_times_r_check(trials: int, seed: int, r_max: int) -> CheckResult:
     """harmonic x proper r-harmonic is proper r-harmonic on the product."""
     rng = random.Random(seed)
-    geometry = disc_times_line()
+    geometry = by_id("h2xr")
     atoms = geometry.atoms
     separable = FAMILIES["h2r.separable"]
     cases = []
@@ -411,8 +405,8 @@ def harmonic_times_r_check(trials: int, seed: int, r_max: int) -> CheckResult:
 
 
 def _check_products(ctx) -> list[CheckResult]:
-    plane = ProductGeometry(line("s"), line("t"), name="linexline")
-    disc_line = disc_times_line()
+    plane = by_id("product:linexline")
+    disc_line = by_id("h2xr")
     out = [
         binomial_lemma_check(plane, 4, TRIALS, ctx.seed + 6),
         binomial_lemma_check(disc_line, 4, TRIALS, ctx.seed + 7, allow_log=True),
@@ -452,9 +446,9 @@ def _check_separable_corollaries(ctx) -> list[CheckResult]:
 def _check_log_functions(ctx) -> list[CheckResult]:
     out = []
     biharmonic = "proper biharmonic (order 2)"
-    for builder, label in ((hyperbolic_disc, "h2"), (punctured_sphere, "s2p")):
+    for label in ("h2", "s2p"):
         for convention in ctx.conventions:
-            g = builder(convention)
+            g = by_id(label, convention)
             f = log_biharmonic(g)
             check_id = f"{label}/log-biharmonic[{convention}]"
             out.append(_classification_check(check_id, [(g, f, 2)], ctx.r_max, biharmonic))
@@ -470,13 +464,13 @@ def _check_oracle(ctx) -> list[CheckResult]:
     cfg = OracleConfig(samples=20, seed=ctx.seed)
     if "metric" in ctx.conventions:
         for check_id, g, text in (
-            ("oracle/sol-agreement", sol(), "x^3*y*E(2)"),
-            ("oracle/h2xr-agreement[metric]", disc_times_line("metric"), "z^2*zb*t + t^3"),
+            ("oracle/sol-agreement", by_id("sol"), "x^3*y*E(2)"),
+            ("oracle/h2xr-agreement[metric]", by_id("h2xr", "metric"), "z^2*zb*t + t^3"),
         ):
             report = cross_validate(g, parse(text, g.atoms), cfg)
             out.append(_result(check_id, report.within_tolerance, f"max_rel={report.max_rel:.3e}"))
     if "paper" in ctx.conventions:
-        g = hyperbolic_disc("paper")
+        g = by_id("h2", "paper")
         ok = cross_validate(g, parse("z*zb", g.atoms), cfg).paper_sentinel_holds
         out.append(
             CheckResult(
@@ -520,8 +514,8 @@ def run_suite(ctx: SuiteContext = SuiteContext()) -> list[CheckResult]:
 
 def lemma_report(n_max: int, trials: int, seed: int) -> list[CheckResult]:
     """The product-formula property check reachable from the command line."""
-    plane = ProductGeometry(line("s"), line("t"), name="linexline")
-    disc_line = disc_times_line()
+    plane = by_id("product:linexline")
+    disc_line = by_id("h2xr")
     return [
         binomial_lemma_check(plane, n_max, trials, seed),
         binomial_lemma_check(disc_line, n_max, trials, seed + 1, allow_log=True),

@@ -28,15 +28,8 @@ from polyharm.families import (
 from polyharm.geometries import (
     by_id,
     classify,
-    disc_times_line,
-    hyperbolic_disc,
     iterated_tension,
-    nil,
     product_tension_binomial,
-    punctured_sphere,
-    sl2,
-    sol,
-    sphere_times_line,
 )
 from polyharm.oracle import OracleConfig, cross_validate
 from polyharm.parser import parse
@@ -68,7 +61,7 @@ def criterion(number: int, budget_seconds: float, description: str):
 
 def test_criterion_01_sol_exact_harmonicity():
     with criterion(1, 1.0, "exact harmonicity of the six printed sol axis families"):
-        g = sol()
+        g = by_id("sol")
         for n, text in AXIS_FAMILY_TEXT.items():
             f = parse(text, g.atoms)
             assert g.tension(f).is_zero()
@@ -79,7 +72,7 @@ def test_criterion_01_sol_exact_harmonicity():
 
 def test_criterion_02_ansatz_generator():
     with criterion(2, 1.0, "ansatz matrices match printed systems; kernels 1-dim"):
-        g = sol()
+        g = by_id("sol")
         for n, rows in ANSATZ_MATRIX_TEXT.items():
             system = AnsatzSystem.build(g, sol_axis_basis(n, "x", g))
             assert rows_proportional(system.matrix, rows)
@@ -94,7 +87,7 @@ def test_criterion_02_ansatz_generator():
 
 def test_criterion_03_sol_product_family():
     with criterion(3, 5.0, "tau(h2 h3) = -8(a2+3a3 x)(b2+3b3 y), tau^2 = 0, 50 draws"):
-        g = sol()
+        g = by_id("sol")
         rng = random.Random(101)
         x = Expr.variable(g.atoms, "x")
         y = Expr.variable(g.atoms, "y")
@@ -117,7 +110,7 @@ def test_criterion_03_sol_product_family():
 
 def test_criterion_04_nil_family():
     with criterion(4, 1.0, "nil 12-term tension expansion and tau^2 = 0"):
-        g = nil()
+        g = by_id("nil")
         for i, text in enumerate(NIL_F2_TENSION_TEXT):
             basis_vector = [0] * 12
             basis_vector[i] = 1
@@ -129,7 +122,7 @@ def test_criterion_04_nil_family():
 
 def test_criterion_05_sl2_family():
     with criterion(5, 1.0, "sl2 6-term tension expansion and tau^2 = 0"):
-        g = sl2()
+        g = by_id("sl2")
         for i, text in enumerate(SL2_F2_TENSION_TEXT):
             basis_vector = [0] * 6
             basis_vector[i] = 1
@@ -186,7 +179,7 @@ def test_criterion_07_biharmonic_times_biharmonic():
             assert classify(g, f1 * f2).order == 3
 
         # the same on the disc x line with the log function as one factor
-        gd = disc_times_line()
+        gd = by_id("h2xr")
         f1 = log_biharmonic(gd) + Expr.monomial(gd.atoms, 1, {"z": 2})
         f2 = parse("t^3 - t", gd.atoms)
         chain = iterated_tension(gd, f1 * f2, 3)
@@ -198,13 +191,13 @@ def test_criterion_07_biharmonic_times_biharmonic():
 def test_criterion_08_log_functions_both_conventions():
     with criterion(8, 1.0, "log functions classify as biharmonic under both conventions"):
         for convention in ("metric", "paper"):
-            disc = hyperbolic_disc(convention)
+            disc = by_id("h2", convention)
             f = log_biharmonic(disc)  # -log(1 - z zb)
             assert classify(disc, f).order == 2
-            sphere = punctured_sphere(convention)
+            sphere = by_id("s2p", convention)
             f = log_biharmonic(sphere)  # log(1 + z zb)
             assert classify(sphere, f).order == 2
-        paper_disc = hyperbolic_disc("paper")
+        paper_disc = by_id("h2", "paper")
         assert paper_disc.tension(log_biharmonic(paper_disc)) == Expr.constant(
             paper_disc.atoms, 4
         )
@@ -213,8 +206,8 @@ def test_criterion_08_log_functions_both_conventions():
 def test_criterion_09_product_corollaries():
     with criterion(9, 5.0, "separable and log-times-affine families have order 2"):
         rng = random.Random(404)
-        for builder in (disc_times_line, sphere_times_line):
-            g = builder()
+        for gid in ("h2xr", "s2pxr"):
+            g = by_id(gid)
             for _ in range(20):
                 hol = [random_scalar(rng) for _ in range(rng.randint(1, 3))]
                 antihol = [random_scalar(rng) for _ in range(rng.randint(0, 3))]
@@ -249,7 +242,7 @@ def test_criterion_09_product_corollaries():
 
 def test_criterion_10_tower_indexing():
     with criterion(10, 5.0, "tower orders: shifted index r, literal index r+1"):
-        g = sol()
+        g = by_id("sol")
         rng = random.Random(505)
         for r in range(1, 6):
             a = [random_scalar(rng) for _ in range(4)]
@@ -287,7 +280,7 @@ def test_criterion_11_oracle_agreement():
 
 def test_criterion_12_convention_sentinel():
     with criterion(12, 5.0, "printed-convention factor is 4 within 1e-4 at 20 points"):
-        g = hyperbolic_disc("paper")
+        g = by_id("h2", "paper")
         for text in ("z*zb", "z^2*zb^2"):
             config = OracleConfig(samples=20, seed=707)
             ratios = cross_validate(g, parse(text, g.atoms), config).ratios

@@ -11,7 +11,7 @@ from polyharm.algebra import (
     LOG_DISC, AtomSet, Expr, Term, _canonical, _validated, merge_atom_sets,
 )
 from polyharm.errors import ClosureError, DomainError, UsageError
-from polyharm.geometries import by_id, disc_times_line, hyperbolic_disc, sol
+from polyharm.geometries import by_id
 from polyharm.oracle import sample_points
 from polyharm.parser import parse
 from polyharm.rationals import ONE, GaussianRational
@@ -19,9 +19,9 @@ from polyharm.verify import random_expr
 
 from conftest import gaussian_rationals
 
-SOL = sol().atoms
-DISC = hyperbolic_disc().atoms
-DISC_LINE = disc_times_line().atoms
+SOL = by_id("sol").atoms
+DISC = by_id("h2").atoms
+DISC_LINE = by_id("h2xr").atoms
 
 
 def sol_exprs(max_terms=4):
@@ -394,7 +394,7 @@ def test_is_zero_detects_cancellation():
 
 
 def test_is_zero_on_tension_of_harmonic():
-    g = sol()
+    g = by_id("sol")
     assert g.tension(parse("2*x^2 - E(-2)", SOL)).is_zero()
 
 

@@ -430,6 +430,9 @@ def test_lemma_check_passes(capsys):
 def test_lemma_check_caps_n(capsys):
     code, _, err = run(capsys, "lemma-check", "-n", "5")
     assert code == 4
+    code, _, err = run(capsys, "lemma-check", "--trials", "0")
+    assert code == 4
+    assert "at least one trial" in err
 
 
 # -- verify-paper -----------------------------------------------------------------------

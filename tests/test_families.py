@@ -40,13 +40,7 @@ from polyharm.geometries import (
     ProductGeometry,
     by_id,
     classify,
-    disc_times_line,
-    hyperbolic_disc,
     iterated_tension,
-    line,
-    nil,
-    sl2,
-    sol,
 )
 from polyharm.linalg import ExactMatrix, nullspace, rank
 from polyharm.parser import parse
@@ -58,7 +52,7 @@ from polyharm.verify import AXIS_FAMILY_TEXT, random_nonzero_expr, random_scalar
 
 
 def test_kernel_of_degree_two_basis():
-    g = sol()
+    g = by_id("sol")
     basis = [parse(t, g.atoms) for t in ("x^2", "x*E(-1)", "E(-2)")]
     system = AnsatzSystem.build(g, basis)
     kernel = generate_kernel(system)
@@ -67,7 +61,7 @@ def test_kernel_of_degree_two_basis():
 
 
 def test_kernel_of_degree_four_basis_up_to_scale():
-    g = sol()
+    g = by_id("sol")
     basis = sol_axis_basis(4, "x", g)
     kernel = generate_kernel(AnsatzSystem.build(g, basis))
     assert len(kernel) == 1
@@ -77,14 +71,14 @@ def test_kernel_of_degree_four_basis_up_to_scale():
 
 
 def test_kernel_of_constant_basis():
-    g = nil()
+    g = by_id("nil")
     kernel = generate_kernel(AnsatzSystem.build(g, [Expr.constant(g.atoms, 1)]))
     assert len(kernel) == 1
     assert kernel[0] == Expr.constant(g.atoms, 1)
 
 
 def test_basis_whose_images_all_vanish_has_an_empty_matrix():
-    g = sol()
+    g = by_id("sol")
     basis = [parse(t, g.atoms) for t in ("(1+1i)*x", "2i*y - 1/3*x*y", "-4*t")]
     system = AnsatzSystem.build(g, basis)
     assert (system.matrix.rows, system.matrix.cols) == (0, 3)
@@ -94,7 +88,7 @@ def test_basis_whose_images_all_vanish_has_an_empty_matrix():
 
 
 def test_kernel_for_higher_order():
-    g = sol()
+    g = by_id("sol")
     basis = [parse(t, g.atoms) for t in ("t^2", "t", "1", "x")]
     system = AnsatzSystem.build(g, basis, order=2)
     kernel = generate_kernel(system)
@@ -105,7 +99,7 @@ def test_kernel_for_higher_order():
 
 
 def test_ansatz_matrix_shape_and_first_power():
-    g = sol()
+    g = by_id("sol")
     system = AnsatzSystem.build(g, sol_axis_basis(3, "x", g))
     assert system.matrix.rows == 3
     assert system.matrix.cols == 4
@@ -114,7 +108,7 @@ def test_ansatz_matrix_shape_and_first_power():
 
 @pytest.mark.parametrize("texts", [("x", "2*x"), ("x", "x", "y^2"), ("x + y", "2*x + 2*y", "t")])
 def test_linearly_dependent_basis_is_a_usage_error(texts):
-    g = nil()
+    g = by_id("nil")
     basis = [parse(t, g.atoms) for t in texts]
     with pytest.raises(UsageError, match="^ansatz basis is linearly dependent$"):
         AnsatzSystem.build(g, basis)
@@ -122,7 +116,7 @@ def test_linearly_dependent_basis_is_a_usage_error(texts):
 
 def test_independent_basis_with_a_shared_leading_term_is_accepted():
     # x + y and x + 2*y share their smallest term y, so only the rank decides
-    g = nil()
+    g = by_id("nil")
     basis = [parse(t, g.atoms) for t in ("x + y", "x + 2*y", "x^2")]
     system = AnsatzSystem.build(g, basis)
     assert len(system.basis) == 3
@@ -148,7 +142,7 @@ def test_golden_kernels_are_unchanged():
         (gid, _monomial_basis(by_id(gid), degree), 2)
         for gid, degree in (("nil", 8), ("sl2", 8), ("h2xr", 6))
     ]
-    systems += [("sol", sol_axis_basis(48, axis, sol()), 1) for axis in ("x", "y")]
+    systems += [("sol", sol_axis_basis(48, axis, by_id("sol")), 1) for axis in ("x", "y")]
     lines = []
     dims = {}
     for gid, basis, order in systems:
@@ -201,7 +195,7 @@ def _system_outcome(build, g, basis, order):
 # log atom, where the emission of tau refuses a mixed partial of a log term; and
 # an entry z d_t d_t takes t^2 L to 2 z L, which only the closure check refuses
 _XY_LOG = AtomSet(("x", "y", "t"), exp_var="t", log_kind=LOG_DISC, conformal=("x", "y"))
-_Z_SHIFT = Geometry("z-shift", disc_times_line().atoms, ((-0.5, 0.5),) * 3,
+_Z_SHIFT = Geometry("z-shift", by_id("h2xr").atoms, ((-0.5, 0.5),) * 3,
                     ((1, {"z": 1}, 0, "t", "t"),))
 _ANSATZ_CASES = [(gid, by_id(gid), None) for gid in ("sol", "nil", "sl2", "h2xr", "s2pxr",
                                                      "product:nilxh2")]
@@ -233,7 +227,7 @@ def test_ansatz_rows_match_the_per_image_reference(case, order, seed):
 
 
 def test_basis_mixing_chart_algebras_is_a_usage_error():
-    g = nil()
+    g = by_id("nil")
     basis = [parse("x", g.atoms), parse("y", _XY_LOG)]
     with pytest.raises(UsageError, match="^operands live in different chart algebras$"):
         generate_kernel(AnsatzSystem.build(g, basis))
@@ -243,7 +237,7 @@ def test_basis_mixing_chart_algebras_is_a_usage_error():
 def test_kernel_members_are_re_verified_from_their_own_terms(monkeypatch, order):
     # E(-2) - 1/2 x^2 spans the kernel; a member perturbed off it is not
     # annihilated by tau^order, which only the re-verification can see
-    g = sol()
+    g = by_id("sol")
     system = AnsatzSystem.build(g, [parse(t, g.atoms) for t in ("x^2", "x*E(-1)", "E(-2)")],
                                 order=order)
     (v,) = nullspace(system.order_matrix)
@@ -257,19 +251,19 @@ def test_kernel_members_are_re_verified_from_their_own_terms(monkeypatch, order)
 
 
 def test_axis_families_match_reference_text():
-    g = sol()
+    g = by_id("sol")
     for n, text in AXIS_FAMILY_TEXT.items():
         assert sol_axis_family(n, "x", g) == parse(text, g.atoms)
 
 
 def test_axis_family_y_axis_low_degrees():
-    g = sol()
+    g = by_id("sol")
     assert sol_axis_family(2, "y", g) == parse("2*y^2 - E(2)", g.atoms)
     assert sol_axis_family(3, "y", g) == parse("2*y^3 - 3*y*E(2)", g.atoms)
 
 
 def test_axis_families_are_harmonic_beyond_printed_range():
-    g = sol()
+    g = by_id("sol")
     for n in range(2, 13):
         for axis in ("x", "y"):
             assert g.tension(sol_axis_family(n, axis, g)).is_zero()
@@ -277,7 +271,7 @@ def test_axis_families_are_harmonic_beyond_printed_range():
 
 def test_axis_family_mirror_symmetry():
     # (x <-> y, t -> -t) sends the x family to the y family exactly
-    g = sol()
+    g = by_id("sol")
     ix, iy = g.atoms.index("x"), g.atoms.index("y")
     for n in range(2, 9):
         fx = sol_axis_family(n, "x", g)
@@ -305,13 +299,13 @@ def test_axis_family_rejects_degenerate_input():
 
 
 def test_tower_r1_is_harmonic():
-    g = sol()
+    g = by_id("sol")
     f = sol_tower(1, [1, 2, 3, 4], [4, 3, 2, 1])
     assert g.tension(f).is_zero()
 
 
 def test_tower_degenerate_parameters():
-    g = sol()
+    g = by_id("sol")
     f = sol_tower(2, [1, 0, 0, 0], [0, 0, 0, 0])
     assert f == parse("t^2", g.atoms)
     chain = iterated_tension(g, f, 2)
@@ -320,7 +314,7 @@ def test_tower_degenerate_parameters():
 
 
 def test_tower_order_three_chain():
-    g = sol()
+    g = by_id("sol")
     f = sol_tower(3, [1, 0, 0, 0], [1, 0, 0, 0])  # t^4 + t^5
     report = classify(g, f)
     assert report.order == 3
@@ -333,7 +327,7 @@ def test_tower_rejects_all_zero_parameters():
 
 
 def test_tower_index_shift_against_literal_variant():
-    g = sol()
+    g = by_id("sol")
     rng = random.Random(1)
     a = [random_scalar(rng) for _ in range(4)]
     a[0] = GaussianRational.coerce(1)
@@ -349,7 +343,7 @@ def test_tower_index_shift_against_literal_variant():
 
 
 def test_mixed_harmonic_examples():
-    g = sol()
+    g = by_id("sol")
     f = sol_mixed_harmonic(2, 1, 1, 1, 1, 1, 1)
     expected = parse("(1 + y)*(2*x^2 - E(-2)) + (1 + x)*(2*y^2 - E(2))", g.atoms)
     assert f == expected
@@ -362,7 +356,7 @@ def test_mixed_harmonic_examples():
 
 
 def test_mixed_harmonic_reduces_to_axis_member():
-    g = sol()
+    g = by_id("sol")
     f = sol_mixed_harmonic(2, 1, 0, 1, 0, 1, 0)
     # b = 0 is fine as long as (a, b) != (0, 0)
     with pytest.raises(UsageError):
@@ -371,13 +365,13 @@ def test_mixed_harmonic_reduces_to_axis_member():
 
 
 def test_h2h3_specializations():
-    g = sol()
+    g = by_id("sol")
     assert g.tension(sol_h2h3(1, 0, 1, 0)) == Expr.constant(g.atoms, -8)
     assert g.tension(sol_h2h3(0, 1, 0, 1)) == parse("-72*x*y", g.atoms)
 
 
 def test_h2h3_is_proper_biharmonic_for_random_parameters(rng):
-    g = sol()
+    g = by_id("sol")
     for _ in range(25):
         a2, a3 = random_scalar(rng), random_scalar(rng)
         b2, b3 = random_scalar(rng), random_scalar(rng)
@@ -390,21 +384,21 @@ def test_h2h3_is_proper_biharmonic_for_random_parameters(rng):
 
 
 def test_nil_harmonic_linear_part():
-    g = nil()
+    g = by_id("nil")
     f = nil_harmonic([1, 1])
     assert f == parse("t + x*t", g.atoms)
     assert g.tension(f).is_zero()
 
 
 def test_nil_harmonic_cubic_holomorphic_part():
-    g = nil()
+    g = by_id("nil")
     f = nil_harmonic([0, 0], hol=[0, 0, 0, 1])  # (x + iy)^3
     assert g.tension(f).is_zero()
     assert f == parse("x^3 + 3i*x^2*y - 3*x*y^2 - 1i*y^3", g.atoms)
 
 
 def test_nil_harmonic_constant():
-    g = nil()
+    g = by_id("nil")
     assert g.tension(nil_harmonic([0, 0], hol=[1])).is_zero()
 
 
@@ -435,7 +429,7 @@ def test_plane_harmonic_part_matches_running_sum():
             [random_scalar(rng) if rng.random() < 0.8 else 0 for _ in range(rng.randint(0, size))]
             for _ in range(2)
         ))
-    for g in (nil(), sl2()):
+    for g in (by_id("nil"), by_id("sl2")):
         for hol, antihol in cases:
             got = plane_harmonic_part(g.atoms, hol, antihol)
             want = _running_sum_plane_harmonic_part(g.atoms, hol, antihol)
@@ -443,7 +437,7 @@ def test_plane_harmonic_part_matches_running_sum():
 
 
 def test_nil_biharmonic_unit_vectors():
-    g = nil()
+    g = by_id("nil")
     e11 = [0] * 12
     e11[10] = 1
     f = nil_biharmonic12(e11)
@@ -458,7 +452,7 @@ def test_nil_biharmonic_unit_vectors():
 
 
 def test_nil_biharmonic_cancellation_is_only_harmonic():
-    g = nil()
+    g = by_id("nil")
     b = [1, -1] + [0] * 10
     f = nil_biharmonic12(b)
     assert not nil_f2_proper(b)
@@ -469,7 +463,7 @@ def test_nil_biharmonic_cancellation_is_only_harmonic():
 
 
 def test_sl2_harmonic_members():
-    g = sl2()
+    g = by_id("sl2")
     assert sl2_harmonic([0, 1]) == parse("y*t", g.atoms)
     assert g.tension(sl2_harmonic([0, 1])).is_zero()
     assert g.tension(sl2_harmonic([0, 0], hol=[0, 0, 1])).is_zero()
@@ -477,7 +471,7 @@ def test_sl2_harmonic_members():
 
 
 def test_sl2_biharmonic_unit_vectors():
-    g = sl2()
+    g = by_id("sl2")
     f = sl2_biharmonic6([0, 0, 1, 0, 0, 0])
     assert g.tension(f) == parse("4*x - 4*y*t", g.atoms)
     assert classify(g, f).order == 2
@@ -487,7 +481,7 @@ def test_sl2_biharmonic_unit_vectors():
 
 
 def test_sl2_biharmonic_cancellation_is_only_harmonic():
-    g = sl2()
+    g = by_id("sl2")
     b = [2, 0, 0, 1, 0, 0]
     assert not sl2_f2_proper(b)
     assert classify(g, sl2_biharmonic6(b)).order == 1
@@ -497,7 +491,7 @@ def test_sl2_biharmonic_cancellation_is_only_harmonic():
 
 
 def test_separable_product_cubic():
-    g = disc_times_line()
+    g = by_id("h2xr")
     F = separable_product(g, [0, 1], [], [0, 0, 0, 1])  # z * t^3
     chain = iterated_tension(g, F, 2)
     assert chain[1] == parse("6*z*t", g.atoms)
@@ -505,24 +499,24 @@ def test_separable_product_cubic():
 
 
 def test_separable_product_affine_poly_is_harmonic():
-    g = disc_times_line()
+    g = by_id("h2xr")
     F = separable_product(g, [0, 1], [], [1, 1])  # z * (1 + t)
     assert classify(g, F).order == 1
 
 
 def test_separable_product_quadratic_is_biharmonic():
-    g = disc_times_line()
+    g = by_id("h2xr")
     F = separable_product(g, [0, 0, 1], [0, 1], [0, 0, 1])  # (z^2 + zb) t^2
     assert classify(g, F).order == 2
 
 
 def test_log_biharmonic_surfaces_and_products():
-    disc = hyperbolic_disc("paper")
+    disc = by_id("h2", "paper")
     f = log_biharmonic(disc)
     assert disc.tension(f) == Expr.constant(disc.atoms, 4)
     assert classify(disc, f).order == 2
 
-    g = disc_times_line("paper")
+    g = by_id("h2xr", "paper")
     f = log_biharmonic(g, [0, 1])  # -L * t
     chain = iterated_tension(g, f, 2)
     assert chain[1] == parse("4*t", g.atoms)
@@ -531,14 +525,14 @@ def test_log_biharmonic_surfaces_and_products():
 
 def test_log_biharmonic_rejects_affine_factor_off_product():
     with pytest.raises(UsageError):
-        log_biharmonic(hyperbolic_disc(), [1, 0])
+        log_biharmonic(by_id("h2"), [1, 0])
 
 
 # -- generic products -----------------------------------------------------------------------
 
 
 def test_product_r_harmonic_orders():
-    g = disc_times_line()
+    g = by_id("h2xr")
     f1 = parse("z", g.atoms)
     f2 = parse("t^3", g.atoms)
     F = product_r_harmonic(g, f1, f2)
@@ -557,7 +551,7 @@ def test_product_r_harmonic_orders():
 
 
 def test_product_r_harmonic_rejects_biharmonic_first_factor():
-    g = ProductGeometry(line("s"), line("t"))
+    g = by_id("product:linexline")
     f1 = parse("s^2", g.atoms)
     f2 = parse("t^2", g.atoms)
     with pytest.raises(UsageError):

@@ -1,4 +1,6 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,20 +16,15 @@ from polyharm.families import (
     sol_tower,
 )
 from polyharm.geometries import (
-    _BASE_IDS,
+    _CHARTS,
     CONVENTIONS,
     Geometry,
     ProductGeometry,
     by_id,
     classify,
-    disc_times_line,
-    hyperbolic_disc,
     iterated_tension,
-    line,
     nil,
     product_tension_binomial,
-    punctured_sphere,
-    sl2,
     sol,
     _first_partials,
 )
@@ -43,14 +40,14 @@ def _random_pair(rng, geometry, **kwargs):
 
 def _geometry_cases():
     return [
-        (sol(), {"weights": (-2, -1, 0, 1, 2)}),
-        (nil(), {}),
-        (sl2(), {}),
-        (hyperbolic_disc(), {}),
-        (punctured_sphere(), {}),
-        (disc_times_line(), {}),
+        (by_id("sol"), {"weights": (-2, -1, 0, 1, 2)}),
+        (by_id("nil"), {}),
+        (by_id("sl2"), {}),
+        (by_id("h2"), {}),
+        (by_id("s2p"), {}),
+        (by_id("h2xr"), {}),
         (by_id("s2pxr"), {}),
-        (line(), {}),
+        (by_id("line"), {}),
         (by_id("product:linexline"), {}),
     ]
 
@@ -59,40 +56,40 @@ def _geometry_cases():
 
 
 def test_sol_tension_kills_harmonic_family():
-    g = sol()
+    g = by_id("sol")
     assert g.tension(parse("2*x^2 - E(-2)", g.atoms)).is_zero()
     assert g.tension(parse("2*x^3 - 3*x*E(-2)", g.atoms)).is_zero()
 
 
 def test_sol_tension_of_constant():
-    g = sol()
+    g = by_id("sol")
     assert g.tension(Expr.constant(g.atoms, 7)).is_zero()
 
 
 def test_nil_tension_of_y2t():
-    g = nil()
+    g = by_id("nil")
     b11 = random_nonzero_scalar(random.Random(3))
     f = b11 * parse("y^2*t", g.atoms)
     assert g.tension(f) == 2 * (b11 * parse("t + 2*x*y", g.atoms))
 
 
 def test_sl2_tension_of_xt2():
-    g = sl2()
+    g = by_id("sl2")
     b3 = random_nonzero_scalar(random.Random(4))
     f = b3 * parse("x*t^2", g.atoms)
     assert g.tension(f) == 4 * (b3 * parse("x - y*t", g.atoms))
 
 
 def test_disc_tension_of_log_under_both_conventions():
-    paper = hyperbolic_disc("paper")
+    paper = by_id("h2", "paper")
     f = -Expr.log(paper.atoms)
     assert paper.tension(f) == Expr.constant(paper.atoms, 4)
-    metric = hyperbolic_disc("metric")
+    metric = by_id("h2", "metric")
     assert metric.tension(-Expr.log(metric.atoms)) == Expr.constant(metric.atoms, 1)
 
 
 def test_sphere_tension_of_log_under_both_conventions():
-    paper = punctured_sphere("paper")
+    paper = by_id("s2p", "paper")
     f = Expr.log(paper.atoms)
     assert paper.tension(f) == Expr.constant(paper.atoms, 4)
 
@@ -101,7 +98,7 @@ def test_sphere_tension_of_log_under_both_conventions():
 
 
 def test_sol_conformality_of_tower_prefactor_vanishes():
-    g = sol()
+    g = by_id("sol")
     f1 = parse("1 + 2*x + 3*y + 4*x*y", g.atoms)
     for r in (1, 2, 5):
         tr = Expr.monomial(g.atoms, 1, {"t": r})
@@ -109,7 +106,7 @@ def test_sol_conformality_of_tower_prefactor_vanishes():
 
 
 def test_sol_conformality_of_h2_h3_pair():
-    g = sol()
+    g = by_id("sol")
     rng = random.Random(11)
     for _ in range(10):
         a2, a3 = random_scalar(rng), random_scalar(rng)
@@ -136,7 +133,7 @@ def test_conformality_with_constant_vanishes():
 
 
 def test_disc_line_conformality_log_cases():
-    g = disc_times_line()
+    g = by_id("h2xr")
     atoms = g.atoms
     t = Expr.variable(atoms, "t")
     log = Expr.log(atoms)
@@ -150,7 +147,7 @@ def test_disc_line_conformality_log_cases():
 
 
 def test_iterated_tension_of_product_family():
-    g = sol()
+    g = by_id("sol")
     h = sol_h2h3(1, 1, 1, 1)
     chain = iterated_tension(g, h, 2)
     assert chain[1] == g.tension(h)
@@ -159,25 +156,25 @@ def test_iterated_tension_of_product_family():
 
 
 def test_iterated_tension_of_harmonic_is_all_zero():
-    g = sol()
+    g = by_id("sol")
     chain = iterated_tension(g, parse("2*x^2 - E(-2)", g.atoms), 4)
     assert all(e.is_zero() for e in chain[1:])
 
 
 def test_iterated_tension_of_t_fourth():
-    g = sol()
+    g = by_id("sol")
     chain = iterated_tension(g, parse("t^4", g.atoms), 3)
     assert [str(e) for e in chain] == ["t^4", "12*t^2", "24", "0"]
 
 
 def test_classify_nil_family_with_unit_parameters():
-    g = nil()
+    g = by_id("nil")
     report = classify(g, nil_biharmonic12([1] * 12))
     assert report.order == 2
 
 
 def test_classify_zero_function():
-    g = sol()
+    g = by_id("sol")
     report = classify(g, Expr.zero(g.atoms))
     assert report.order == 0
     assert report.chain == (report.expr,)
@@ -185,7 +182,7 @@ def test_classify_zero_function():
 
 
 def test_classify_shifted_tower():
-    g = sol()
+    g = by_id("sol")
     f = sol_tower(2, [1, 2, 3, 4], [5, 6, 7, 8])
     report = classify(g, f)
     assert report.order == 2
@@ -196,14 +193,13 @@ def test_classify_shifted_tower():
 
 
 def test_classify_exceeds_bound():
-    g = sol()
+    g = by_id("sol")
     report = classify(g, parse("x^2*y^2", g.atoms), r_max=3)
     assert report.order is None
-    assert report.exceeds_bound
 
 
 def test_classify_respects_definition_edges():
-    g = sol()
+    g = by_id("sol")
     report = classify(g, parse("t^4", g.atoms))
     assert report.order == 3
     assert report.chain[report.order].is_zero()
@@ -215,8 +211,8 @@ def test_classify_respects_definition_edges():
 
 def test_disc_times_line_matches_builtin_product_chart():
     rng = random.Random(12)
-    g = disc_times_line()
-    pieces = ProductGeometry(hyperbolic_disc(), line("t"))
+    g = by_id("h2xr")
+    pieces = ProductGeometry(by_id("h2"), by_id("line"))
     for _ in range(20):
         f = random_expr(rng, g.atoms, allow_log=True)
         assert pieces.tension(f) == g.tension(f)
@@ -228,14 +224,55 @@ def test_flat_plane_tension():
     assert g.tension(f) == parse("2*t + 6*t", g.atoms)
 
 
+# -- the chart catalogue ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("gid", list(_CHARTS))
+def test_every_catalogue_id_builds_its_named_chart(gid, convention):
+    assert by_id(gid, convention).name == gid
+
+
+@pytest.mark.parametrize("gid", list(_CHARTS))
+def test_by_id_rejects_an_unknown_convention(gid):
+    with pytest.raises(UsageError, match="unknown convention"):
+        by_id(gid, "bogus")
+
+
+def test_every_product_id_builds_or_is_a_usage_error():
+    built = set()
+    for left in _CHARTS:
+        for right in _CHARTS:
+            try:
+                g = by_id(f"product:{left}x{right}")
+            except UsageError:
+                continue
+            assert isinstance(g, ProductGeometry)
+            built.add((left, right))
+    assert ("nil", "h2") in built and ("line", "line") in built
+    assert ("h2", "h2") not in built  # the factors share z and zb
+
+
+def test_readme_geometry_ids_are_the_catalogue():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listing = readme.split("`--geometry` ids:", 1)[1].split("`product:", 1)[0]
+    assert re.findall(r"`(\w+)`", listing) == list(_CHARTS)
+
+
+def test_sol_and_nil_factories_build_the_catalogue_charts():
+    for factory, gid in ((sol, "sol"), (nil, "nil")):
+        g = factory()
+        assert (g.name, g.table) == (gid, by_id(gid).table)
+
+
 def test_product_rejects_variable_collision():
     with pytest.raises(UsageError):
-        ProductGeometry(line("t"), line("t"))
+        ProductGeometry(by_id("line"), by_id("line"))
 
 
 def test_cross_factor_conformality_vanishes_on_separable_pairs():
     rng = random.Random(13)
-    g = disc_times_line()
+    g = by_id("h2xr")
     for _ in range(25):
         f1 = random_expr(rng, g.atoms, variables=("z", "zb"))
         f2 = random_expr(rng, g.atoms, variables=("t",))
@@ -244,7 +281,7 @@ def test_cross_factor_conformality_vanishes_on_separable_pairs():
 
 def test_binomial_expansion_n1_is_the_product_rule():
     rng = random.Random(14)
-    g = disc_times_line()
+    g = by_id("h2xr")
     for _ in range(10):
         f1 = random_expr(rng, g.atoms, variables=("z", "zb"))
         f2 = random_expr(rng, g.atoms, variables=("t",))
@@ -300,7 +337,7 @@ def test_product_rule_on_every_geometry():
 
 
 def test_product_rule_with_log_factor():
-    g = disc_times_line()
+    g = by_id("h2xr")
     atoms = g.atoms
     t = Expr.variable(atoms, "t")
     log = Expr.log(atoms)
@@ -334,9 +371,9 @@ def test_conformality_is_symmetric_and_bilinear():
 
 
 def test_operator_rejects_foreign_algebra():
-    g = sol()
+    g = by_id("sol")
     with pytest.raises(UsageError):
-        g.tension(parse("z", hyperbolic_disc().atoms))
+        g.tension(parse("z", by_id("h2").atoms))
 
 
 # -- convention covariance ------------------------------------------------------------
@@ -344,8 +381,8 @@ def test_operator_rejects_foreign_algebra():
 
 def test_paper_convention_is_four_times_metric_on_surface():
     rng = random.Random(19)
-    paper = hyperbolic_disc("paper")
-    metric = hyperbolic_disc("metric")
+    paper = by_id("h2", "paper")
+    metric = by_id("h2", "metric")
     for _ in range(15):
         f = random_expr(rng, metric.atoms, allow_log=True)
         assert paper.tension(f) == 4 * metric.tension(f)
@@ -353,8 +390,8 @@ def test_paper_convention_is_four_times_metric_on_surface():
 
 def test_paper_convention_z_part_scaling_on_product():
     rng = random.Random(20)
-    paper = disc_times_line("paper")
-    metric = disc_times_line("metric")
+    paper = by_id("h2xr", "paper")
+    metric = by_id("h2xr", "metric")
     for _ in range(15):
         f = random_expr(rng, metric.atoms, allow_log=True)
         z_part = metric.first.tension(f)
@@ -364,10 +401,10 @@ def test_paper_convention_z_part_scaling_on_product():
 
 
 def test_conformal_log_orders_agree_under_both_conventions():
-    for build in (hyperbolic_disc, punctured_sphere):
+    for gid in ("h2", "s2p"):
         orders = set()
         for convention in ("metric", "paper"):
-            g = build(convention)
+            g = by_id(gid, convention)
             orders.add(classify(g, log_biharmonic(g)).order)
         assert orders == {2}
 
@@ -390,7 +427,8 @@ def _reference_tension(g, f):
             second[i, j] = first[j].differentiate(i)
         parts.append((c, powers, weight, second[i, j].terms))
     if logc is not None and g.log_rule is not None:
-        parts.append(g.log_rule.log_tension_part(logc))
+        rule = g.log_rule
+        parts.append((rule.sign * rule.factor, (0,) * len(f.atoms.variables), 0, logc.terms))
     return Expr.combine(f.atoms, parts)
 
 
@@ -404,8 +442,8 @@ def _tension_outcome(tension, g, f):
 # sol, nil and sl2 also act on a chart where (x, y) is a conformal pair with a
 # log atom, where a mixed partial of a log term leaves the algebra
 _XY_LOG = AtomSet(("x", "y", "t"), exp_var="t", log_kind=LOG_DISC, conformal=("x", "y"))
-_TENSION_CASES = [(gid, "metric", None) for gid in (*_BASE_IDS, "product:nilxh2",
-                                                       "product:solxs2p", "product:linexline")]
+_TENSION_CASES = [(gid, "metric", None) for gid in (*_CHARTS, "product:nilxh2",
+                                                     "product:solxs2p", "product:linexline")]
 _TENSION_CASES += [(gid, "paper", None) for gid in ("h2", "s2p", "h2xr", "s2pxr")]
 _TENSION_CASES += [(gid, "metric", _XY_LOG) for gid in ("sol", "nil", "sl2")]
 
@@ -452,7 +490,7 @@ def _kappa_outcome(kappa, g, f, h):
         return (ClosureError, str(exc))
 
 
-_CONFORMALITY_CASES = [(gid, convention, None) for gid in (*_BASE_IDS, "product:nilxh2",
+_CONFORMALITY_CASES = [(gid, convention, None) for gid in (*_CHARTS, "product:nilxh2",
                        "product:solxs2p", "product:linexline") for convention in CONVENTIONS]
 _CONFORMALITY_CASES += [(gid, "metric", _XY_LOG) for gid in ("sol", "nil", "sl2")]
 
@@ -489,7 +527,7 @@ def test_conformality_of_log_pairs_matches_the_per_entry_reference(gid, conventi
 def test_raw_partial_tension_raises_the_reference_closure_errors():
     # nil's y-t and sl2's x-t entries differentiate d_t(t^2 L) = 2t L in y or x
     f = parse("t^2*log1m", _XY_LOG)
-    for g in (nil(), sl2()):
+    for g in (by_id("nil"), by_id("sl2")):
         for tension in (_reference_tension, type(g).tension):
             with pytest.raises(ClosureError, match="handled by the geometry operators"):
                 tension(g, f)
@@ -498,7 +536,7 @@ def test_raw_partial_tension_raises_the_reference_closure_errors():
 # -- the per-term kernel's branches ---------------------------------------------------
 
 
-@pytest.mark.parametrize("g", [nil(), sl2()], ids=["nil", "sl2"])
+@pytest.mark.parametrize("g", [by_id("nil"), by_id("sl2")], ids=["nil", "sl2"])
 def test_log_term_leaves_a_mixed_entry_only_when_its_t_partial_is_nonzero(g):
     # nil's y-t and sl2's x-t entries take d_t first: d_t(log1m) = 0 stays in
     # the algebra, d_t(t L) = L and d_t(E(1) L) = E(1) L do not
@@ -522,14 +560,14 @@ def _sol_t_part(k, w):
 @pytest.mark.parametrize("w", [-3, -2, -1, 1, 2, 3])
 @pytest.mark.parametrize("k", range(5))
 def test_sol_tension_of_t_power_times_exponential(k, w):
-    g = sol()
+    g = by_id("sol")
     assert g.tension(parse(f"t^{k}*E({w})", g.atoms)) == parse(_sol_t_part(k, w), g.atoms)
 
 
 @pytest.mark.parametrize("a, b, k, w", [(2, 3, 1, -1), (3, 2, 2, 2), (4, 0, 3, 1),
                                         (0, 5, 0, -3), (1, 1, 4, 2), (2, 2, 2, 0)])
 def test_sol_tension_of_xy_monomial_times_exponential(a, b, k, w):
-    g = sol()
+    g = by_id("sol")
     x_part = f"{a * (a - 1)}*x^{max(a - 2, 0)}*y^{b}*t^{k}*E({w - 2})"
     y_part = f"{b * (b - 1)}*x^{a}*y^{max(b - 2, 0)}*t^{k}*E({w + 2})"
     t_part = f"x^{a}*y^{b}*({_sol_t_part(k, w)})"
@@ -548,8 +586,8 @@ def test_mixed_entries_on_an_exponential_t_match_the_written_operators(a, b, k, 
     def d(u, v):
         return f.differentiate(v).differentiate(u)
 
-    assert nil().tension(f) == d("x", "x") + d("y", "y") + 2 * x * d("y", "t") + one_x2 * d("t", "t")
-    assert sl2().tension(f) == y * y * (d("x", "x") + d("y", "y")) + 2 * d("t", "t") - 2 * y * d("x", "t")
+    assert by_id("nil").tension(f) == d("x", "x") + d("y", "y") + 2 * x * d("y", "t") + one_x2 * d("t", "t")
+    assert by_id("sl2").tension(f) == y * y * (d("x", "x") + d("y", "y")) + 2 * d("t", "t") - 2 * y * d("x", "t")
     # no chart lists t first in a mixed entry; a probe table does
     probe = Geometry("probe", atoms, ((-1.0, 1.0),) * 3, ((3, {"x": 1}, 1, "t", "y"),))
     assert probe.tension(f) == 3 * x * parse("E(1)", atoms) * d("t", "y")

@@ -15,7 +15,7 @@ from polyharm.families import (
     sol_axis_basis,
     sol_axis_family,
 )
-from polyharm.geometries import sol
+from polyharm.geometries import by_id
 from polyharm.linalg import (
     ExactMatrix,
     _eliminate,
@@ -258,7 +258,7 @@ def test_primitive_rows_match_the_fraction_reference(rows):
 def _x_polynomial(row):
     """sum row[k] x^k on sol: one term per nonzero entry, so the canonical
     first term is the highest power."""
-    atoms = sol().atoms
+    atoms = by_id("sol").atoms
     return Expr.sum(atoms, [Expr.monomial(atoms, c, {"x": k}) for k, c in enumerate(row)])
 
 
@@ -284,7 +284,7 @@ def test_primitive_scale_with_any_lead_matches_the_axis_reference(row, k):
 @pytest.mark.parametrize("axis", ["x", "y"])
 @pytest.mark.parametrize("n", range(2, 8))
 def test_sol_axis_family_matches_the_fraction_reference(n, axis):
-    g = sol()
+    g = by_id("sol")
     kernel = generate_kernel(AnsatzSystem.build(g, sol_axis_basis(n, axis, g)))
     assert sol_axis_family(n, axis, g) == _reference_axis_scaled(kernel[0], axis, n)
 

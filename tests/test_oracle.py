@@ -12,13 +12,7 @@ from polyharm.errors import DomainError, UsageError
 from polyharm.families import log_biharmonic, nil_biharmonic12
 from polyharm.geometries import (
     by_id,
-    disc_times_line,
-    hyperbolic_disc,
     iterated_tension,
-    line,
-    nil,
-    sl2,
-    sol,
 )
 from polyharm import oracle
 from polyharm.oracle import (
@@ -43,28 +37,28 @@ def metric_at(geometry, point):
 
 
 def test_sol_metric_at_origin_is_euclidean():
-    m = metric_at(sol(), (0.4, -0.7, 0.0))
+    m = metric_at(by_id("sol"), (0.4, -0.7, 0.0))
     assert np.allclose(m, np.eye(3))
 
 
 def test_nil_metric_matches_expanded_form():
-    m = metric_at(nil(), (2.0, 0.3, -0.5))
+    m = metric_at(by_id("nil"), (2.0, 0.3, -0.5))
     assert np.allclose(m, [[1, 0, 0], [0, 5, -2], [0, -2, 1]])
     assert np.linalg.det(m) == pytest.approx(1.0)
 
 
 def test_sl2_metric_matches_expanded_form():
-    m = metric_at(sl2(), (0.1, 1.0, 0.2))
+    m = metric_at(by_id("sl2"), (0.1, 1.0, 0.2))
     assert np.allclose(m, [[2, 0, 1], [0, 1, 0], [1, 0, 1]])
     assert np.linalg.det(m) == pytest.approx(1.0)
 
 
 def test_metric_determinant_closed_forms():
     rng = np.random.default_rng(5)
-    for p in sample_points(nil(), 20, rng):
-        assert np.linalg.det(metric_at(nil(), p)) == pytest.approx(1.0)
-    for p in sample_points(sl2(), 20, rng):
-        det = np.linalg.det(metric_at(sl2(), p))
+    for p in sample_points(by_id("nil"), 20, rng):
+        assert np.linalg.det(metric_at(by_id("nil"), p)) == pytest.approx(1.0)
+    for p in sample_points(by_id("sl2"), 20, rng):
+        det = np.linalg.det(metric_at(by_id("sl2"), p))
         assert det == pytest.approx(1.0 / p[1] ** 4)
 
 
@@ -79,12 +73,12 @@ def test_metric_positive_definite_everywhere_sampled():
 
 def test_metric_domain_violation():
     with pytest.raises(DomainError):
-        metric_at(hyperbolic_disc(), (1.1, 0.0))
+        metric_at(by_id("h2"), (1.1, 0.0))
     with pytest.raises(DomainError):
-        metric_at(sl2(), (0.0, -1.0, 0.0))
+        metric_at(by_id("sl2"), (0.0, -1.0, 0.0))
     # on an array of points the first point outside the chart is named
     with pytest.raises(DomainError, match=r"\(1\.1, 0\.0\)"):
-        metric_at(hyperbolic_disc(), [(0.1, 0.0), (1.1, 0.0), (0.0, 1.2)])
+        metric_at(by_id("h2"), [(0.1, 0.0), (1.1, 0.0), (0.0, 1.2)])
 
 
 @pytest.mark.parametrize(
@@ -174,7 +168,7 @@ def test_metric_guard_refuses_an_indefinite_metric(gid, diagonal):
 
 
 def test_fd_tension_of_harmonic_is_near_zero():
-    g = sol()
+    g = by_id("sol")
     f = parse("2*x^2 - E(-2)", g.atoms)
     rng = np.random.default_rng(7)
     for p in sample_points(g, 10, rng):
@@ -182,7 +176,7 @@ def test_fd_tension_of_harmonic_is_near_zero():
 
 
 def test_fd_tension_on_flat_line():
-    g = line()
+    g = by_id("line")
     f = parse("t^2", g.atoms)
     for t in (-0.5, 0.0, 0.7):
         assert fd_tension(g, f.evaluate, (t,)) == pytest.approx(2.0, abs=1e-7)
@@ -191,7 +185,7 @@ def test_fd_tension_on_flat_line():
 def test_fd_tension_detects_metric_convention_on_disc():
     # (1 - z zb)^2 d2/dz dzb of -log(1 - z zb) is exactly 1: the oracle sees
     # the metric-derived operator, not the printed factor 4
-    g = hyperbolic_disc("metric")
+    g = by_id("h2", "metric")
     f = -parse("log1m", g.atoms)
     value = fd_tension(g, f.evaluate, (0.3, 0.0))
     assert value.real == pytest.approx(1.0, abs=1e-6)
@@ -199,7 +193,7 @@ def test_fd_tension_detects_metric_convention_on_disc():
 
 
 def test_fd_tension_handles_complex_values():
-    g = sol()
+    g = by_id("sol")
     f = parse("(1+2i)*x^2*t", g.atoms)
     sym = g.tension(f)
     p = (0.3, -0.2, 0.4)
@@ -212,7 +206,7 @@ def test_fd_tension_accepts_user_supplied_evaluators():
     # only needs a point evaluator: exp(x+iy) is harmonic on nil
     import cmath
 
-    g = nil()
+    g = by_id("nil")
 
     def f(p):
         return cmath.exp(complex(p[0], p[1])) + 2.0 * p[2]
@@ -223,7 +217,7 @@ def test_fd_tension_accepts_user_supplied_evaluators():
 
 
 def test_fd_tension_respects_stencil_domain():
-    g = hyperbolic_disc()
+    g = by_id("h2")
     f = parse("z*zb", g.atoms)
     with pytest.raises(DomainError):
         fd_tension(g, f.evaluate, (0.9999, 0.0))
@@ -232,7 +226,7 @@ def test_fd_tension_respects_stencil_domain():
 def test_low_degree_polynomials_are_differenced_exactly():
     # degree <= 2 per variable means zero truncation error for the
     # second-order stencils; only roundoff remains at any step size
-    g = sol()
+    g = by_id("sol")
     f = parse("x^2*y^2*t^2", g.atoms)
     sym = g.tension(f)
     for p in ((0.3, -0.4, 0.2), (0.9, 0.1, -0.8)):
@@ -243,7 +237,7 @@ def test_low_degree_polynomials_are_differenced_exactly():
 def test_convergence_is_second_order_before_extrapolation():
     # halving h divides the plain central-difference error by about 4 once
     # the input has nonvanishing fourth derivatives
-    g = sol()
+    g = by_id("sol")
     f = parse("x^4*y^2*t^4 + y^2*E(2)", g.atoms)
     sym = g.tension(f)
     rng = np.random.default_rng(8)
@@ -349,7 +343,7 @@ def test_one_pass_matches_the_per_level_reference(gid):
 
 
 def test_one_pass_evaluates_and_builds_the_metric_once_per_chunk(monkeypatch):
-    g = nil()
+    g = by_id("nil")
     f = parse("y^2*t + x^3*t - x*y", g.atoms)
     calls = collections.Counter()
     evaluate, metric = Expr.evaluate, oracle._metric_coefficients
@@ -381,7 +375,7 @@ def test_one_pass_evaluates_and_builds_the_metric_once_per_chunk(monkeypatch):
 
 
 def test_cross_validate_sol_battery_member():
-    g = sol()
+    g = by_id("sol")
     report = cross_validate(g, parse("x^3*y*E(2)", g.atoms), OracleConfig(samples=40))
     assert report.within_tolerance
     assert report.points == 40
@@ -402,7 +396,7 @@ def test_cross_validate_fails_on_a_nan_residual(monkeypatch):
         return values
 
     monkeypatch.setattr(oracle_module, "_fd_tensions", nan_at_third_point)
-    g = line()
+    g = by_id("line")
     report = cross_validate(g, parse("t^2", g.atoms), OracleConfig(samples=5))
     assert not report.within_tolerance
     assert report.worst_point == tuple(sampled[0][2])
@@ -412,7 +406,7 @@ def test_cross_validate_fails_on_a_nan_residual(monkeypatch):
 
 
 def test_cross_validate_constant():
-    g = nil()
+    g = by_id("nil")
     report = cross_validate(g, parse("1", g.atoms), OracleConfig(samples=10))
     assert report.max_abs <= 1e-9
     # every stencil difference of a constant is exactly 0, so no point is worst
@@ -420,7 +414,7 @@ def test_cross_validate_constant():
 
 
 def test_cross_validate_nil_family_tension_pointwise():
-    g = nil()
+    g = by_id("nil")
     f = nil_biharmonic12([1] * 12)
     chain = iterated_tension(g, f, 1)
     report = cross_validate(g, f, OracleConfig(samples=30), symbolic_tension=chain[1])
@@ -430,7 +424,7 @@ def test_cross_validate_nil_family_tension_pointwise():
 def test_cross_validate_iterated_layer():
     # second-order check applies one finite-difference layer to the symbolic
     # first tension field, never a nested stencil
-    g = sol()
+    g = by_id("sol")
     f = parse("t^4 + x^2*t^2", g.atoms)
     chain = iterated_tension(g, f, 2)
     report = cross_validate(
@@ -440,14 +434,14 @@ def test_cross_validate_iterated_layer():
 
 
 def test_cross_validate_log_expression_on_product():
-    g = disc_times_line()
+    g = by_id("h2xr")
     f = parse("t^2*log1m + z*t", g.atoms)
     report = cross_validate(g, f, OracleConfig(samples=30))
     assert report.within_tolerance
 
 
 def test_conformal_sentinel_ratio_under_paper_convention():
-    g = hyperbolic_disc("paper")
+    g = by_id("h2", "paper")
     ratios = cross_validate(g, parse("z*zb", g.atoms), OracleConfig(samples=20)).ratios
     assert len(ratios) == 20
     assert all(abs(r - 4.0) < 1e-4 for r in ratios)
@@ -457,7 +451,7 @@ def test_conformal_sentinel_ratio_under_paper_convention():
 
 
 def test_metric_convention_has_unit_ratio():
-    g = hyperbolic_disc("metric")
+    g = by_id("h2", "metric")
     report = cross_validate(g, parse("z*zb", g.atoms), OracleConfig(samples=10))
     assert len(report.ratios) == 10
     assert all(abs(r - 1.0) < 1e-6 for r in report.ratios)
@@ -542,7 +536,7 @@ def test_operator_table_is_the_inverse_metric(gid):
 def test_conformality_of_log_pairs_matches_numeric_pairing():
     # kappa on log-bearing inputs cannot be cross-checked through the
     # product rule (the product leaves the algebra), so check it directly
-    g = disc_times_line()
+    g = by_id("h2xr")
     atoms = g.atoms
     t = parse("t", atoms)
     log = parse("log1m", atoms)
@@ -559,7 +553,7 @@ def test_conformality_of_log_pairs_matches_numeric_pairing():
             numeric = _fd_conformality(g, f, h, p)
             assert abs(sym.evaluate(p) - numeric) <= 1e-5 * (1 + abs(numeric))
     # and the closed form of the pure log pairing on the disc
-    disc = hyperbolic_disc()
+    disc = by_id("h2")
     sym = disc.conformality(parse("log1m", disc.atoms), parse("log1m", disc.atoms))
     assert sym == parse("z*zb", disc.atoms)
 
@@ -602,9 +596,9 @@ def test_sample_points_match_scalar_draws(gid, margin):
 
 def test_sample_points_respect_domain_margin():
     rng = np.random.default_rng(9)
-    for p in sample_points(hyperbolic_disc(), 50, rng, margin=0.05):
+    for p in sample_points(by_id("h2"), 50, rng, margin=0.05):
         assert math.hypot(*p) < 0.95
-    for p in sample_points(sl2(), 50, rng, margin=0.05):
+    for p in sample_points(by_id("sl2"), 50, rng, margin=0.05):
         assert p[1] > 0.05
 
 

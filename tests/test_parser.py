@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from polyharm.algebra import LOG_DISC, LOG_SPHERE, Expr
 from polyharm.errors import ClosureError, ParseError, UsageError
 from polyharm.families import FAMILIES
-from polyharm.geometries import by_id, disc_times_line, sol
+from polyharm.geometries import by_id
 from polyharm.parser import MAX_DEPTH, MAX_POWER_TERM_PRODUCTS, _power, parse, parse_scalar
 from polyharm.rationals import GaussianRational, I
 from polyharm.verify import random_expr
@@ -21,8 +21,8 @@ from conftest import gaussian_rationals
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
-SOL = sol().atoms
-DISC_LINE = disc_times_line().atoms
+SOL = by_id("sol").atoms
+DISC_LINE = by_id("h2xr").atoms
 
 
 def test_parse_harmonic_combination():

@@ -7,7 +7,7 @@ import pytest
 from polyharm import oracle
 from polyharm.errors import UsageError
 from polyharm.families import nil_biharmonic12
-from polyharm.geometries import ProductGeometry, classify, line, nil
+from polyharm.geometries import ProductGeometry, by_id, classify
 from polyharm.linalg import ExactMatrix
 from polyharm.oracle import OracleConfig, validate_chain
 from polyharm.parser import parse
@@ -59,7 +59,7 @@ def test_suite_respects_r_max_override():
 
 
 def test_classification_check_statuses():
-    g = line("t")
+    g = by_id("line")
     t3 = parse("t^3", g.atoms)  # proper biharmonic
     assert _classification_check("c", [(g, t3, 2)], 8, "ok") == CheckResult("c", "pass", "ok")
     assert _classification_check("c", [(g, t3, 2)], 1).status == "exceeds-bound"
@@ -107,7 +107,7 @@ def test_lemma_report_shape():
 
 
 def test_binomial_lemma_check_names_geometry():
-    g = ProductGeometry(line("s"), line("t"), name="linexline")
+    g = by_id("product:linexline")
     result = binomial_lemma_check(g, 2, 5, 1)
     assert result.check_id == "product/binomial-lemma-linexline"
     assert result.ok
@@ -115,7 +115,7 @@ def test_binomial_lemma_check_names_geometry():
 
 def test_binomial_lemma_check_needs_a_trial():
     # zero trials would report a vacuous pass
-    g = ProductGeometry(line("s"), line("t"), name="linexline")
+    g = by_id("product:linexline")
     with pytest.raises(UsageError, match="at least one trial"):
         binomial_lemma_check(g, 2, 0, 1)
 
@@ -136,7 +136,7 @@ def test_convention_sentinel_fails_on_a_nan_point(monkeypatch):
 
 
 def test_validate_chain_attaches_oracle_residuals():
-    g = nil()
+    g = by_id("nil")
     report = classify(g, nil_biharmonic12([1] * 12))
     residuals = validate_chain(g, report.chain, OracleConfig(samples=15))
     assert len(residuals) == len(report.chain) - 1
