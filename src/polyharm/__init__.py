@@ -6,6 +6,7 @@ punctured sphere, the line and their products; generators for the explicit
 harmonic and polyharmonic families; and a metric-derived finite-difference
 oracle that cross-validates every symbolic operator rule.  The names below
 are the public Python API; the README's "Python API" section lists them.
+The oracle names load numpy, so they are imported on first access.
 """
 
 from .algebra import AtomSet, Expr, Term
@@ -40,8 +41,20 @@ from .geometries import (
     sol,
 )
 from .linalg import ExactMatrix, nullspace, rank
-from .oracle import OracleConfig, ResidualReport, cross_validate, fd_tension, validate_chain
 from .parser import parse, parse_scalar
 from .rationals import GaussianRational
 
 __version__ = "0.1.0"
+_ORACLE_NAMES = ("OracleConfig", "ResidualReport", "cross_validate", "fd_tension", "validate_chain")
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+    globals().update({n: getattr(oracle, n) for n in _ORACLE_NAMES})  # later reads skip this
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORACLE_NAMES})

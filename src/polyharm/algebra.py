@@ -34,12 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import add
-from typing import Iterable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import ClosureError, DomainError, UsageError
 from .rationals import GaussianRational, ScalarLike
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LOG_DISC = "log1m"  # log(1 - z*zb), the hyperbolic disc atom
 LOG_SPHERE = "log1p"  # log(1 + z*zb), the punctured sphere atom
@@ -125,11 +126,11 @@ class AtomSet:
         return points[..., iz] ** 2 + points[..., izb] ** 2
 
     def check_domain(self, points: np.ndarray) -> None:
-        if self.log_kind == LOG_DISC:
-            if (self._conformal_radius2(points) >= 1.0).any():
-                raise DomainError("|z| >= 1 is outside the hyperbolic disc chart")
+        if self.log_kind == LOG_DISC and (self._conformal_radius2(points) >= 1.0).any():
+            raise DomainError("|z| >= 1 is outside the hyperbolic disc chart")
 
     def log_value(self, points: np.ndarray) -> np.ndarray:
+        import numpy as np
         rho2 = self._conformal_radius2(points)
         if self.log_kind == LOG_DISC:
             return np.log(1.0 - rho2)
@@ -341,6 +342,7 @@ class Expr:
         term over all points at once.  A value that is not finite (float
         overflow) raises DomainError, like a point outside the chart.
         """
+        import numpy as np
         P = np.asarray(point, dtype=float)
         values = self.atoms.symbol_values(P)
         self.atoms.check_domain(P)

@@ -35,7 +35,6 @@ from .families import (
 )
 from .geometries import CONVENTIONS, R_MAX, ProductGeometry, by_id, classify, iterated_tension
 from .linalg import primitive_rows
-from .oracle import OracleConfig, cross_validate
 from .parser import parse, parse_scalar
 from .verify import SuiteContext, lemma_report, run_suite
 
@@ -98,11 +97,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="finite-difference cross-validation sweep")
     common(p)
     p.add_argument("expression")
-    p.add_argument("--step", type=float, default=OracleConfig.step)
-    p.add_argument("--levels", type=int, default=OracleConfig.levels)
-    p.add_argument("--samples", type=int, default=OracleConfig.samples)
-    p.add_argument("--tol", type=float, default=OracleConfig.rel_tol)
-    p.add_argument("--seed", type=int, default=OracleConfig.seed)
+    # no defaults here: an option left out keeps OracleConfig's default
+    p.add_argument("--step", type=float)
+    p.add_argument("--levels", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--tol", type=float, dest="rel_tol", metavar="TOL")
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("lemma-check", help="randomized product-formula property test")
     p.add_argument("-n", type=int, default=4, help="highest tension power (<= 4)")
@@ -137,18 +137,9 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _report(command: str, **fields) -> dict:
-    base = {
-        "command": command,
-        "geometry": None,
-        "convention": None,
-        "input": None,
-        "chain": None,
-        "order": None,
-        "residuals": None,
-        "status": "ok",
-    }
-    base.update(fields)
-    return base
+    # a given field replaces its default in place: every report keeps one key order
+    unset = dict.fromkeys(("geometry", "convention", "input", "chain", "order", "residuals"))
+    return {"command": command, **unset, "status": "ok", **fields}
 
 
 def _cmd_tension(args) -> int:
@@ -294,15 +285,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import OracleConfig, cross_validate  # loads numpy
     geometry = by_id(args.geometry, args.convention)
     f = parse(args.expression, geometry.atoms)
-    config = OracleConfig(
-        step=args.step,
-        levels=args.levels,
-        rel_tol=args.tol,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    given = {k: getattr(args, k) for k in ("step", "levels", "rel_tol", "samples", "seed")}
+    config = OracleConfig(**{k: v for k, v in given.items() if v is not None})
     report = cross_validate(geometry, f, config)
     status = "ok" if report.within_tolerance else "tolerance-exceeded"
     sentinel = None

@@ -51,12 +51,14 @@ import functools
 import math
 from dataclasses import dataclass
 from operator import add
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, _canonical, merge_atom_sets
 from .errors import ClosureError, DomainError, UsageError
 from .rationals import GaussianRational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Box = tuple[tuple[float, float], ...]
 
@@ -66,7 +68,8 @@ CONVENTIONS = ("metric", "paper")
 def _matrix(points: np.ndarray, rows) -> np.ndarray:
     """(..., n, n) metric array from n rows of per-point entries (arrays over
     the points of shape (..., dim), or constants)."""
-    g = np.empty(points.shape[:-1] + (len(rows), len(rows)))
+    import numpy as np
+    g = np.empty(np.shape(points)[:-1] + (len(rows), len(rows)))
     for a, b in np.ndindex(g.shape[-2:]):
         g[..., a, b] = rows[a][b]
     return g
@@ -180,10 +183,12 @@ class Geometry:
         return Expr.combine(f.atoms, parts)
 
     def contains(self, point, slack: float = 0.0) -> np.ndarray:
+        import numpy as np
         return np.ones(np.shape(point)[:-1], dtype=bool)
 
     def check_point(self, point, slack: float = 0.0) -> None:
         """Raise unless every point lies in the chart, ``slack`` inside its boundary."""
+        import numpy as np
         dim = len(self.atoms.variables)
         P = np.asarray(point, dtype=float)
         if P.shape[-1:] != (dim,):
@@ -217,6 +222,7 @@ class SolGeometry(Geometry):
         )
 
     def metric(self, point) -> np.ndarray:
+        import numpy as np
         P = np.asarray(point, dtype=float)
         t = P[..., 2]
         return _matrix(
@@ -245,6 +251,7 @@ class NilGeometry(Geometry):
         )
 
     def metric(self, point) -> np.ndarray:
+        import numpy as np
         P = np.asarray(point, dtype=float)
         x = P[..., 0]
         return _matrix(P, ((1.0, 0.0, 0.0), (0.0, 1.0 + x * x, -x), (0.0, -x, 1.0)))
@@ -265,6 +272,7 @@ class Sl2Geometry(Geometry):
         )
 
     def metric(self, point) -> np.ndarray:
+        import numpy as np
         P = np.asarray(point, dtype=float)
         y = P[..., 1]
         if (y <= 0.0).any():
@@ -279,6 +287,7 @@ class Sl2Geometry(Geometry):
         )
 
     def contains(self, point, slack: float = 0.0) -> np.ndarray:
+        import numpy as np
         return np.asarray(point, dtype=float)[..., 1] - slack > 0.0
 
 
@@ -333,6 +342,7 @@ class ConformalSurface(Geometry):
         return parts
 
     def metric(self, point) -> np.ndarray:
+        import numpy as np
         P = np.asarray(point, dtype=float)
         x, y = P[..., 0], P[..., 1]
         denom = 1.0 + self.sign * (x * x + y * y)
@@ -344,6 +354,7 @@ class ConformalSurface(Geometry):
     def contains(self, point, slack: float = 0.0) -> np.ndarray:
         if self.sign == 1:
             return super().contains(point, slack)
+        import numpy as np
         P = np.asarray(point, dtype=float)
         return np.hypot(P[..., 0], P[..., 1]) + slack < 1.0
 
@@ -360,7 +371,7 @@ class Line(Geometry):
         )
 
     def metric(self, point) -> np.ndarray:
-        return _matrix(np.asarray(point, dtype=float), ((1.0,),))
+        return _matrix(point, ((1.0,),))
 
 
 class ProductGeometry(Geometry):
@@ -379,6 +390,7 @@ class ProductGeometry(Geometry):
         self.log_rule = first.log_rule or second.log_rule
 
     def metric(self, point) -> np.ndarray:
+        import numpy as np
         P = np.asarray(point, dtype=float)
         n1 = len(self.first.atoms.variables)
         n = len(self.atoms.variables)
@@ -388,6 +400,7 @@ class ProductGeometry(Geometry):
         return g
 
     def contains(self, point, slack: float = 0.0) -> np.ndarray:
+        import numpy as np
         P = np.asarray(point, dtype=float)
         n1 = len(self.first.atoms.variables)
         inside = self.first.contains(P[..., :n1], slack)

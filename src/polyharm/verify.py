@@ -54,7 +54,6 @@ from .geometries import (
     product_tension_binomial,
 )
 from .linalg import ExactMatrix
-from .oracle import OracleConfig, cross_validate
 from .parser import parse
 
 TRIALS = 20  # draws of the h2h3, separable and binomial-lemma checks
@@ -460,6 +459,7 @@ def _check_log_functions(ctx) -> list[CheckResult]:
 
 
 def _check_oracle(ctx) -> list[CheckResult]:
+    from .oracle import OracleConfig, cross_validate  # loads numpy
     out = []
     cfg = OracleConfig(samples=20, seed=ctx.seed)
     if "metric" in ctx.conventions:

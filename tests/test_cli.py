@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import polyharm
+import polyharm.oracle  # the oracle tests patch it; the CLI loads it on demand
 from polyharm.cli import main
 from polyharm.families import FAMILIES
 from polyharm.geometries import Geometry, by_id
@@ -638,17 +638,21 @@ def test_json_chains_reparse_to_identical_expressions(capsys):
             assert str(again) == printed
 
 
+def _subprocess_env() -> dict:
+    """The environment of a child interpreter that imports this polyharm."""
+    src = str(Path(polyharm.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
 def test_output_into_a_closed_pipe_exits_4_quietly():
     # the reader takes a few bytes and closes the pipe while about 180 kB of
     # the chain are still unwritten
-    src = str(Path(polyharm.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.Popen(
         [sys.executable, "-m", "polyharm", "tension", "-g", "line", "-r", "6", "(1+t)^300"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_subprocess_env(),
     )
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
@@ -656,3 +660,43 @@ def test_output_into_a_closed_pipe_exits_4_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=30) == 4
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# -- which libraries a command loads ---------------------------------------------
+
+_REPORT_MODULES = """
+import sys
+from polyharm.cli import main
+code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules, "sympy" in sys.modules)
+"""
+
+_SYMBOLIC_COMMANDS = {
+    "tension": ["tension", "-g", "nil", "x^2*t", "-r", "2"],
+    "classify": ["classify", "-g", "nil", "x^2"],
+    "generate-family": ["generate", "sol.axis", "-n", "3"],
+    "generate-ansatz": ["generate", "-g", "nil", "--ansatz", "x,y,x*y,t^2", "-r", "2"],
+    "lemma-check": ["lemma-check", "-n", "2", "--trials", "2"],
+}
+_FLOAT_COMMANDS = {
+    "oracle": ["oracle", "-g", "nil", "x^2*y", "--samples", "5"],
+    "verify-paper": ["verify-paper", "--convention", "metric"],
+}
+
+
+def _modules_loaded_by(argv) -> tuple[str, ...]:
+    """Exit code, numpy loaded, sympy loaded: one command in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _REPORT_MODULES, *argv], capture_output=True,
+                          text=True, env=_subprocess_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("name", _SYMBOLIC_COMMANDS)
+def test_symbolic_commands_never_import_numpy_or_sympy(name):
+    assert _modules_loaded_by(_SYMBOLIC_COMMANDS[name]) == ("0", "False", "False")
+
+
+@pytest.mark.parametrize("name", _FLOAT_COMMANDS)
+def test_oracle_commands_load_numpy(name):
+    assert _modules_loaded_by(_FLOAT_COMMANDS[name]) == ("0", "True", "False")

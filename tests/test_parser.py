@@ -3,12 +3,14 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyharm.algebra import LOG_DISC, LOG_SPHERE, Expr
+import polyharm.parser as parser_module
+from polyharm.algebra import LOG_DISC, LOG_SPHERE, Expr, _validated
 from polyharm.errors import ClosureError, ParseError, UsageError
 from polyharm.families import FAMILIES
 from polyharm.geometries import by_id
@@ -460,8 +462,12 @@ def _benchmark_texts(rng, gid):
     return texts
 
 
-@pytest.mark.parametrize("gid", ["sol", "nil", "sl2", "h2", "s2p", "h2xr", "s2pxr", "line"])
-def test_raw_term_parser_matches_expr_reference(gid):
+CHART_IDS = ["sol", "nil", "sl2", "h2", "s2p", "h2xr", "s2pxr", "line"]
+
+
+def _reference_cases(gid):
+    """Printed forms of the chart, respaced and mutated: valid inputs and
+    every kind of error the scanner reports."""
     atoms = by_id(gid).atoms
     rng = random.Random(f"parser-{gid}")
     weights = (-2, -1, 0, 1, 2) if atoms.exp_var else (0,)
@@ -481,12 +487,73 @@ def test_raw_term_parser_matches_expr_reference(gid):
     for text in texts:
         cases += [text, _respaced(rng, text)]
         cases.extend(_mutations(rng, text, 6))
+    return cases
+
+
+@pytest.mark.parametrize("gid", CHART_IDS)
+def test_raw_term_parser_matches_expr_reference(gid):
+    atoms = by_id(gid).atoms
     outcomes = {"ok": 0, "error": 0}
-    for text in cases:
+    for text in _reference_cases(gid):
         got, want = _outcome(parse, text, atoms), _outcome(_reference_parse, text, atoms)
         assert got == want, text
         outcomes["ok" if got[0] == "ok" else "error"] += 1
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def _unvalidated_final_terms(text, atoms):
+    """The nonzero terms that parse hands to its final _canonical call and
+    that fail the closure rules; parse's own check is left in place."""
+    handed = []
+    canonical = parser_module._canonical
+
+    def recording(atoms, raw, check=False):
+        if sys._getframe(1).f_code is parse.__code__:
+            handed.extend(raw)
+        return canonical(atoms, raw, check)
+
+    with mock.patch.object(parser_module, "_canonical", recording):
+        try:
+            parse(text, atoms)
+        except (ParseError, ClosureError, UsageError):
+            pass
+    bad = []
+    for term in handed:
+        try:
+            if term.coeff:
+                _validated(atoms, term)
+        except ClosureError:
+            bad.append(term)
+    return bad
+
+
+@given(st.sampled_from(CHART_IDS), st.randoms(use_true_random=False))
+@settings(max_examples=150)
+def test_parse_validates_every_term_before_its_final_check(gid, rng):
+    # the fold check: each term was validated where its product folded, so
+    # the closing _canonical(..., check=True) of parse finds nothing new
+    atoms = by_id(gid).atoms
+    weights = (-2, 0, 3) if atoms.exp_var else (0,)
+    text = str(random_expr(rng, atoms, max_terms=4, max_power=3, weights=weights,
+                           allow_log=atoms.log_kind is not None))
+    cases = [text, _respaced(rng, text), *_mutations(rng, text, 4)]
+    if atoms.log_kind is not None:  # log atoms moved onto conformal powers or squared
+        log, v = atoms.log_kind, rng.choice(atoms.conformal)
+        cases += [text.replace(log, f"{log}*{v}^2"), text.replace(log, f"{v}*{log}"),
+                  f"{log}*({text})", f"({text})*{log}*0 + {log}*{log}"]
+    for case in cases:
+        assert _unvalidated_final_terms(case, atoms) == [], case
+
+
+@pytest.mark.parametrize("gid", ["h2", "s2p", "h2xr", "s2pxr"])
+def test_closure_errors_are_raised_before_the_final_check(gid):
+    # the charts with a log atom: the others' reference cases raise no ClosureError
+    atoms = by_id(gid).atoms
+    closure_cases = [text for text in _reference_cases(gid)
+                     if _outcome(parse, text, atoms)[0] is ClosureError]
+    assert len(closure_cases) >= 10
+    for text in closure_cases:
+        assert _unvalidated_final_terms(text, atoms) == [], text
 
 
 def test_closure_error_is_raised_at_the_breaking_factor():

@@ -7,7 +7,9 @@ unnoticed.  They read perfbench/ and scripts/ and edit neither.
 
 import ast
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -34,12 +36,22 @@ def _documented_api() -> set[str]:
 
 
 def test_readme_python_api_lists_the_package_names():
+    # dir() of a fresh import: the oracle names are served on first access,
+    # so only the package's __dir__ lists them before that, and listing
+    # them must not load numpy
+    listing = "import sys, polyharm; print(dir(polyharm), 'numpy' in sys.modules)"
+    src = str(Path(polyharm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", listing], capture_output=True, text=True,
+                          env=env, check=True)
+    names, numpy_loaded = proc.stdout.rsplit(" ", 1)
     public = {
         name
-        for name, value in vars(polyharm).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in ast.literal_eval(names)
+        if not name.startswith("_") and not isinstance(getattr(polyharm, name), types.ModuleType)
     }
     assert _documented_api() == public
+    assert numpy_loaded.strip() == "False"
 
 
 def test_names_used_by_scripts_and_perfbench_are_documented():
