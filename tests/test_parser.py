@@ -509,16 +509,17 @@ def _unvalidated_final_terms(text, atoms):
 
     def recording(atoms, raw, check=False):
         if sys._getframe(1).f_code is parse.__code__:
-            handed.extend(raw)
+            handed.append(list(raw))
         return canonical(atoms, raw, check)
 
     with mock.patch.object(parser_module, "_canonical", recording):
         try:
             parse(text, atoms)
+            assert len(handed) == 1, "parse must end with one _canonical call"
         except (ParseError, ClosureError, UsageError):
             pass
     bad = []
-    for term in handed:
+    for term in (t for raw in handed for t in raw):
         try:
             if term.coeff:
                 _validated(atoms, term)
@@ -599,8 +600,6 @@ def test_products_share_one_term_budget():
 
 
 def test_parse_scans_nested_sums_without_reentering_parse(monkeypatch):
-    import polyharm.parser as parser_module
-
     calls = []
     original = parser_module.parse
 
