@@ -15,7 +15,10 @@ cases of `ANSATZ_EDGES` and `PAPER_ORACLE_CHARTS`.  Each command runs
 in-process; its line reads `<sha256 of stdout and stderr>  <exit code>
 <command>`.  No command prints the conformality operator, so one more line
 per chart hashes `str(g.conformality(f, h))` over fixed pairs, log pairs
-included, and one more hashes a point-function `fd_tension` value.  Two
+included, one more hashes a point-function `fd_tension` value, and one more
+hashes every (chart, function, bound) that `verify-paper --skip-oracle` and
+`lemma-check -n 3 --trials 30` pass to `classify`, which pins the random
+draws even where a check's status would not change.  Two
 trees are compared by diffing the output of this script run against each:
 
     PYTHONPATH=src python scripts/contract_digest.py > after.txt
@@ -29,9 +32,10 @@ import sys
 from itertools import product
 from pathlib import Path
 
+import polyharm.verify
 from polyharm.cli import main as cli_main
 from polyharm.errors import ClosureError
-from polyharm.geometries import by_id
+from polyharm.geometries import by_id, classify
 from polyharm.oracle import OracleConfig, fd_tension
 from polyharm.parser import parse
 
@@ -190,6 +194,27 @@ def print_point_function_tension() -> int:
     return 0
 
 
+def print_classified_draws() -> int:
+    """One line per `classify` call of the verify checks, by wrapping
+    `polyharm.verify.classify` for the two commands; their own output is
+    dropped."""
+    seen = []
+
+    def record(geometry, f, r_max):
+        seen.append(f"{geometry.name}  {f}  {r_max}")
+        return classify(geometry, f, r_max)
+
+    polyharm.verify.classify = record
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = max(cli_main(argv) for argv in (
+                ["verify-paper", "--skip-oracle"], ["lemma-check", "-n", "3", "--trials", "30"]))
+    finally:
+        polyharm.verify.classify = classify
+    print("\n".join(seen))
+    return code
+
+
 def battery() -> list[list[str]]:
     commands = []
     for fmt in ("text", "json"):
@@ -256,6 +281,8 @@ def main() -> int:
         print(f"{sha}  {code}  conformality -g {gid}")
     sha, code = digest(print_point_function_tension)
     print(f"{sha}  {code}  fd_tension -g h2xr (point function, levels 3)")
+    sha, code = digest(print_classified_draws)
+    print(f"{sha}  {code}  classify draws of verify-paper --skip-oracle, lemma-check -n 3 --trials 30")
     return 0
 
 

@@ -44,6 +44,8 @@ if TYPE_CHECKING:
 
 LOG_DISC = "log1m"  # log(1 - z*zb), the hyperbolic disc atom
 LOG_SPHERE = "log1p"  # log(1 + z*zb), the punctured sphere atom
+_LOG_DERIVATIVE_REFUSED = ("derivative of a log atom in z or zb is handled by the "
+                           "geometry operators, not the term algebra")
 
 
 @dataclass(frozen=True)
@@ -322,10 +324,7 @@ class Expr:
         raw = []
         for coeff, powers, weight, logp in self.terms:
             if logp and log_refused:
-                raise ClosureError(
-                    "derivative of a log atom in z or zb is handled by the "
-                    "geometry operators, not the term algebra"
-                )
+                raise ClosureError(_LOG_DERIVATIVE_REFUSED)
             k = powers[idx]
             if k:
                 lowered = powers[:idx] + (k - 1,) + powers[idx + 1 :]

@@ -179,7 +179,7 @@ def _cmd_classify(args) -> int:
 
 
 def _split_scalars(text: str, width: int | None = None) -> list:
-    values = [parse_scalar(s.strip()) for s in text.split(",") if s.strip()]
+    values = [parse_scalar(s.strip()) for s in text.split(",")] if text else []
     if width is not None:
         if len(values) > width:
             raise UsageError(f"expected at most {width} parameters")

@@ -6,6 +6,10 @@ Nonzero parameters are necessary but not sufficient for the claimed order:
 some families contain measure-zero parameter sets where the first tension
 field cancels (their descriptors carry explicit admissibility predicates),
 so callers should always re-classify rather than trust the label.
+``product.generic`` is no descriptor: a descriptor names one ``by_id`` chart,
+but this family's chart is built from ``--g1``/``--g2`` at run time, and
+``by_id("product:<g1>x<g2>")`` is not that chart for every pair: ``line`` x
+``line`` renames its factors, and the id splits at its first ``x``.
 
 The ansatz machinery turns a finite list of candidate terms into the exact
 matrix of the tension operator restricted to their span; harmonic (or
@@ -134,7 +138,8 @@ def primitive_normalized(f: Expr) -> Expr:
 def generate_kernel(system: AnsatzSystem) -> list[Expr]:
     """Exact basis of {f in span(basis) : tau^order f = 0}.  Each member is
     re-verified from its own terms, not from the matrix: tau^order f, through the
-    geometry's emission and a closure-checked exact merge, must vanish."""
+    geometry's emission and a closure-checked exact merge, must vanish.  Not via
+    ``classify``: its per-step Expr, _require and report cost 4 % of ansatz ops/s."""
     atoms, kernel = system.basis[0].atoms, []
     for v in nullspace(system.order_matrix):
         f = Expr(atoms, _canonical(atoms, [(t.coeff * c, t.powers, t.weight, t.logp)

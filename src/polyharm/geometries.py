@@ -54,6 +54,7 @@ from operator import add
 from typing import TYPE_CHECKING
 
 from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, _canonical, merge_atom_sets
+from .algebra import _LOG_DERIVATIVE_REFUSED
 from .errors import ClosureError, DomainError, UsageError
 from .rationals import GaussianRational
 
@@ -144,8 +145,7 @@ class Geometry:
                     continue
                 a_i, a_j = powers[i], powers[j]
                 if logp and i_conf and (a_j or j_exp and w):
-                    raise ClosureError("derivative of a log atom in z or zb is handled "
-                                       "by the geometry operators, not the term algebra")
+                    raise ClosureError(_LOG_DERIVATIVE_REFUSED)
                 outs = [(a_j * (a_i - same), 0)]
                 if w and j_exp:
                     outs.append(((1 + same) * a_i * w, 1))

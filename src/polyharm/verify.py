@@ -23,7 +23,6 @@ Statuses:
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,6 +35,7 @@ from .families import (
     generate_kernel,
     log_biharmonic,
     nil_biharmonic12,
+    primitive_normalized,
     random_nonzero_scalar,
     random_scalar,
     sl2_biharmonic6,
@@ -53,7 +53,7 @@ from .geometries import (
     iterated_tension,
     product_tension_binomial,
 )
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, primitive_rows
 from .parser import parse
 
 TRIALS = 20  # draws of the h2h3, separable and binomial-lemma checks
@@ -151,21 +151,6 @@ SL2_F2_TENSION_TEXT = (
 )
 
 
-def _ray(row: dict) -> frozenset:
-    """A nonzero sparse row scaled to leading entry 1: equal for proportional rows."""
-    lead = row[min(row)]
-    return frozenset((j, v / lead) for j, v in row.items())
-
-
-def rows_proportional(actual: ExactMatrix, expected: Sequence[Sequence[int]]) -> bool:
-    """Row sets equal up to permutation and nonzero row scaling."""
-    want = ExactMatrix.from_rows(expected)
-    shapes = (actual.rows, actual.cols) != (want.rows, want.cols)
-    if shapes or not all(actual.row_maps + want.row_maps):  # a zero row has no scale
-        return False
-    return Counter(map(_ray, actual.row_maps)) == Counter(map(_ray, want.row_maps))
-
-
 # -- individual checks ---------------------------------------------------------
 
 
@@ -188,19 +173,13 @@ def _check_sol_ansatz(ctx) -> list[CheckResult]:
         out.append(
             _result(
                 f"sol/ansatz-matrix-n{n}",
-                rows_proportional(system.matrix, rows),
+                primitive_rows(system.matrix) == primitive_rows(ExactMatrix.from_rows(rows)),
                 f"{system.matrix.rows}x{system.matrix.cols} tension matrix",
             )
         )
-    for n in range(2, 8):
-        system = AnsatzSystem.build(g, sol_axis_basis(n, "x", g))
-        kernel = generate_kernel(system)
-        ok = len(kernel) == 1
-        if ok:
-            expected = parse(AXIS_FAMILY_TEXT[n], g.atoms)
-            lead = kernel[0].terms[0].coeff
-            want_lead = expected.terms[0].coeff
-            ok = (want_lead / lead) * kernel[0] == expected
+    for n, text in AXIS_FAMILY_TEXT.items():
+        kernel = generate_kernel(AnsatzSystem.build(g, sol_axis_basis(n, "x", g)))
+        ok = len(kernel) == 1 and primitive_normalized(kernel[0]) == parse(text, g.atoms)
         out.append(_result(f"sol/ansatz-kernel-n{n}", ok))
     return out
 
@@ -362,12 +341,9 @@ def biharmonic_product_remark_check(
     cases = []
     for trial in range(trials):
         if geometry.first.atoms.log_kind is not None:
-            # scaled log atom plus a harmonic hol(z) + antihol(zb) part
-            f1 = random_nonzero_scalar(rng) * log_biharmonic(geometry)
-            z, zb = atoms.conformal
-            for name in (z, zb):
-                for k in range(rng.randint(0, 2) + 1):
-                    f1 = f1 + random_scalar(rng) * Expr.monomial(atoms, 1, {name: k})
+            scale = random_nonzero_scalar(rng)
+            hol, antihol = ([random_scalar(rng) for _ in range(rng.randint(1, 3))] for _ in "zb")
+            f1 = scale * log_biharmonic(geometry) + conformal_harmonic_part(atoms, hol, antihol)
         else:
             f1 = _biharmonic_line_poly(
                 rng, atoms, geometry.first.atoms.variables[0]

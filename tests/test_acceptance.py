@@ -31,6 +31,7 @@ from polyharm.geometries import (
     iterated_tension,
     product_tension_binomial,
 )
+from polyharm.linalg import ExactMatrix, primitive_rows
 from polyharm.oracle import OracleConfig, cross_validate
 from polyharm.parser import parse
 from polyharm.rationals import GaussianRational
@@ -42,7 +43,6 @@ from polyharm.verify import (
     random_expr,
     random_nonzero_scalar,
     random_scalar,
-    rows_proportional,
 )
 
 
@@ -75,7 +75,7 @@ def test_criterion_02_ansatz_generator():
         g = by_id("sol")
         for n, rows in ANSATZ_MATRIX_TEXT.items():
             system = AnsatzSystem.build(g, sol_axis_basis(n, "x", g))
-            assert rows_proportional(system.matrix, rows)
+            assert primitive_rows(system.matrix) == primitive_rows(ExactMatrix.from_rows(rows))
         for n in range(2, 8):
             system = AnsatzSystem.build(g, sol_axis_basis(n, "x", g))
             kernel = generate_kernel(system)

@@ -244,6 +244,19 @@ def test_generate_unknown_family(capsys):
     assert "unknown family" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["sol.tower", "-r", "1", "--params", "1,,2"],
+    ["sol.tower", "-r", "1", "--params", "1,2,"],
+    ["nil.f1", "--hol", ",1"],
+    ["nil.f1", "--antihol", "1, ,2"],
+])
+def test_generate_refuses_an_empty_scalar_piece(capsys, flags):
+    # an empty piece is not skipped, so it cannot shift the pieces after it
+    code, out, err = run(capsys, "generate", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 # -- oracle --------------------------------------------------------------------------
 
 

@@ -1,24 +1,20 @@
 import math
 import time
-from fractions import Fraction
 
 import pytest
 
-from polyharm import oracle
+from polyharm import oracle, verify
 from polyharm.errors import UsageError
 from polyharm.families import nil_biharmonic12
 from polyharm.geometries import ProductGeometry, by_id, classify
-from polyharm.linalg import ExactMatrix
 from polyharm.oracle import OracleConfig, validate_chain
 from polyharm.parser import parse
-from polyharm.rationals import GaussianRational
 from polyharm.verify import (
     CheckResult,
     SuiteContext,
     _classification_check,
     binomial_lemma_check,
     lemma_report,
-    rows_proportional,
     run_suite,
 )
 
@@ -69,29 +65,29 @@ def test_classification_check_statuses():
     assert _classification_check("c", [], 8).status == "fail"
 
 
-def test_rows_proportional_up_to_permutation_and_row_scaling():
-    i = GaussianRational(0, 1)
-    expected = [[2, 0, 1], [0, 1, 0], [1, 3, 0]]
+def _sol_ansatz_statuses(monkeypatch, **references) -> dict:
+    for name, value in references.items():
+        monkeypatch.setattr(verify, name, value)
+    return {r.check_id: r.status for r in verify._check_sol_ansatz(SuiteContext())}
 
-    def matrix(rows):
-        return ExactMatrix.from_rows(rows)
 
-    assert rows_proportional(matrix(expected), expected)
-    assert rows_proportional(matrix([[1, 3, 0], [2, 0, 1], [0, 1, 0]]), expected)
-    real = [[-3, 0, Fraction(-3, 2)], [0, 7, 0], [Fraction(1, 2), Fraction(3, 2), 0]]
-    assert rows_proportional(matrix(real), expected)
-    complex_ = [[2 * (1 + 2 * i), 0, 1 + 2 * i], [0, i, 0], [1, 3, 0]]
-    assert rows_proportional(matrix(complex_), expected)
-    # a non-proportional row, an extra row, an extra column
-    assert not rows_proportional(matrix([[2, 0, 1], [0, 1, 0], [1, 2, 0]]), expected)
-    assert not rows_proportional(matrix(expected + [[0, 0, 1]]), expected)
-    assert not rows_proportional(matrix([row + [0] for row in expected]), expected)
-    # one actual row may not answer two expected rows
-    assert not rows_proportional(matrix([[2, 0, 1], [0, 1, 0]]), [[2, 0, 1], [4, 0, 2]])
-    # an all-zero row has no scale, so it matches nothing, not even itself
-    zero = [[0, 0, 0], [0, 1, 0]]
-    assert not rows_proportional(matrix(zero), zero)
-    assert not rows_proportional(matrix([[1, 0, 0], [0, 1, 0]]), zero)
+def test_sol_ansatz_matrix_check_compares_primitive_rows_in_order(monkeypatch):
+    def n2(rows):
+        matrices = {**verify.ANSATZ_MATRIX_TEXT, 2: rows}
+        return _sol_ansatz_statuses(monkeypatch, ANSATZ_MATRIX_TEXT=matrices)["sol/ansatz-matrix-n2"]
+
+    assert verify.ANSATZ_MATRIX_TEXT[2] == [[2, 0, 1], [0, 1, 0]]
+    assert n2([[2, 0, 1], [0, 1, 0]]) == "pass"
+    assert n2([[-6, 0, -3], [0, 1, 0]]) == "pass"  # a row scaled by -3
+    assert n2([[2, 0, 3], [0, 1, 0]]) == "fail"  # a wrong entry
+    assert n2([[0, 1, 0], [2, 0, 1]]) == "fail"  # the rows swapped
+
+
+def test_sol_ansatz_kernel_check_fails_on_a_wrong_coefficient(monkeypatch):
+    texts = {**verify.AXIS_FAMILY_TEXT, 3: "2*x^3 - 5*x*E(-2)"}
+    statuses = _sol_ansatz_statuses(monkeypatch, AXIS_FAMILY_TEXT=texts)
+    assert statuses["sol/ansatz-kernel-n3"] == "fail"
+    assert [k for k, status in statuses.items() if status != "pass"] == ["sol/ansatz-kernel-n3"]
 
 
 def test_suite_metric_only_has_no_paper_checks():
