@@ -224,11 +224,8 @@ def _build_family(args):
 def _cmd_generate(args) -> int:
     if args.ansatz is not None:
         geometry = by_id(args.geometry, args.convention)
-        basis = [
-            parse(piece.strip(), geometry.atoms)
-            for piece in args.ansatz.split(",")
-            if piece.strip()
-        ]
+        pieces = args.ansatz.split(",") if args.ansatz else []
+        basis = [parse(piece.strip(), geometry.atoms) for piece in pieces]
         system = AnsatzSystem.build(geometry, basis, order=args.r)
         kernel = generate_kernel(system)
         matrix_rows = [

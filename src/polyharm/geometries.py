@@ -17,20 +17,22 @@ and on conformal surfaces, with u = z*zb and s = -1 (disc) or +1
 
     tau f = c (1 + s u)^2 f_zzb        c = 1 (metric) or 4 (paper)
 
-Each line is a chart's table.  An entry (c, powers, weight, i, j) reads
-c * prod v^p * E(weight) * d_i d_j, so the entries list the inverse metric:
-one with i == j is g^ii, one with i != j stands for g^ij + g^ji.  tau is a
-per-term kernel compiled from the table once per atom set: the entries are
-grouped by (i, j), and for each term each group emits at most three terms
-with integer multipliers (``Geometry._raw_tension``, the one body of tau: its
+Each line is a chart's table, the only description of its operators.  An
+entry (c, powers, weight, i, j) reads c * prod v^p * E(weight) * d_i d_j, so
+the entries list the inverse metric: one with i == j is g^ii, one with
+i != j stands for g^ij + g^ji.  Once per atom set the entries are grouped
+by (i, j), and tau's emission is generated from the groups as one compiled
+Python function, in which each group emits at most three terms with integer
+multipliers per term (``Geometry._raw_tension``, the one body of tau: its
 terms become an Expr in ``tension`` and ansatz matrix rows in
-``polyharm.families``).  kappa = sum g^ij f_i h_j reads the same groups: it
-forms f_i h_j (and f_j h_i off the diagonal) once per group, and each entry
-adds c m f_i h_i on the diagonal and c m (f_i h_j + f_j h_i) / 2 off it.
-Entries on the conformal pair act on the log-free part of f; the log atom L
-follows the closed-form rule of its surface, tau(L) = s c, with its own
-kappa terms.  Adding a chart means adding one table, one ``metric`` and one
-``_CHARTS`` entry.
+``polyharm.families``).  Only integer literals enter the generated source;
+any other table coefficient is bound by name.  kappa = sum g^ij f_i h_j
+reads the same groups: it forms f_i h_j (and f_j h_i off the diagonal) once
+per group, and each entry adds c m f_i h_i on the diagonal and
+c m (f_i h_j + f_j h_i) / 2 off it.  Entries on the conformal pair act on
+the log-free part of f; the log atom L follows the closed-form rule of its
+surface, tau(L) = s c, with its own kappa terms.  Adding a chart means
+adding one table, one ``metric`` and one ``_CHARTS`` entry.
 
 Two operator conventions exist for the conformal surfaces because the
 printed conformal factor of the operator (4(1 -+ u)^2) is four times the
@@ -50,7 +52,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import add
 from typing import TYPE_CHECKING
 
 from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, _canonical, merge_atom_sets
@@ -83,6 +84,57 @@ def _first_partials(f: Expr, free: Expr):
     return functools.cache(lambda v: (free if v in conformal else f).differentiate(v))
 
 
+@functools.cache
+def _compiled(source: str):
+    """An emitter's code object, shared by every chart that generates the same source."""
+    return compile(source, "<tension>", "exec")
+
+
+def _emitter(dim: int, groups: tuple, log_rule):
+    """``Geometry._raw_tension`` for ``groups`` over ``dim`` variables as one
+    generated function: a single pass over the terms fills one list per group
+    (and one for ``log_rule``), returned group after group.  Only int literals
+    enter the source; any other coefficient is bound by name in its namespace,
+    so a table may hold a Fraction or a GaussianRational."""
+    names = {"ClosureError": ClosureError, "REFUSED": _LOG_DERIVATIVE_REFUSED}
+
+    def lit(value) -> str:
+        if type(value) is int:
+            return repr(value)
+        names[f"k{len(names)}"] = value
+        return f"k{len(names) - 1}"
+
+    def plus(name: str, value) -> str:
+        return name if type(value) is int and not value else f"{name} + {lit(value)}"
+
+    p, body = [f"p{v}" for v in range(dim)], []
+    lists = [f"r{g}" for g in range(len(groups))] + ["rl"] * (log_rule is not None)
+    for g, (vi, vj, same, i_exp, j_exp, i_conf, j_conf, entries) in enumerate(groups):
+        pad = "\n" + " " * (12 if j_conf else 8)
+        if j_conf:
+            body.append("\n        if not logp:")
+        elif i_conf:
+            body.append(f"{pad}if logp and ({p[vj]}{' or w' * j_exp}): raise ClosureError(REFUSED)")
+        outs = [(f"{p[vj]} * ({p[vi]} - 1)" if same else f"{p[vj]} * {p[vi]}", 0)]
+        if j_exp:
+            outs += [(f"2 * {p[vi]} * w", 1), ("w * w", 3)] if same else [(f"{p[vi]} * w", 1)]
+        elif i_exp:
+            outs.append((f"{p[vj]} * w", 2))
+        for m, k in outs:
+            body.append(f"{pad}m = {m}{pad}if m:")
+            for c, we, shifts in entries:
+                mc = "m" if type(c) is int and c == 1 else f"(m * {lit(c)})"
+                powers = "".join(plus(v, s) + ", " for v, s in zip(p, shifts[k]))
+                body.append(f"{pad}    r{g}.append((coeff * {mc}, ({powers}), {plus('w', we)}, logp))")
+    if log_rule is not None:
+        body.append(f"\n        if logp: rl.append((coeff * {lit(log_rule.log_tension)}, powers, w, 0))")
+    source = (f"def emit(terms):\n    {', '.join(lists)}, = {'[], ' * len(lists)}\n"
+              f"    for coeff, powers, w, logp in terms:\n        {', '.join(p)}, = powers"
+              + "".join(body) + f"\n    return [{', '.join('*' + r for r in lists)}]\n")
+    exec(_compiled(source), names)
+    return names["emit"]
+
+
 class Geometry:
     """A chart with an operator table and a numeric metric.
 
@@ -104,11 +156,12 @@ class Geometry:
         self._kernels: dict[AtomSet, tuple] = {}
 
     def _kernel(self, atoms: AtomSet) -> tuple:
-        """The table compiled for ``atoms``: one group (i, j, i == j, i/j is
-        the exp variable, i/j is in the conformal pair, entries) per (i, j)
+        """The table compiled for ``atoms``: the groups, one (i, j, i == j, i/j
+        is the exp variable, i/j is in the conformal pair, entries) per (i, j)
         pair, each entry (c, weight, shifts) with shifts[k] its exponents less
-        the units that output k of ``tension`` lowers (so shifts[3] is the
-        entry's exponent tuple over ``atoms``)."""
+        the units that output k of ``_raw_tension`` lowers (so shifts[3] is the
+        entry's exponent tuple over ``atoms``), and tau's emission generated
+        from them by ``_emitter``."""
         kernel = self._kernels.get(atoms)
         if kernel is None:
             groups, conformal = {}, atoms.conformal or ()
@@ -119,7 +172,9 @@ class Geometry:
                                                    j in conformal, []))
                 group[-1].append((c, w, tuple(tuple(e - low.count(k) for k, e in enumerate(p))
                                               for low in ((vi, vj), (vi,), (vj,), ()))))
-            kernel = self._kernels[atoms] = tuple(groups.values())
+            groups = tuple(groups.values())
+            emit = _emitter(len(atoms.variables), groups, self.log_rule)
+            kernel = self._kernels[atoms] = (groups, emit)
         return kernel
 
     def tension(self, f: Expr) -> Expr:
@@ -128,7 +183,7 @@ class Geometry:
         return Expr(f.atoms, _canonical(f.atoms, self._raw_tension(f.atoms, f.terms), check=True))
 
     def _raw_tension(self, atoms: AtomSet, terms) -> list:
-        """Unmerged terms of tau (sum of ``terms``), term by term.  For t = c v^a
+        """Unmerged terms of tau (sum of ``terms``), group by group.  For t = c v^a
         E(w) L^p, d_i d_j t has at most three terms with integer multipliers (k = 0..3):
             0: a_j (a_i - [i = j]) t / (v_i v_j)
             1: (1 + [i = j]) a_i w t / v_i   when j is the exp variable
@@ -137,31 +192,9 @@ class Geometry:
         Each is emitted once per entry of the group, shifted by its powers and
         weight.  Log terms skip groups with j in the conformal pair (those act
         on the log-free part) and leave the algebra through a conformal i when
-        d_j of them is nonzero; the log rule adds ``log_tension`` A per A L."""
-        raw = []
-        for i, j, same, i_exp, j_exp, i_conf, j_conf, entries in self._kernel(atoms):
-            for coeff, powers, w, logp in terms:
-                if logp and j_conf:
-                    continue
-                a_i, a_j = powers[i], powers[j]
-                if logp and i_conf and (a_j or j_exp and w):
-                    raise ClosureError(_LOG_DERIVATIVE_REFUSED)
-                outs = [(a_j * (a_i - same), 0)]
-                if w and j_exp:
-                    outs.append(((1 + same) * a_i * w, 1))
-                    if same:
-                        outs.append((w * w, 3))
-                elif w and i_exp:
-                    outs.append((a_j * w, 2))
-                for m, k in outs:
-                    if m:
-                        for c, we, shifts in entries:
-                            raw.append((coeff * (m * c), tuple(map(add, powers, shifts[k])),
-                                        w + we, logp))
-        if self.log_rule is not None:
-            s = self.log_rule.log_tension
-            raw.extend((coeff * s, powers, w, 0) for coeff, powers, w, logp in terms if logp)
-        return raw
+        d_j of them is nonzero; the log rule adds ``log_tension`` A per A L.
+        ``_emitter`` unrolls this into one function per atom set (``_kernel``)."""
+        return self._kernel(atoms)[1](terms)
 
     def conformality(self, f: Expr, h: Expr) -> Expr:
         self._require(f)
@@ -171,7 +204,7 @@ class Geometry:
         dh = _first_partials(h, hp)
         names = f.atoms.variables
         parts = []
-        for vi, vj, same, *_, entries in self._kernel(f.atoms):
+        for vi, vj, same, *_, entries in self._kernel(f.atoms)[0]:
             i, j = names[vi], names[vj]
             pairs = ((i, j),) if same else ((i, j), (j, i))
             products = [(df(a) * dh(b)).terms for a, b in pairs]

@@ -24,9 +24,9 @@ a literal's (a, b, d) triple is built from its integers with one
 normalisation.  Any other '(' opens a sum, scanned by the same loop one
 level down.  A product becomes an Expr only once a sum in parentheses, or a
 power of one or of a literal, enters it, and a flat sum of products is
-canonicalised once.  Errors keep the class, message and token position of
-the grammar.  A closure error is raised at the factor that breaks a product:
-``log1m*log1m*0`` is refused, while ``0*log1m*log1m`` is 0.
+canonicalised once, unchecked.  Errors keep the class, message and token
+position of the grammar.  A closure error is raised at the factor that
+breaks a product: ``log1m*log1m*0`` is refused, ``0*log1m*log1m`` is 0.
 
 Budgets keep every input to a clean error:
 
@@ -300,7 +300,7 @@ def parse(src: str, atoms: AtomSet) -> Expr:
     _check_characters(src)
     raw, pos = _Scanner(src, atoms).sum(0, 0)
     _expect_end(src, pos)
-    return Expr(atoms, _canonical(atoms, raw, check=True))
+    return Expr(atoms, _canonical(atoms, raw))
 
 
 def parse_scalar(src: str) -> GaussianRational:

@@ -257,6 +257,19 @@ def test_generate_refuses_an_empty_scalar_piece(capsys, flags):
     assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ansatz", ["x,,y", "x,y,", "x, ,y", ",x", " "])
+def test_generate_refuses_an_empty_ansatz_piece(capsys, ansatz):
+    # as with --params: every piece of a non-empty --ansatz is parsed
+    code, out, err = run(capsys, "generate", "-g", "nil", "--ansatz", ansatz)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+def test_generate_empty_ansatz_is_an_empty_basis(capsys):
+    code, out, err = run(capsys, "generate", "-g", "nil", "--ansatz", "")
+    assert (code, out, err) == (4, "", "error: empty ansatz basis\n")
+
+
 # -- oracle --------------------------------------------------------------------------
 
 

@@ -1,12 +1,15 @@
 import random
 import re
+from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyharm.algebra import LOG_DISC, AtomSet, Expr
+import polyharm.geometries as geometries_module
+from polyharm.algebra import _LOG_DERIVATIVE_REFUSED, LOG_DISC, AtomSet, Expr
 from polyharm.errors import ClosureError, UsageError
 from polyharm.families import (
     log_biharmonic,
@@ -459,6 +462,91 @@ def test_raw_partial_tension_matches_per_partial_reference(case, rng):
                     allow_log=atoms.log_kind is not None)
     got = _tension_outcome(type(g).tension, g, f)
     assert got == _tension_outcome(_reference_tension, g, f)
+
+
+def _generic_raw_tension(g, atoms, terms):
+    """tau's raw terms by the generic loop over the compiled groups, as
+    Geometry._raw_tension ran before its emission was generated."""
+    raw = []
+    for i, j, same, i_exp, j_exp, i_conf, j_conf, entries in g._kernel(atoms)[0]:
+        for coeff, powers, w, logp in terms:
+            if logp and j_conf:
+                continue
+            a_i, a_j = powers[i], powers[j]
+            if logp and i_conf and (a_j or j_exp and w):
+                raise ClosureError(_LOG_DERIVATIVE_REFUSED)
+            outs = [(a_j * (a_i - same), 0)]
+            if w and j_exp:
+                outs.append(((1 + same) * a_i * w, 1))
+                if same:
+                    outs.append((w * w, 3))
+            elif w and i_exp:
+                outs.append((a_j * w, 2))
+            for m, k in outs:
+                if m:
+                    for c, we, shifts in entries:
+                        raw.append((coeff * (m * c), tuple(map(add, powers, shifts[k])),
+                                    w + we, logp))
+    if g.log_rule is not None:
+        s = g.log_rule.log_tension
+        raw.extend((coeff * s, powers, w, 0) for coeff, powers, w, logp in terms if logp)
+    return raw
+
+
+def _raw_outcome(emit, g, atoms, terms):
+    """The raw list with each coefficient's type, or the ClosureError text."""
+    try:
+        return [(type(c), c, p, w, logp) for c, p, w, logp in emit(g, atoms, terms)]
+    except ClosureError as exc:
+        return (ClosureError, str(exc))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(_TENSION_CASES), st.randoms(use_true_random=False))
+def test_generated_emission_matches_the_generic_loop(case, rng):
+    gid, convention, atoms = case
+    g = by_id(gid, convention)
+    atoms = atoms or g.atoms
+    f = random_expr(rng, atoms, max_terms=6, max_power=4,
+                    weights=(-2, -1, 0, 1, 2) if atoms.exp_var else (0,),
+                    allow_log=atoms.log_kind is not None)
+    got = _raw_outcome(type(g)._raw_tension, g, atoms, f.terms)
+    assert got == _raw_outcome(_generic_raw_tension, g, atoms, f.terms)
+
+
+def test_generated_emission_binds_non_integer_coefficients_by_name(monkeypatch):
+    sources = []
+    compiled = geometries_module._compiled
+    monkeypatch.setattr(geometries_module, "_compiled",
+                        lambda source: sources.append(source) or compiled(source))
+    atoms = AtomSet(("x", "y", "t"), exp_var="t")
+    half, gauss = Fraction(1, 2), GaussianRational(Fraction(2, 3), -1)
+    user = Geometry("user", atoms, ((-1.0, 1.0),) * 3,
+                    ((half, {}, 0, "x", "x"), (gauss, {"x": 1}, -1, "y", "t"),
+                     (2, {"y": 2}, 0, "t", "t")))
+    f = parse("x^3*y^2*t^2*E(2) + (1/3+2i)*x*y*E(-1) + t^3", atoms)
+    assert user._raw_tension(atoms, f.terms) == _generic_raw_tension(user, atoms, f.terms)
+    x, y = (parse(v, atoms) for v in ("x", "y"))
+
+    def d(u, v):
+        return f.differentiate(v).differentiate(u)
+
+    e = parse("E(-1)", atoms)
+    assert user.tension(f) == half * d("x", "x") + gauss * x * e * d("y", "t") + 2 * y * y * d("t", "t")
+    [source] = sources
+    assert "/" not in source and "Fraction" not in source and "Gaussian" not in source
+
+
+def test_rebuilt_charts_reuse_the_compiled_emission():
+    f = parse("x^2*y*t^3 + y^4", by_id("nil").atoms)
+    first = by_id("nil")
+    assert first._kernels == {}  # nothing is compiled before the first tau
+    want = first.tension(f)
+    before = geometries_module._compiled.cache_info()
+    again = by_id("nil")
+    assert again.tension(f) == want
+    after = geometries_module._compiled.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def _reference_conformality(g, f, h):
