@@ -169,17 +169,19 @@ class Term(NamedTuple):
 
 
 def _validated(atoms: AtomSet, term: Term) -> Term:
-    if min(term.powers, default=0) < 0:
+    """``term`` (or any (coeff, powers, weight, logp) tuple) if it is in the algebra."""
+    _, powers, weight, logp = term
+    if powers and min(powers) < 0:
         raise ClosureError("negative variable powers are outside the algebra")
-    if term.weight != 0 and atoms.exp_var is None:
+    if weight != 0 and atoms.exp_var is None:
         raise ClosureError("this chart has no exponential atom")
-    if term.logp:
+    if logp:
         if atoms.log_kind is None:
             raise ClosureError("this chart has no log atom")
-        if term.logp > 1:
+        if logp > 1:
             raise ClosureError("log atom squared is outside the algebra")
         iz, izb = atoms.conformal_indices()
-        if term.powers[iz] or term.powers[izb]:
+        if powers[iz] or powers[izb]:
             raise ClosureError(
                 "log-bearing terms may not carry powers of the conformal pair"
             )

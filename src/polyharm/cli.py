@@ -33,7 +33,7 @@ from .families import (
     primitive_normalized,
     product_r_harmonic,
 )
-from .geometries import CONVENTIONS, R_MAX, ProductGeometry, by_id, classify, iterated_tension
+from .geometries import CONVENTIONS, R_MAX, by_id, classify, iterated_tension, product
 from .linalg import primitive_rows
 from .parser import parse, parse_scalar
 from .verify import SuiteContext, lemma_report, run_suite
@@ -209,9 +209,7 @@ def _build_family(args):
     if args.family == "product.generic":
         if not all((args.g1, args.f1, args.g2, args.f2)):
             raise UsageError("product.generic needs --g1 --f1 --g2 --f2")
-        g1 = by_id(args.g1, args.convention)
-        g2 = by_id(args.g2, args.convention)
-        g = ProductGeometry(g1, g2)
+        g = product(by_id(args.g1, args.convention), by_id(args.g2, args.convention))
         f1 = parse(args.f1, g.atoms)
         f2 = parse(args.f2, g.atoms)
         return g, product_r_harmonic(g, f1, f2, args.r_max)

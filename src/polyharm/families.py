@@ -7,15 +7,16 @@ some families contain measure-zero parameter sets where the first tension
 field cancels (their descriptors carry explicit admissibility predicates),
 so callers should always re-classify rather than trust the label.
 ``product.generic`` is no descriptor: a descriptor names one ``by_id`` chart,
-but this family's chart is built from ``--g1``/``--g2`` at run time, and
-``by_id("product:<g1>x<g2>")`` is not that chart for every pair: ``line`` x
-``line`` renames its factors, and the id splits at its first ``x``.
+but this family's chart is built from ``--g1``/``--g2`` at run time (by
+``geometries.product``, as for a ``product:`` id), and a factor such as
+``h2xr`` has no product id, which splits at its first ``x``.
 
 The ansatz machinery turns a finite list of candidate terms into the exact
 matrix of the tension operator restricted to their span; harmonic (or
 r-harmonic) members are its kernel, computed over the Gaussian rationals.
-Each power of tau merges the geometry's raw tension terms of all basis images
-into sparse rows in one pass; each kernel member is re-verified on its own.
+Each power of tau puts the geometry's tension map of each basis image (tau on
+Gaussian-integer numerators, each output reduced once and closure-checked)
+straight into sparse rows; each kernel member is re-verified on its own.
 """
 
 from __future__ import annotations
@@ -51,25 +52,23 @@ def _leading_signature(e: Expr):
     return min(t.signature() for t in e.terms)
 
 
-def _merged_rows(atoms: AtomSet, columns: Sequence[Iterable[tuple]]) -> tuple[ExactMatrix, list]:
-    """The raw terms of the columns merged by signature: the matrix with one
-    row ``{column: value}`` per signature with a nonzero value (sorted, each
-    signature validated once), and each column's merged terms."""
+def _merged_rows(atoms: AtomSet, columns: Sequence[Iterable[tuple]]) -> ExactMatrix:
+    """The terms of the columns merged by signature: the matrix with one row
+    ``{column: value}`` per signature with a nonzero value (sorted, each
+    signature validated once)."""
     merged: dict[tuple, dict[int, GaussianRational]] = {}
     for j, raw in enumerate(columns):
         for coeff, powers, weight, logp in raw:
             if coeff:
                 row = merged.setdefault((logp, weight, powers), {})
                 row[j] = row[j] + coeff if j in row else coeff
-    rows, images = [], [[] for _ in columns]
+    rows = []
     for logp, weight, powers in sorted(merged):
         row = {j: c for j, c in merged[logp, weight, powers].items() if c}
         if row:
             _validated(atoms, Term(None, powers, weight, logp))
             rows.append(row)
-            for j, c in row.items():
-                images[j].append((c, powers, weight, logp))
-    return ExactMatrix(len(rows), len(columns), tuple(rows)), images
+    return ExactMatrix(len(rows), len(columns), tuple(rows))
 
 
 def _dependent(ordered: Sequence[Expr], leads: Sequence[tuple]) -> bool:
@@ -81,7 +80,7 @@ def _dependent(ordered: Sequence[Expr], leads: Sequence[tuple]) -> bool:
     """
     if all(a != b for a, b in zip(leads, leads[1:])):
         return False
-    return rank(_merged_rows(ordered[0].atoms, [b.terms for b in ordered])[0]) < len(ordered)
+    return rank(_merged_rows(ordered[0].atoms, [b.terms for b in ordered])) < len(ordered)
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,8 @@ class AnsatzSystem:
     ``matrix`` is the first-power tension map (columns indexed by the
     sorted basis, rows by the sorted term signatures of the images, so no
     rows when every image vanishes); ``order_matrix`` is the map for
-    tau^order, which generate_kernel inverts.  Each power's rows merge the
-    raw tension terms of the previous power's images, no Expr in between.
+    tau^order, which generate_kernel inverts.  Each power's rows collect the
+    tension maps of the previous power's images, no Expr in between.
     Construction fails with a closure error if tau leaves the algebra on
     any basis element, so existence of the system certifies closure.
     """
@@ -119,8 +118,12 @@ class AnsatzSystem:
         geometry._require(ordered[0])
         images, matrices = [b.terms for b in ordered], []
         for _ in range(order):
-            m, images = _merged_rows(atoms, [geometry._raw_tension(atoms, c) for c in images])
-            matrices.append(m)
+            taus, rows = [geometry._tension_map(atoms, c) for c in images], {}
+            for j, tau in enumerate(taus):
+                for key, c in tau.items():
+                    rows.setdefault(key, {})[j] = c
+            matrices.append(ExactMatrix(len(rows), len(taus), tuple(rows[k] for k in sorted(rows))))
+            images = [[(c, p, w, logp) for (logp, w, p), c in tau.items()] for tau in taus]
         return AnsatzSystem(geometry, ordered, matrices[0], order, matrices[-1])
 
 
@@ -138,7 +141,7 @@ def primitive_normalized(f: Expr) -> Expr:
 def generate_kernel(system: AnsatzSystem) -> list[Expr]:
     """Exact basis of {f in span(basis) : tau^order f = 0}.  Each member is
     re-verified from its own terms, not from the matrix: tau^order f, through the
-    geometry's emission and a closure-checked exact merge, must vanish.  Not via
+    geometry's closure-checked exact tension map, must vanish.  Not via
     ``classify``: its per-step Expr, _require and report cost 4 % of ansatz ops/s."""
     atoms, kernel = system.basis[0].atoms, []
     for v in nullspace(system.order_matrix):
@@ -146,7 +149,8 @@ def generate_kernel(system: AnsatzSystem) -> list[Expr]:
                                            for j, c in v.items() for t in system.basis[j].terms]))
         image = f.terms
         for _ in range(system.order):
-            image = _canonical(atoms, system.geometry._raw_tension(atoms, image), check=True)
+            tau = system.geometry._tension_map(atoms, image)
+            image = [(c, p, w, logp) for (logp, w, p), c in tau.items()]
         if image:
             raise AssertionError("kernel member failed exact re-verification")
         kernel.append(f)

@@ -21,18 +21,19 @@ Each line is a chart's table, the only description of its operators.  An
 entry (c, powers, weight, i, j) reads c * prod v^p * E(weight) * d_i d_j, so
 the entries list the inverse metric: one with i == j is g^ii, one with
 i != j stands for g^ij + g^ji.  Once per atom set the entries are grouped
-by (i, j), and tau's emission is generated from the groups as one compiled
+by (i, j), scaled to Gaussian-integer numerators over one table denominator
+(so only int literals enter the source), and compiled into one generated
 Python function, in which each group emits at most three terms with integer
-multipliers per term (``Geometry._raw_tension``, the one body of tau: its
-terms become an Expr in ``tension`` and ansatz matrix rows in
-``polyharm.families``).  Only integer literals enter the generated source;
-any other table coefficient is bound by name.  kappa = sum g^ij f_i h_j
-reads the same groups: it forms f_i h_j (and f_j h_i off the diagonal) once
-per group, and each entry adds c m f_i h_i on the diagonal and
-c m (f_i h_j + f_j h_i) / 2 off it.  Entries on the conformal pair act on
-the log-free part of f; the log atom L follows the closed-form rule of its
-surface, tau(L) = s c, with its own kappa terms.  Adding a chart means
-adding one table, one ``metric`` and one ``_CHARTS`` entry.
+multipliers per term.  tau runs on Gaussian-integer numerators over one
+common denominator and reduces each output to normal form once, closure-
+checked (``Geometry._tension_map``, the one body of tau: its map becomes an
+Expr in ``tension`` and ansatz matrix rows in ``polyharm.families``).
+kappa = sum g^ij f_i h_j reads the unscaled groups: it forms f_i h_j (and
+f_j h_i off the diagonal) once per group, and each entry adds c m f_i h_i on
+the diagonal and c m (f_i h_j + f_j h_i) / 2 off it.  Entries on the
+conformal pair act on the log-free part of f; the log atom L follows the
+closed-form rule of its surface, tau(L) = s c, with its own kappa terms.
+Adding a chart means adding one table, one ``metric`` and one ``_CHARTS`` entry.
 
 Two operator conventions exist for the conformal surfaces because the
 printed conformal factor of the operator (4(1 -+ u)^2) is four times the
@@ -52,12 +53,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import floordiv
 from typing import TYPE_CHECKING
 
-from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, _canonical, merge_atom_sets
+from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, Term, _validated, merge_atom_sets
 from .algebra import _LOG_DERIVATIVE_REFUSED
 from .errors import ClosureError, DomainError, UsageError
-from .rationals import GaussianRational
+from .rationals import GaussianRational, _reduced
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,29 +92,30 @@ def _compiled(source: str):
     return compile(source, "<tension>", "exec")
 
 
-def _emitter(dim: int, groups: tuple, log_rule):
-    """``Geometry._raw_tension`` for ``groups`` over ``dim`` variables as one
-    generated function: a single pass over the terms fills one list per group
-    (and one for ``log_rule``), returned group after group.  Only int literals
-    enter the source; any other coefficient is bound by name in its namespace,
-    so a table may hold a Fraction or a GaussianRational."""
-    names = {"ClosureError": ClosureError, "REFUSED": _LOG_DERIVATIVE_REFUSED}
+def _emitter(dim: int, groups: tuple, log_rule, scale: int):
+    """The numerators of ``Geometry._tension_map`` over ``dim`` variables as one
+    generated function ``emit(terms, D)``: one pass over the terms (a + b i) / D
+    adds (a + b i) m (p + q i) into a [real, imaginary] slot per signature for
+    each table coefficient (p + q i) / ``scale`` of ``groups`` and ``log_rule``.
+    The table is scaled once, so only int literals enter the source."""
+    def times(name: str, k: int) -> list[str]:
+        return [] if not k else [name if k == 1 else f"-{name}" if k == -1 else f"{name} * {k}"]
 
-    def lit(value) -> str:
-        if type(value) is int:
-            return repr(value)
-        names[f"k{len(names)}"] = value
-        return f"k{len(names) - 1}"
+    def add(pad: str, key: str, a: str, b: str, c) -> list[str]:
+        c = GaussianRational.coerce(c)
+        p, q = c.a * (scale // c.d), c.b * (scale // c.d)
+        re, im = " + ".join(times(a, p) + times(b, -q)), " + ".join(times(a, q) + times(b, p))
+        return [f"{pad}k = {key}", f"{pad}v = get(k)", f"{pad}if v is None: out[k] = [{re}, {im}]",
+                f"{pad}else: v[0] += {re}; v[1] += {im}"] if p or q else []
 
-    def plus(name: str, value) -> str:
-        return name if type(value) is int and not value else f"{name} + {lit(value)}"
+    def plus(name: str, value: int) -> str:
+        return f"{name} + {value}" if value else name
 
     p, body = [f"p{v}" for v in range(dim)], []
-    lists = [f"r{g}" for g in range(len(groups))] + ["rl"] * (log_rule is not None)
-    for g, (vi, vj, same, i_exp, j_exp, i_conf, j_conf, entries) in enumerate(groups):
-        pad = "\n" + " " * (12 if j_conf else 8)
+    for vi, vj, same, i_exp, j_exp, i_conf, j_conf, entries in groups:
+        pad = " " * (12 if j_conf else 8)
         if j_conf:
-            body.append("\n        if not logp:")
+            body.append("        if not logp:")
         elif i_conf:
             body.append(f"{pad}if logp and ({p[vj]}{' or w' * j_exp}): raise ClosureError(REFUSED)")
         outs = [(f"{p[vj]} * ({p[vi]} - 1)" if same else f"{p[vj]} * {p[vi]}", 0)]
@@ -121,16 +124,18 @@ def _emitter(dim: int, groups: tuple, log_rule):
         elif i_exp:
             outs.append((f"{p[vj]} * w", 2))
         for m, k in outs:
-            body.append(f"{pad}m = {m}{pad}if m:")
+            body += [f"{pad}m = {m}", f"{pad}if m:", f"{pad}    am, bm = a * m, b * m"]
             for c, we, shifts in entries:
-                mc = "m" if type(c) is int and c == 1 else f"(m * {lit(c)})"
                 powers = "".join(plus(v, s) + ", " for v, s in zip(p, shifts[k]))
-                body.append(f"{pad}    r{g}.append((coeff * {mc}, ({powers}), {plus('w', we)}, logp))")
+                powers = f"({powers})" if any(shifts[k]) else "powers"
+                body += add(pad + "    ", f"(logp, {plus('w', we)}, {powers})", "am", "bm", c)
     if log_rule is not None:
-        body.append(f"\n        if logp: rl.append((coeff * {lit(log_rule.log_tension)}, powers, w, 0))")
-    source = (f"def emit(terms):\n    {', '.join(lists)}, = {'[], ' * len(lists)}\n"
-              f"    for coeff, powers, w, logp in terms:\n        {', '.join(p)}, = powers"
-              + "".join(body) + f"\n    return [{', '.join('*' + r for r in lists)}]\n")
+        body += ["        if logp:"] + add(" " * 12, "(0, w, powers)", "a", "b", log_rule.log_tension)
+    source = "\n".join(["def emit(terms, D):\n    out = {}\n    get = out.get",
+                        "    for coeff, powers, w, logp in terms:\n        s = floordiv(D, coeff.d)",
+                        f"        a, b = coeff.a * s, coeff.b * s\n        {', '.join(p)}, = powers",
+                        *body, "    return out\n"])
+    names = {"ClosureError": ClosureError, "REFUSED": _LOG_DERIVATIVE_REFUSED, "floordiv": floordiv}
     exec(_compiled(source), names)
     return names["emit"]
 
@@ -159,9 +164,10 @@ class Geometry:
         """The table compiled for ``atoms``: the groups, one (i, j, i == j, i/j
         is the exp variable, i/j is in the conformal pair, entries) per (i, j)
         pair, each entry (c, weight, shifts) with shifts[k] its exponents less
-        the units that output k of ``_raw_tension`` lowers (so shifts[3] is the
-        entry's exponent tuple over ``atoms``), and tau's emission generated
-        from them by ``_emitter``."""
+        the units that output k of ``_tension_map`` lowers (so shifts[3] is the
+        entry's exponent tuple over ``atoms``); ``scale``, the lcm of the
+        denominators of the table's coefficients and ``log_tension``; and tau's
+        emission generated by ``_emitter`` from the groups scaled by it."""
         kernel = self._kernels.get(atoms)
         if kernel is None:
             groups, conformal = {}, atoms.conformal or ()
@@ -173,18 +179,22 @@ class Geometry:
                 group[-1].append((c, w, tuple(tuple(e - low.count(k) for k, e in enumerate(p))
                                               for low in ((vi, vj), (vi,), (vj,), ()))))
             groups = tuple(groups.values())
-            emit = _emitter(len(atoms.variables), groups, self.log_rule)
-            kernel = self._kernels[atoms] = (groups, emit)
+            coeffs = [e[0] for e in self.table] + [r.log_tension for r in [self.log_rule] if r]
+            scale = math.lcm(*(GaussianRational.coerce(c).d for c in coeffs))
+            emit = _emitter(len(atoms.variables), groups, self.log_rule, scale)
+            kernel = self._kernels[atoms] = (groups, scale, emit)
         return kernel
 
     def tension(self, f: Expr) -> Expr:
-        """tau f: ``_raw_tension`` in one closure-checked canonicalisation pass."""
+        """tau f: ``_tension_map`` sorted into terms."""
         self._require(f)
-        return Expr(f.atoms, _canonical(f.atoms, self._raw_tension(f.atoms, f.terms), check=True))
+        tau = sorted(self._tension_map(f.atoms, f.terms).items(), reverse=True)
+        return Expr(f.atoms, tuple([Term(c, p, w, logp) for (logp, w, p), c in tau]))
 
-    def _raw_tension(self, atoms: AtomSet, terms) -> list:
-        """Unmerged terms of tau (sum of ``terms``), group by group.  For t = c v^a
-        E(w) L^p, d_i d_j t has at most three terms with integer multipliers (k = 0..3):
+    def _tension_map(self, atoms: AtomSet, terms) -> dict:
+        """tau of the sum of ``terms`` as {signature: coefficient}, each nonzero,
+        in normal form and closure-checked.  For t = c v^a E(w) L^p, d_i d_j t
+        has at most three terms with integer multipliers m (k = 0..3):
             0: a_j (a_i - [i = j]) t / (v_i v_j)
             1: (1 + [i = j]) a_i w t / v_i   when j is the exp variable
             2: a_j w t / v_j                 when only i is
@@ -192,9 +202,17 @@ class Geometry:
         Each is emitted once per entry of the group, shifted by its powers and
         weight.  Log terms skip groups with j in the conformal pair (those act
         on the log-free part) and leave the algebra through a conformal i when
-        d_j of them is nonzero; the log rule adds ``log_tension`` A per A L.
-        ``_emitter`` unrolls this into one function per atom set (``_kernel``)."""
-        return self._kernel(atoms)[1](terms)
+        d_j of them is nonzero; the log rule adds ``log_tension`` A per A L.  With
+        ``terms`` over their common denominator D, ``_emitter``'s function sums
+        Gaussian-integer numerators over D * scale; each sum is reduced once."""
+        _, scale, emit = self._kernel(atoms)
+        D = math.lcm(*[t[0].d for t in terms])
+        tau, DL = {}, D * scale
+        for key, (a, b) in emit(terms, D).items():
+            if a or b:
+                _validated(atoms, (None, key[2], key[1], key[0]))
+                tau[key] = _reduced(a, b, DL)
+        return tau
 
     def conformality(self, f: Expr, h: Expr) -> Expr:
         self._require(f)
@@ -534,6 +552,13 @@ _CHARTS = {
 }
 
 
+def product(first: Geometry, second: Geometry) -> ProductGeometry:
+    """first x second, with the factors of line x line renamed to s and t."""
+    if first.name == second.name == "line":
+        return ProductGeometry(Line("s"), Line("t"), name="linexline")
+    return ProductGeometry(first, second)
+
+
 def by_id(geometry_id: str, convention: str = "metric") -> Geometry:
     """Build a geometry from its stable id under ``convention``.
 
@@ -548,11 +573,7 @@ def by_id(geometry_id: str, convention: str = "metric") -> Geometry:
         left, sep, right = spec.partition("x")
         if not sep or left not in _CHARTS or right not in _CHARTS:
             raise UsageError(f"malformed product geometry id {geometry_id!r}")
-        if left == "line" and right == "line":
-            return ProductGeometry(Line("s"), Line("t"), name="linexline")
-        g1 = _CHARTS[left](convention)
-        g2 = _CHARTS[right](convention)
-        return ProductGeometry(g1, g2)
+        return product(_CHARTS[left](convention), _CHARTS[right](convention))
     build = _CHARTS.get(geometry_id)
     if build is None:
         raise UsageError(f"unknown geometry id {geometry_id!r}")

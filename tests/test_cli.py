@@ -199,6 +199,15 @@ def test_generate_product_generic(capsys):
     assert payload["expr"] == "z*t^3"
 
 
+def test_generate_product_generic_on_line_x_line_uses_the_product_id_chart(capsys):
+    # the flat plane, as tension -g product:linexline builds it: factors s and t
+    code, payload, _ = run_json(capsys, "generate", "product.generic", "--g1", "line",
+                                "--f1", "s", "--g2", "line", "--f2", "t^3")
+    assert (code, payload["order"], payload["expr"]) == (0, 2, "s*t^3")
+    code, out, _ = run(capsys, "tension", "-g", "product:linexline", "s*t^3", "-r", "2")
+    assert (code, out.split()[-1]) == (0, "0")
+
+
 # One explicit `generate` argv per registry family, with the convention and
 # the build parameters it stands for: trailing --params are zero-padded, and
 # the s2r.separable line leaves --hol and --params at their defaults.

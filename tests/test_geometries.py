@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -9,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyharm.geometries as geometries_module
-from polyharm.algebra import _LOG_DERIVATIVE_REFUSED, LOG_DISC, AtomSet, Expr
+from polyharm.algebra import _LOG_DERIVATIVE_REFUSED, LOG_DISC, AtomSet, Expr, Term, _canonical
 from polyharm.errors import ClosureError, UsageError
 from polyharm.families import (
+    AnsatzSystem,
+    _merged_rows,
     log_biharmonic,
     nil_biharmonic12,
     sol_axis_family,
@@ -465,8 +468,8 @@ def test_raw_partial_tension_matches_per_partial_reference(case, rng):
 
 
 def _generic_raw_tension(g, atoms, terms):
-    """tau's raw terms by the generic loop over the compiled groups, as
-    Geometry._raw_tension ran before its emission was generated."""
+    """tau's raw terms by the generic loop over the compiled groups, as tau
+    was emitted before its emission was generated: the reference."""
     raw = []
     for i, j, same, i_exp, j_exp, i_conf, j_conf, entries in g._kernel(atoms)[0]:
         for coeff, powers, w, logp in terms:
@@ -493,12 +496,25 @@ def _generic_raw_tension(g, atoms, terms):
     return raw
 
 
-def _raw_outcome(emit, g, atoms, terms):
-    """The raw list with each coefficient's type, or the ClosureError text."""
+def _reference_map(g, atoms, terms):
+    """tau's {signature: coefficient} map, merged from the generic loop's raw
+    terms by the closure-checked canonicalisation."""
+    canonical = _canonical(atoms, _generic_raw_tension(g, atoms, terms), check=True)
+    return {t.signature(): t.coeff for t in canonical}
+
+
+def _map_outcome(tau, g, atoms, terms):
+    """The map with each coefficient's type, or the ClosureError text."""
     try:
-        return [(type(c), c, p, w, logp) for c, p, w, logp in emit(g, atoms, terms)]
+        return {key: (type(c), c) for key, c in tau(g, atoms, terms).items()}
     except ClosureError as exc:
         return (ClosureError, str(exc))
+
+
+def _assert_normal_form(tau):
+    for c in tau.values():
+        assert type(c) is GaussianRational and c
+        assert c.d > 0 and math.gcd(c.a, c.b, c.d) == 1, (c.a, c.b, c.d)
 
 
 @settings(max_examples=300)
@@ -510,11 +526,53 @@ def test_generated_emission_matches_the_generic_loop(case, rng):
     f = random_expr(rng, atoms, max_terms=6, max_power=4,
                     weights=(-2, -1, 0, 1, 2) if atoms.exp_var else (0,),
                     allow_log=atoms.log_kind is not None)
-    got = _raw_outcome(type(g)._raw_tension, g, atoms, f.terms)
-    assert got == _raw_outcome(_generic_raw_tension, g, atoms, f.terms)
+    got = _map_outcome(type(g)._tension_map, g, atoms, f.terms)
+    assert got == _map_outcome(_reference_map, g, atoms, f.terms)
 
 
-def test_generated_emission_binds_non_integer_coefficients_by_name(monkeypatch):
+# coprime denominators whose product has more than 64 bits
+_BIG_DENOMINATORS = (2**61 - 1, 10**9 + 7, 998244353, 3**20, 2**31)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(_TENSION_CASES), st.randoms(use_true_random=False))
+def test_tension_map_is_in_normal_form_over_large_coprime_denominators(case, rng):
+    gid, convention, atoms = case
+    g = by_id(gid, convention)
+    atoms = atoms or g.atoms
+    f = random_expr(rng, atoms, max_terms=6, max_power=4,
+                    weights=(-2, -1, 0, 1, 2) if atoms.exp_var else (0,),
+                    allow_log=atoms.log_kind is not None)
+    terms = [(c * GaussianRational(Fraction(rng.randint(-9, 9) or 1, rng.choice(_BIG_DENOMINATORS)),
+                                   rng.choice((0, Fraction(1, rng.choice(_BIG_DENOMINATORS))))),
+              p, w, logp) for c, p, w, logp in f.terms]
+    got = _map_outcome(type(g)._tension_map, g, atoms, terms)
+    assert got == _map_outcome(_reference_map, g, atoms, terms)
+    if type(got) is dict:
+        _assert_normal_form(g._tension_map(atoms, terms))
+
+
+@pytest.mark.parametrize("gid, convention, text, want", [
+    # harmonic inputs over large denominators: every numerator sum cancels
+    ("nil", "metric", "1/2305843009213693951*x^2 - 1/2305843009213693951*y^2", "0"),
+    ("sol", "metric", "(1/998244353+1/7i)*x*y - 1/1000000007*t", "0"),
+    ("h2", "paper", "1/3486784401*z^5 + (2/1000000007-1i)*zb^3", "0"),
+    ("product:linexline", "metric", "1/2147483648*s*t - 3/1000000007*s", "0"),
+    # partial cancellation: the sums reduce to smaller denominators
+    ("nil", "metric", "1/6*x^2 + 1/3*y^2 + 1/3*t^2", "2/3*x^2 + 5/3"),
+    ("h2", "metric", "1/6*z*zb + 1/3*log1m", "1/6*z^2*zb^2 - 1/3*z*zb - 1/6"),
+    ("s2p", "paper", "(1/4+1/4i)*log1p", "(1+1i)"),
+])
+def test_tension_map_reduces_cancelling_sums(gid, convention, text, want):
+    g = by_id(gid, convention)
+    f = parse(text, g.atoms)
+    tau = g._tension_map(g.atoms, f.terms)
+    _assert_normal_form(tau)
+    assert tau == _reference_map(g, g.atoms, f.terms)
+    assert str(g.tension(f)) == want
+
+
+def test_generated_emission_scales_a_user_table_to_integer_numerators(monkeypatch):
     sources = []
     compiled = geometries_module._compiled
     monkeypatch.setattr(geometries_module, "_compiled",
@@ -525,7 +583,10 @@ def test_generated_emission_binds_non_integer_coefficients_by_name(monkeypatch):
                     ((half, {}, 0, "x", "x"), (gauss, {"x": 1}, -1, "y", "t"),
                      (2, {"y": 2}, 0, "t", "t")))
     f = parse("x^3*y^2*t^2*E(2) + (1/3+2i)*x*y*E(-1) + t^3", atoms)
-    assert user._raw_tension(atoms, f.terms) == _generic_raw_tension(user, atoms, f.terms)
+    tau = user._tension_map(atoms, f.terms)
+    assert tau == _reference_map(user, atoms, f.terms)
+    _assert_normal_form(tau)
+    assert user._kernel(atoms)[1] == 6  # the table denominator: 1/2 and (2/3 - i)
     x, y = (parse(v, atoms) for v in ("x", "y"))
 
     def d(u, v):
@@ -535,6 +596,32 @@ def test_generated_emission_binds_non_integer_coefficients_by_name(monkeypatch):
     assert user.tension(f) == half * d("x", "x") + gauss * x * e * d("y", "t") + 2 * y * y * d("t", "t")
     [source] = sources
     assert "/" not in source and "Fraction" not in source and "Gaussian" not in source
+    assert "* 3" in source and "* -6" in source  # 1/2 = 3/6 and (2/3 - i) = (4 - 6i)/6
+
+
+@pytest.mark.parametrize("gid, convention", [("nil", "metric"), ("sl2", "metric"),
+                                             ("h2xr", "paper"), ("s2pxr", "metric"),
+                                             ("product:nilxh2", "metric"), ("sol", "metric")])
+@pytest.mark.parametrize("order", [1, 2])
+def test_ansatz_rows_are_the_merged_rows_of_the_reference(gid, convention, order):
+    g = by_id(gid, convention)
+    atoms, rng = g.atoms, random.Random(f"ansatz-rows-{gid}-{order}")
+    log = atoms.log_kind
+    signatures = {(0, rng.choice((-2, 0, 3)) if atoms.exp_var else 0,
+                   tuple(rng.randint(0, 3) for _ in atoms.variables)) for _ in range(14)}
+    if log:
+        signatures |= {(1, 0, tuple(k if v == "t" else 0 for v in atoms.variables))
+                       for k in range(3)}
+    basis = [Expr(atoms, (Term(random_nonzero_scalar(rng) / rng.choice((1, 3, 10**9 + 7)),
+                               powers, w, logp),)) for logp, w, powers in sorted(signatures)]
+    system = AnsatzSystem.build(g, basis, order)
+    images, matrices = [b.terms for b in system.basis], []
+    for _ in range(order):
+        matrices.append(_merged_rows(atoms, [_generic_raw_tension(g, atoms, c) for c in images]))
+        images = [_canonical(atoms, _generic_raw_tension(g, atoms, c), check=True) for c in images]
+    for got, want in ((system.matrix, matrices[0]), (system.order_matrix, matrices[-1])):
+        assert (got.rows, got.cols, got.row_maps) == (want.rows, want.cols, want.row_maps)
+    assert system.matrix.rows > 0
 
 
 def test_rebuilt_charts_reuse_the_compiled_emission():
