@@ -74,6 +74,13 @@ class AtomSet:
             z, zb = self.conformal
             if z not in self.variables or zb not in self.variables:
                 raise UsageError("conformal pair must consist of chart variables")
+        object.__setattr__(self, "_hash", hash(self.__reduce__()[1]))  # tau looks tables up by it
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # the fields alone: str hashes, so _hash, differ between processes
+        return AtomSet, (self.variables, self.exp_var, self.log_kind, self.conformal)
 
     def index(self, name: str) -> int:
         try:

@@ -24,9 +24,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .algebra import AtomSet, Expr, Term, _canonical, _validated
+from .algebra import AtomSet, Expr, _canonical
 from .errors import UsageError
 from .geometries import R_MAX, Geometry, ProductGeometry, by_id, classify
 from .linalg import ExactMatrix, nullspace, primitive_scale, rank
@@ -52,23 +52,14 @@ def _leading_signature(e: Expr):
     return min(t.signature() for t in e.terms)
 
 
-def _merged_rows(atoms: AtomSet, columns: Sequence[Iterable[tuple]]) -> ExactMatrix:
-    """The terms of the columns merged by signature: the matrix with one row
-    ``{column: value}`` per signature with a nonzero value (sorted, each
-    signature validated once)."""
-    merged: dict[tuple, dict[int, GaussianRational]] = {}
-    for j, raw in enumerate(columns):
-        for coeff, powers, weight, logp in raw:
-            if coeff:
-                row = merged.setdefault((logp, weight, powers), {})
-                row[j] = row[j] + coeff if j in row else coeff
-    rows = []
-    for logp, weight, powers in sorted(merged):
-        row = {j: c for j, c in merged[logp, weight, powers].items() if c}
-        if row:
-            _validated(atoms, Term(None, powers, weight, logp))
-            rows.append(row)
-    return ExactMatrix(len(rows), len(columns), tuple(rows))
+def _matrix(columns: Sequence[dict]) -> ExactMatrix:
+    """The matrix whose column j is the {signature: coefficient} map
+    ``columns[j]``: one row ``{column: value}`` per signature, sorted."""
+    rows: dict[tuple, dict] = {}
+    for j, column in enumerate(columns):
+        for key, c in column.items():
+            rows.setdefault(key, {})[j] = c
+    return ExactMatrix(len(rows), len(columns), tuple(rows[k] for k in sorted(rows)))
 
 
 def _dependent(ordered: Sequence[Expr], leads: Sequence[tuple]) -> bool:
@@ -80,7 +71,7 @@ def _dependent(ordered: Sequence[Expr], leads: Sequence[tuple]) -> bool:
     """
     if all(a != b for a, b in zip(leads, leads[1:])):
         return False
-    return rank(_merged_rows(ordered[0].atoms, [b.terms for b in ordered])) < len(ordered)
+    return rank(_matrix([{t.signature(): t.coeff for t in b.terms} for b in ordered])) < len(leads)
 
 
 @dataclass(frozen=True)
@@ -118,11 +109,8 @@ class AnsatzSystem:
         geometry._require(ordered[0])
         images, matrices = [b.terms for b in ordered], []
         for _ in range(order):
-            taus, rows = [geometry._tension_map(atoms, c) for c in images], {}
-            for j, tau in enumerate(taus):
-                for key, c in tau.items():
-                    rows.setdefault(key, {})[j] = c
-            matrices.append(ExactMatrix(len(rows), len(taus), tuple(rows[k] for k in sorted(rows))))
+            taus = [geometry._tension_map(atoms, c) for c in images]
+            matrices.append(_matrix(taus))
             images = [[(c, p, w, logp) for (logp, w, p), c in tau.items()] for tau in taus]
         return AnsatzSystem(geometry, ordered, matrices[0], order, matrices[-1])
 
@@ -438,7 +426,14 @@ def product_r_harmonic(
     geometry: ProductGeometry, f1: Expr, f2: Expr, r_max: int = R_MAX
 ) -> Expr:
     """f1 * f2 for harmonic f1 on the first factor and r-harmonic f2 on the
-    second; the product is proper r-harmonic on the product chart."""
+    second; the product is proper r-harmonic on the product chart.  Each of
+    f1 and f2 may use only its own factor's variables, weight and log atom."""
+    for which, own, f in (("first", geometry.first.atoms, f1),
+                          ("second", geometry.second.atoms, f2)):
+        outside = [k for k, v in enumerate(f.atoms.variables) if v not in own.variables]
+        if any(any(t.powers[k] for k in outside) or t.weight and not own.exp_var
+               or t.logp and not own.log_kind for t in f.terms):
+            raise UsageError(f"{which} factor expression uses a symbol of the other factor")
     report1 = classify(geometry.first, f1, r_max)
     if report1.order != 1:
         raise UsageError(

@@ -26,8 +26,8 @@ by (i, j), scaled to Gaussian-integer numerators over one table denominator
 Python function, in which each group emits at most three terms with integer
 multipliers per term.  tau runs on Gaussian-integer numerators over one
 common denominator and reduces each output to normal form once, closure-
-checked (``Geometry._tension_map``, the one body of tau: its map becomes an
-Expr in ``tension`` and ansatz matrix rows in ``polyharm.families``).
+checked unless the table proves it (``Geometry._tension_map``, tau's one
+body: its map becomes an Expr in ``tension`` and ansatz rows in ``families``).
 kappa = sum g^ij f_i h_j reads the unscaled groups: it forms f_i h_j (and
 f_j h_i off the diagonal) once per group, and each entry adds c m f_i h_i on
 the diagonal and c m (f_i h_j + f_j h_i) / 2 off it.  Entries on the
@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING
 from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, Term, _validated, merge_atom_sets
 from .algebra import _LOG_DERIVATIVE_REFUSED
 from .errors import ClosureError, DomainError, UsageError
-from .rationals import GaussianRational, _reduced
+from .rationals import GaussianRational, _make, _reduced
 
 if TYPE_CHECKING:
     import numpy as np
@@ -166,8 +166,10 @@ class Geometry:
         pair, each entry (c, weight, shifts) with shifts[k] its exponents less
         the units that output k of ``_tension_map`` lowers (so shifts[3] is the
         entry's exponent tuple over ``atoms``); ``scale``, the lcm of the
-        denominators of the table's coefficients and ``log_tension``; and tau's
-        emission generated by ``_emitter`` from the groups scaled by it."""
+        denominators of the table's coefficients and ``log_tension``; tau's
+        emission generated by ``_emitter`` from the groups scaled by it; and
+        ``closed``: no entry has a negative exponent, or a weight when ``atoms``
+        has no E, so no log-free output of a valid input leaves the algebra."""
         kernel = self._kernels.get(atoms)
         if kernel is None:
             groups, conformal = {}, atoms.conformal or ()
@@ -182,7 +184,9 @@ class Geometry:
             coeffs = [e[0] for e in self.table] + [r.log_tension for r in [self.log_rule] if r]
             scale = math.lcm(*(GaussianRational.coerce(c).d for c in coeffs))
             emit = _emitter(len(atoms.variables), groups, self.log_rule, scale)
-            kernel = self._kernels[atoms] = (groups, scale, emit)
+            closed = all(min(e[2][3], default=0) >= 0 and (atoms.exp_var or not e[1])
+                         for *_, entries in groups for e in entries)
+            kernel = self._kernels[atoms] = (groups, scale, emit, closed)
         return kernel
 
     def tension(self, f: Expr) -> Expr:
@@ -204,14 +208,17 @@ class Geometry:
         on the log-free part) and leave the algebra through a conformal i when
         d_j of them is nonzero; the log rule adds ``log_tension`` A per A L.  With
         ``terms`` over their common denominator D, ``_emitter``'s function sums
-        Gaussian-integer numerators over D * scale; each sum is reduced once."""
-        _, scale, emit = self._kernel(atoms)
-        D = math.lcm(*[t[0].d for t in terms])
+        Gaussian-integer numerators over D * scale; each sum is reduced once.
+        Under a ``closed`` table only log-bearing outputs are closure-checked:
+        they may pick up powers of the conformal pair from an entry."""
+        _, scale, emit, closed = self._kernel(atoms)
+        D = terms[0][0].d if len(terms) == 1 else math.lcm(*[t[0].d for t in terms])
         tau, DL = {}, D * scale
         for key, (a, b) in emit(terms, D).items():
             if a or b:
-                _validated(atoms, (None, key[2], key[1], key[0]))
-                tau[key] = _reduced(a, b, DL)
+                if key[0] or not closed:
+                    _validated(atoms, (None, key[2], key[1], key[0]))
+                tau[key] = _make(a, b, 1) if DL == 1 else _reduced(a, b, DL)
         return tau
 
     def conformality(self, f: Expr, h: Expr) -> Expr:

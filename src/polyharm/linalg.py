@@ -2,12 +2,15 @@
 
 An :class:`ExactMatrix` stores only its nonzero entries, as one
 ``{column: value}`` map per row, and may have no rows at all (the map of a
-basis whose images all vanish).  Every reduction is one Gauss-Jordan
-elimination that starts from copies of those maps and touches only nonzero
-entries.  Pivot columns are taken left to right; of the rows holding the
-column, the shortest becomes the pivot row to keep fill-in low.  That
-choice cannot change the result: the reduced row echelon form of a matrix
-is unique, so kernels are the same under any pivot row order.  The
+basis whose images all vanish).  Every reduction starts from copies of
+those maps and touches only nonzero entries.  Forward elimination takes
+pivot columns left to right: the shortest unchosen row holding the column
+(least fill-in) is its pivot row, and the column is cleared from the other
+unchosen rows.  Back-substitution, last pivot first, clears each pivot
+column from the rows above, with a pivot row that by then holds only later
+free columns; so a banded system costs O(n) row updates, not O(n^2).  The
+pivot row choice cannot change the result: the reduced row echelon form of
+a matrix is unique, so kernels are the same under any pivot row order.  The
 arithmetic is exact, so there is no numerical pivot selection.  Kernel
 basis vectors are ``{column: value}`` maps as well, normalized so that
 their first nonzero entry is 1, which makes hand comparisons "equal up to
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import UsageError
 from .rationals import GaussianRational, ONE, ZERO, ScalarLike
@@ -78,34 +81,52 @@ def _eliminate(m: ExactMatrix) -> tuple[list[RowMap], tuple[int, ...]]:
     """The nonzero rows of the RREF of m as column -> entry maps, in pivot
     order, and the ascending pivot columns."""
     rows = [dict(row) for row in m.row_maps]
-    holders: dict[int, set[int]] = {}  # column -> rows with a nonzero entry there
+    holders: dict[int, set[int]] = {}  # column -> unchosen rows with a nonzero entry there
     for i, row in enumerate(rows):
         for j in row:
             holders.setdefault(j, set()).add(i)
     chosen: dict[int, int] = {}  # pivot row -> pivot column, in pivot order
-    for col in range(m.cols):
-        candidates = [r for r in holders.get(col, ()) if r not in chosen]
-        if not candidates:
+    for col in range(m.cols):  # forward elimination
+        if not holders.get(col):
             continue
-        p = min(candidates, key=lambda r: (len(rows[r]), r))  # shortest: least fill
+        p = min(holders[col], key=lambda r: (len(rows[r]), r))  # shortest: least fill
         inv = ONE / rows[p][col]
         rows[p] = {j: v * inv for j, v in rows[p].items()}
-        rest = [(j, v) for j, v in rows[p].items() if j != col]
-        for r in holders[col] - {p}:
-            row = rows[r]
-            factor = row.pop(col)
-            for j, v in rest:
-                new = row.get(j, ZERO) - factor * v
-                if new.is_zero():
-                    del row[j]
-                    holders[j].discard(r)
-                else:
-                    row[j] = new
-                    holders.setdefault(j, set()).add(r)
+        for j in rows[p]:
+            holders[j].discard(p)
+        _clear(rows, holders[col], col, rows[p], holders)
         chosen[p] = col
         if len(chosen) == m.rows:
             break
+    above: dict[int, list[int]] = {col: [] for col in chosen.values()}  # pivot column -> rows above
+    for q, own in chosen.items():
+        for j in rows[q]:
+            if j != own and j in above:
+                above[j].append(q)
+    for p, col in reversed(chosen.items()):  # back-substitution, last pivot first
+        _clear(rows, above[col], col, rows[p])
     return [rows[p] for p in chosen], tuple(chosen.values())
+
+
+def _clear(rows: list[RowMap], targets: Collection[int], col: int, pivot: RowMap, holders=None):
+    """Subtract from each target row its entry at ``col`` times the pivot row,
+    whose entry there is 1, and keep ``holders`` (column -> rows) current if given."""
+    if not targets:
+        return
+    rest = [(j, v) for j, v in pivot.items() if j != col]
+    for r in targets:
+        row = rows[r]
+        factor = row.pop(col)
+        for j, v in rest:
+            new = row.get(j, ZERO) - factor * v
+            if new.is_zero():
+                del row[j]
+                if holders is not None:
+                    holders[j].discard(r)
+            else:
+                row[j] = new
+                if holders is not None:
+                    holders.setdefault(j, set()).add(r)
 
 
 def rank(m: ExactMatrix) -> int:

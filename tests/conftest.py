@@ -1,10 +1,13 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import polyharm
 from polyharm.rationals import GaussianRational
 
 settings.register_profile("exact", deadline=None)
@@ -30,3 +33,10 @@ def gaussian_rationals():
 
 def nonzero_gaussian_rationals():
     return gaussian_rationals().filter(lambda q: not q.is_zero())
+
+
+def subprocess_env() -> dict:
+    """The environment of a child interpreter that imports this polyharm."""
+    src = str(Path(polyharm.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))

@@ -1,5 +1,9 @@
+import dataclasses
 import math
+import pickle
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from polyharm.parser import parse
 from polyharm.rationals import ONE, GaussianRational
 from polyharm.verify import random_expr
 
-from conftest import gaussian_rationals
+from conftest import gaussian_rationals, subprocess_env
 
 SOL = by_id("sol").atoms
 DISC = by_id("h2").atoms
@@ -151,6 +155,52 @@ def test_combine_keeps_the_closure_check():
     unchecked = Expr(DISC_LINE, (Term(ONE, (0, 0, 0), 0, 2),))  # built past every check
     with pytest.raises(ClosureError, match="log atom squared"):
         Expr.combine(DISC_LINE, [(1, (0, 0, 0), 0, unchecked.terms)])
+
+
+# -- atom set hashing ------------------------------------------------------------
+
+
+_ATOM_SETS = [
+    ("AtomSet(('x', 'y', 't'), exp_var='t')", AtomSet(("x", "y", "t"), exp_var="t")),
+    ("AtomSet(('z', 'zb', 't'), log_kind='log1m', conformal=('z', 'zb'))",
+     AtomSet(("z", "zb", "t"), log_kind=LOG_DISC, conformal=("z", "zb"))),
+]
+
+
+def test_equal_atom_sets_built_apart_hash_alike():
+    for _, atoms in _ATOM_SETS:
+        again = AtomSet(*(getattr(atoms, f.name) for f in dataclasses.fields(AtomSet)))
+        assert again is not atoms and again == atoms and hash(again) == hash(atoms)
+        assert {atoms: 1}[again] == 1
+    assert by_id("h2xr").atoms == DISC_LINE and hash(by_id("h2xr").atoms) == hash(DISC_LINE)
+    assert hash(SOL) != hash(dataclasses.replace(SOL, exp_var=None))
+
+
+def test_dataclass_replace_builds_a_checked_atom_set_with_its_own_hash():
+    plain = dataclasses.replace(SOL, exp_var=None)
+    assert plain == AtomSet(("x", "y", "t")) and hash(plain) == hash(AtomSet(("x", "y", "t")))
+    assert dataclasses.replace(plain, exp_var="t") == SOL
+    with pytest.raises(UsageError, match="exponential base variable"):
+        dataclasses.replace(SOL, exp_var="w")
+
+
+def _in_child(code: str, seed: int, stdin: bytes = b"") -> bytes:
+    env = dict(subprocess_env(), PYTHONHASHSEED=str(seed))
+    return subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True,
+                          env=env, check=True, timeout=60).stdout
+
+
+def test_a_pickled_atom_set_hashes_afresh_in_a_process_with_another_hash_seed():
+    # a str hash differs between processes, so a stored hash must not travel
+    for text, atoms in _ATOM_SETS:
+        data = _in_child(f"import pickle, sys\nfrom polyharm.algebra import AtomSet\n"
+                         f"sys.stdout.buffer.write(pickle.dumps({text}))", seed=1)
+        assert pickle.loads(data) == atoms
+        out = _in_child(f"import pickle, sys\nfrom polyharm.algebra import AtomSet\n"
+                        f"atoms, fresh = pickle.loads(sys.stdin.buffer.read()), {text}\n"
+                        f"print(atoms == fresh, hash(atoms) == hash(fresh), {{fresh: 1}}[atoms])",
+                        seed=2, stdin=data)
+        assert out.split() == [b"True", b"True", b"1"]
 
 
 def test_term_is_a_named_tuple_with_the_same_fields():

@@ -2,11 +2,9 @@ import collections
 import contextlib
 import io
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +16,8 @@ from polyharm.families import FAMILIES
 from polyharm.geometries import Geometry, by_id
 from polyharm.parser import parse
 from polyharm.rationals import I
+
+from conftest import subprocess_env
 
 
 def run(capsys, *argv):
@@ -206,6 +206,15 @@ def test_generate_product_generic_on_line_x_line_uses_the_product_id_chart(capsy
     assert (code, payload["order"], payload["expr"]) == (0, 2, "s*t^3")
     code, out, _ = run(capsys, "tension", "-g", "product:linexline", "s*t^3", "-r", "2")
     assert (code, out.split()[-1]) == (0, "0")
+
+
+@pytest.mark.parametrize("f1, f2, which", [("t", "t^3", "first"), ("s", "s*t^3", "second")])
+def test_generate_product_generic_refuses_a_factor_outside_its_own_variables(capsys, f1, f2, which):
+    # t is a constant of the s line, so f1 = t would classify as harmonic there
+    code, out, err = run(capsys, "generate", "product.generic", "--g1", "line",
+                         "--f1", f1, "--g2", "line", "--f2", f2)
+    assert (code, out) == (4, "")
+    assert err.splitlines() == [f"error: {which} factor expression uses a symbol of the other factor"]
 
 
 # One explicit `generate` argv per registry family, with the convention and
@@ -673,13 +682,6 @@ def test_json_chains_reparse_to_identical_expressions(capsys):
             assert str(again) == printed
 
 
-def _subprocess_env() -> dict:
-    """The environment of a child interpreter that imports this polyharm."""
-    src = str(Path(polyharm.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-
-
 def test_output_into_a_closed_pipe_exits_4_quietly():
     # the reader takes a few bytes and closes the pipe while about 180 kB of
     # the chain are still unwritten
@@ -687,7 +689,7 @@ def test_output_into_a_closed_pipe_exits_4_quietly():
         [sys.executable, "-m", "polyharm", "tension", "-g", "line", "-r", "6", "(1+t)^300"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=_subprocess_env(),
+        env=subprocess_env(),
     )
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
@@ -722,7 +724,7 @@ _FLOAT_COMMANDS = {
 def _modules_loaded_by(argv) -> tuple[str, ...]:
     """Exit code, numpy loaded, sympy loaded: one command in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", _REPORT_MODULES, *argv], capture_output=True,
-                          text=True, env=_subprocess_env(), timeout=120)
+                          text=True, env=subprocess_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return tuple(proc.stdout.splitlines()[-1].split())
 

@@ -560,6 +560,21 @@ def test_product_r_harmonic_rejects_biharmonic_first_factor():
     assert classify(g, f1 * f2).order == 3
 
 
+@pytest.mark.parametrize("gid, f1, f2, which", [
+    ("product:linexline", "t", "t^3", "first"),  # a power of the other factor
+    ("product:linexline", "s", "s*t^3", "second"),
+    ("product:solxh2", "x", "t*z", "second"),
+    ("product:h2xsol", "E(1)*z", "t", "first"),  # a weight where the factor has no E
+    ("product:solxh2", "x", "E(-1)*z", "second"),
+    ("product:solxh2", "x*log1m", "zb", "first"),  # a log atom where the factor has none
+    ("product:h2xsol", "z", "t*log1m", "second"),
+])
+def test_product_r_harmonic_refuses_a_factor_outside_its_own_atoms(gid, f1, f2, which):
+    g = by_id(gid)
+    with pytest.raises(UsageError, match=f"^{which} factor expression uses a symbol of the other"):
+        product_r_harmonic(g, parse(f1, g.atoms), parse(f2, g.atoms))
+
+
 # -- seeded sampler -----------------------------------------------------------------------------
 
 

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyharm.geometries as geometries_module
-from polyharm.algebra import _LOG_DERIVATIVE_REFUSED, LOG_DISC, AtomSet, Expr, Term, _canonical
+from polyharm.algebra import (
+    _LOG_DERIVATIVE_REFUSED, LOG_DISC, AtomSet, Expr, Term, _canonical, _validated,
+)
 from polyharm.errors import ClosureError, UsageError
 from polyharm.families import (
     AnsatzSystem,
-    _merged_rows,
     log_biharmonic,
     nil_biharmonic12,
     sol_axis_family,
@@ -34,6 +35,7 @@ from polyharm.geometries import (
     sol,
     _first_partials,
 )
+from polyharm.linalg import ExactMatrix
 from polyharm.parser import parse
 from polyharm.rationals import GaussianRational
 from polyharm.verify import random_expr, random_nonzero_scalar, random_scalar
@@ -599,6 +601,25 @@ def test_generated_emission_scales_a_user_table_to_integer_numerators(monkeypatc
     assert "* 3" in source and "* -6" in source  # 1/2 = 3/6 and (2/3 - i) = (4 - 6i)/6
 
 
+def _merged_rows(atoms, columns):
+    """The raw terms of the columns merged by signature: one row {column: value}
+    per signature with a nonzero value, sorted, each signature validated once;
+    the ansatz rows as they were built from raw tension columns."""
+    merged = {}
+    for j, raw in enumerate(columns):
+        for coeff, powers, weight, logp in raw:
+            if coeff:
+                row = merged.setdefault((logp, weight, powers), {})
+                row[j] = row[j] + coeff if j in row else coeff
+    rows = []
+    for logp, weight, powers in sorted(merged):
+        row = {j: c for j, c in merged[logp, weight, powers].items() if c}
+        if row:
+            _validated(atoms, Term(None, powers, weight, logp))
+            rows.append(row)
+    return ExactMatrix(len(rows), len(columns), tuple(rows))
+
+
 @pytest.mark.parametrize("gid, convention", [("nil", "metric"), ("sl2", "metric"),
                                              ("h2xr", "paper"), ("s2pxr", "metric"),
                                              ("product:nilxh2", "metric"), ("sol", "metric")])
@@ -622,6 +643,51 @@ def test_ansatz_rows_are_the_merged_rows_of_the_reference(gid, convention, order
     for got, want in ((system.matrix, matrices[0]), (system.order_matrix, matrices[-1])):
         assert (got.rows, got.cols, got.row_maps) == (want.rows, want.cols, want.row_maps)
     assert system.matrix.rows > 0
+
+
+def test_every_catalogue_table_is_proven_closed_on_its_test_atom_sets():
+    for gid, convention, atoms in _TENSION_CASES:
+        g = by_id(gid, convention)
+        assert g._kernel(atoms or g.atoms)[3] is True, (gid, atoms)
+
+
+@pytest.mark.parametrize("table, atoms, text, message", [
+    # an entry of exponent -1: tau(y^2) = 2/x
+    (((1, {}, 0, "x", "x"), (1, {"x": -1}, 0, "y", "y")), AtomSet(("x", "y")), "y^2 + x^3",
+     "negative variable powers"),
+    # a weight entry on an atom set without an exponential atom
+    (((1, {}, 1, "x", "x"), (1, {}, 0, "y", "y")), AtomSet(("x", "y")), "y^2 + x^2*y",
+     "no exponential atom"),
+    # sol's table, whose E(-2) and E(2) entries need the exponential atom t
+    (by_id("sol").table, AtomSet(("x", "y", "t")), "t^2 + x^2", "no exponential atom"),
+])
+def test_a_table_not_proven_closed_checks_every_output(table, atoms, text, message):
+    user = Geometry("user", atoms, ((-1.0, 1.0),) * len(atoms.variables), table)
+    assert user._kernel(atoms)[3] is False
+    f = parse(text, atoms)
+    got = _map_outcome(type(user)._tension_map, user, atoms, f.terms)
+    assert got == _map_outcome(_reference_map, user, atoms, f.terms)
+    assert got[0] is ClosureError and message in got[1]
+
+
+# a closed table whose t-t entry carries the conformal x: tau(t^2 L) = 2 x L leaves
+# the algebra with no mixed entry refusing first (nil's x^2 t-t entry on _XY_LOG
+# is always preceded by its y-t refusal), so only the log-output check catches it
+_X_ON_TT = ((1, {}, 0, "x", "x"), (1, {}, 0, "y", "y"), (1, {"x": 1}, 0, "t", "t"),
+            (1, {}, -1, "t", "t"))
+
+
+@settings(max_examples=100)
+@given(st.randoms(use_true_random=False))
+def test_log_outputs_of_a_closed_table_are_closure_checked(rng):
+    user = Geometry("user", _XY_LOG, ((-1.0, 1.0),) * 3, _X_ON_TT)
+    assert user._kernel(_XY_LOG)[3] is True
+    f = random_expr(rng, _XY_LOG, max_terms=4, max_power=3, weights=(-1, 0, 1), allow_log=True)
+    got = _map_outcome(type(user)._tension_map, user, _XY_LOG, f.terms)
+    assert got == _map_outcome(_reference_map, user, _XY_LOG, f.terms)
+    f = parse("x^2 + t^2*log1m", _XY_LOG)
+    with pytest.raises(ClosureError, match="log-bearing terms may not carry powers"):
+        user._tension_map(_XY_LOG, f.terms)
 
 
 def test_rebuilt_charts_reuse_the_compiled_emission():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -363,6 +364,96 @@ def test_sparse_reductions_match_dense_gauss_jordan(rows):
     assert _eliminate(m) == (row_maps(reduced[: len(pivots)]), pivots)
     assert rank(m) == len(pivots)
     assert nullspace(m) == row_maps(_dense_nullspace(rows))
+
+
+# -- two-phase elimination against the Gauss-Jordan body it replaced ----------------
+
+
+def _reference_eliminate(m):
+    """linalg._eliminate as one Gauss-Jordan elimination, which clears each
+    pivot column from every other row as soon as the pivot is chosen (the
+    same pivot rule: the shortest unchosen row holding the column, then the
+    lowest index)."""
+    rows = [dict(row) for row in m.row_maps]
+    holders = {}  # column -> rows with a nonzero entry there
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    chosen = {}  # pivot row -> pivot column, in pivot order
+    for col in range(m.cols):
+        candidates = [r for r in holders.get(col, ()) if r not in chosen]
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda r: (len(rows[r]), r))
+        inv = ONE / rows[p][col]
+        rows[p] = {j: v * inv for j, v in rows[p].items()}
+        rest = [(j, v) for j, v in rows[p].items() if j != col]
+        for r in holders[col] - {p}:
+            row = rows[r]
+            factor = row.pop(col)
+            for j, v in rest:
+                new = row.get(j, ZERO) - factor * v
+                if new.is_zero():
+                    del row[j]
+                    holders[j].discard(r)
+                else:
+                    row[j] = new
+                    holders.setdefault(j, set()).add(r)
+        chosen[p] = col
+        if len(chosen) == m.rows:
+            break
+    return [rows[p] for p in chosen], tuple(chosen.values())
+
+
+@st.composite
+def wide_sparse_matrices(draw):
+    """Up to 30 x 40 and possibly without rows, at a drawn density: fractional
+    and complex entries, some columns forced to zero, and some rows that are
+    combinations of others, so that elimination leaves zero rows."""
+    rows, cols = draw(st.integers(0, 30)), draw(st.integers(1, 40))
+    density, rng = draw(st.floats(0.02, 0.4)), random.Random(draw(st.integers(0, 2**32)))
+    zero_cols = set(rng.sample(range(cols), rng.randint(0, cols // 3)))
+
+    def value():
+        re = Fraction(rng.choice([-6, -3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+        return GaussianRational(re, Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                if rng.random() < 0.3 else 0)
+
+    maps = [{c: value() for c in range(cols) if c not in zero_cols and rng.random() < density}
+            for _ in range(rows)]
+    for _ in range(rng.randint(0, 4) if rows else 0):
+        a, b, k = rng.randrange(rows), rng.randrange(rows), value()
+        row = dict(maps[a])
+        for j, v in maps[b].items():
+            row[j] = row.get(j, ZERO) + k * v
+        maps.append({j: v for j, v in row.items() if v})
+    return ExactMatrix(len(maps), cols, tuple(maps))
+
+
+@settings(max_examples=200)
+@given(wide_sparse_matrices())
+def test_elimination_matches_gauss_jordan_on_sparse_matrices(m):
+    assert _eliminate(m) == _reference_eliminate(m)
+
+
+def test_elimination_matches_gauss_jordan_on_every_sol_axis_system():
+    g = by_id("sol")
+    for n, axis in itertools.product(range(2, 49), "xy"):
+        m = AnsatzSystem.build(g, sol_axis_basis(n, axis, g)).matrix
+        assert _eliminate(m) == _reference_eliminate(m), (n, axis)
+
+
+@pytest.mark.parametrize("gid", ["nil", "sl2", "h2xr"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_elimination_matches_gauss_jordan_on_monomial_ansatz_systems(gid, order):
+    g = by_id(gid)
+    for degree in range(7):
+        basis = [Expr.monomial(g.atoms, 1, dict(zip(g.atoms.variables, powers)))
+                 for powers in itertools.product(range(degree + 1), repeat=len(g.atoms.variables))
+                 if sum(powers) <= degree]
+        system = AnsatzSystem.build(g, basis, order)
+        for m in (system.matrix, system.order_matrix):
+            assert _eliminate(m) == _reference_eliminate(m), degree
 
 
 def test_wrong_entry_count_is_a_usage_error():
