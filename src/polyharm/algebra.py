@@ -205,12 +205,13 @@ def _canonical(atoms: AtomSet, raw: Iterable[Term], check: bool = False) -> tupl
             key = (logp, weight, powers)
             acc = merged.get(key)
             merged[key] = coeff if acc is None else acc + coeff
-    out = [Term(c, powers, weight, logp) for (logp, weight, powers), c in merged.items() if c]
     if check:
-        for t in out:
-            _validated(atoms, t)
-    out.sort(key=Term.signature, reverse=True)
-    return tuple(out)
+        for (logp, weight, powers), c in merged.items():
+            if c:
+                _validated(atoms, (c, powers, weight, logp))
+    # the keys are unique, so sorting the items never compares coefficients
+    return tuple([tuple.__new__(Term, (c, powers, weight, logp))
+                  for (logp, weight, powers), c in sorted(merged.items(), reverse=True) if c])
 
 
 @dataclass(frozen=True)

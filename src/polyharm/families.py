@@ -14,9 +14,10 @@ but this family's chart is built from ``--g1``/``--g2`` at run time (by
 The ansatz machinery turns a finite list of candidate terms into the exact
 matrix of the tension operator restricted to their span; harmonic (or
 r-harmonic) members are its kernel, computed over the Gaussian rationals.
-Each power of tau puts the geometry's tension map of each basis image (tau on
-Gaussian-integer numerators, each output reduced once and closure-checked)
-straight into sparse rows; each kernel member is re-verified on its own.
+Each power of tau is one call of the geometry's tension map (on Gaussian-integer
+numerators, reduced once, closure-checked) over the whole basis, each image a
+tagged column, grouped straight into sorted sparse rows.  The kernel members are
+re-verified together, one call per power, each from its own terms and column.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .algebra import AtomSet, Expr, _canonical
 from .errors import UsageError
 from .geometries import R_MAX, Geometry, ProductGeometry, by_id, classify
 from .linalg import ExactMatrix, nullspace, primitive_scale, rank
-from .rationals import GaussianRational, I, ScalarLike
+from .rationals import GaussianRational, I, ONE, ScalarLike
 
 Params = Sequence[ScalarLike]
 
@@ -49,17 +50,24 @@ def _all_zero(values: Params) -> bool:
 def _leading_signature(e: Expr):
     if e.is_zero():
         raise UsageError("zero expression in ansatz basis")
-    return min(t.signature() for t in e.terms)
+    return e.terms[-1].signature()  # the least: canonical terms sort in descending order
 
 
-def _matrix(columns: Sequence[dict]) -> ExactMatrix:
-    """The matrix whose column j is the {signature: coefficient} map
-    ``columns[j]``: one row ``{column: value}`` per signature, sorted."""
+def _rows(tagged: dict, cols: int) -> ExactMatrix:
+    """The matrix with entry c in column j of the row of signature s for each
+    (j, *s): c of ``tagged``: one row ``{column: value}`` per signature, sorted."""
     rows: dict[tuple, dict] = {}
-    for j, column in enumerate(columns):
-        for key, c in column.items():
-            rows.setdefault(key, {})[j] = c
-    return ExactMatrix(len(rows), len(columns), tuple(rows[k] for k in sorted(rows)))
+    for key, c in tagged.items():
+        rows.setdefault(key[1:], {})[key[0]] = c
+    return ExactMatrix(len(rows), cols, tuple([rows[k] for k in sorted(rows)]))
+
+
+def _images(tagged: dict):
+    """The (column, terms) pairs of a column-tagged tension map."""
+    images: dict[int, list] = {}
+    for (j, logp, w, p), c in tagged.items():
+        images.setdefault(j, []).append((c, p, w, logp))
+    return images.items()
 
 
 def _dependent(ordered: Sequence[Expr], leads: Sequence[tuple]) -> bool:
@@ -71,7 +79,8 @@ def _dependent(ordered: Sequence[Expr], leads: Sequence[tuple]) -> bool:
     """
     if all(a != b for a, b in zip(leads, leads[1:])):
         return False
-    return rank(_matrix([{t.signature(): t.coeff for t in b.terms} for b in ordered])) < len(leads)
+    tagged = {(j, *t.signature()): t.coeff for j, b in enumerate(ordered) for t in b.terms}
+    return rank(_rows(tagged, len(ordered))) < len(leads)
 
 
 @dataclass(frozen=True)
@@ -81,8 +90,8 @@ class AnsatzSystem:
     ``matrix`` is the first-power tension map (columns indexed by the
     sorted basis, rows by the sorted term signatures of the images, so no
     rows when every image vanishes); ``order_matrix`` is the map for
-    tau^order, which generate_kernel inverts.  Each power's rows collect the
-    tension maps of the previous power's images, no Expr in between.
+    tau^order, which generate_kernel inverts.  Each power's rows come from one
+    tension map over the previous power's images as columns, no Expr between.
     Construction fails with a closure error if tau leaves the algebra on
     any basis element, so existence of the system certifies closure.
     """
@@ -107,11 +116,11 @@ class AnsatzSystem:
         if _dependent(ordered, [lead for lead, _ in keyed]):
             raise UsageError("ansatz basis is linearly dependent")
         geometry._require(ordered[0])
-        images, matrices = [b.terms for b in ordered], []
+        images, matrices = list(enumerate(b.terms for b in ordered)), []
         for _ in range(order):
-            taus = [geometry._tension_map(atoms, c) for c in images]
-            matrices.append(_matrix(taus))
-            images = [[(c, p, w, logp) for (logp, w, p), c in tau.items()] for tau in taus]
+            tau = geometry._tension_map(atoms, images)
+            matrices.append(_rows(tau, len(ordered)))
+            images = _images(tau)
         return AnsatzSystem(geometry, ordered, matrices[0], order, matrices[-1])
 
 
@@ -129,19 +138,19 @@ def primitive_normalized(f: Expr) -> Expr:
 def generate_kernel(system: AnsatzSystem) -> list[Expr]:
     """Exact basis of {f in span(basis) : tau^order f = 0}.  Each member is
     re-verified from its own terms, not from the matrix: tau^order f, through the
-    geometry's closure-checked exact tension map, must vanish.  Not via
-    ``classify``: its per-step Expr, _require and report cost 4 % of ansatz ops/s."""
-    atoms, kernel = system.basis[0].atoms, []
-    for v in nullspace(system.order_matrix):
-        f = Expr(atoms, _canonical(atoms, [(t.coeff * c, t.powers, t.weight, t.logp)
-                                           for j, c in v.items() for t in system.basis[j].terms]))
-        image = f.terms
-        for _ in range(system.order):
-            tau = system.geometry._tension_map(atoms, image)
-            image = [(c, p, w, logp) for (logp, w, p), c in tau.items()]
-        if image:
-            raise AssertionError("kernel member failed exact re-verification")
-        kernel.append(f)
+    geometry's closure-checked exact tension map, must vanish.  All members go
+    through one map per power, each under its own column tag, so no member's
+    image mixes with another's.  Not via ``classify``: its per-step Expr,
+    _require and report cost 4 % of ansatz ops/s."""
+    atoms, basis = system.basis[0].atoms, system.basis
+    kernel = [Expr(atoms, _canonical(atoms, [(c if t.coeff is ONE else t.coeff * c, *t[1:])
+                                             for j, c in v.items() for t in basis[j].terms]))
+              for v in nullspace(system.order_matrix)]
+    images = list(enumerate(f.terms for f in kernel))
+    for _ in range(system.order):
+        images = _images(system.geometry._tension_map(atoms, images))
+    if images:
+        raise AssertionError("kernel member failed exact re-verification")
     return kernel
 
 

@@ -27,7 +27,8 @@ Python function, in which each group emits at most three terms with integer
 multipliers per term.  tau runs on Gaussian-integer numerators over one
 common denominator and reduces each output to normal form once, closure-
 checked unless the table proves it (``Geometry._tension_map``, tau's one
-body: its map becomes an Expr in ``tension`` and ansatz rows in ``families``).
+body, over columns of terms: one column is an Expr in ``tension``, a whole
+ansatz basis is one call per power in ``families``).
 kappa = sum g^ij f_i h_j reads the unscaled groups: it forms f_i h_j (and
 f_j h_i off the diagonal) once per group, and each entry adds c m f_i h_i on
 the diagonal and c m (f_i h_j + f_j h_i) / 2 off it.  Entries on the
@@ -94,10 +95,11 @@ def _compiled(source: str):
 
 def _emitter(dim: int, groups: tuple, log_rule, scale: int):
     """The numerators of ``Geometry._tension_map`` over ``dim`` variables as one
-    generated function ``emit(terms, D)``: one pass over the terms (a + b i) / D
-    adds (a + b i) m (p + q i) into a [real, imaginary] slot per signature for
-    each table coefficient (p + q i) / ``scale`` of ``groups`` and ``log_rule``.
-    The table is scaled once, so only int literals enter the source."""
+    generated function ``emit(columns, D)``: one pass over the terms (a + b i) / D
+    of each (col, raw) pair of ``columns`` adds (a + b i) m (p + q i) into a
+    [real, imaginary] slot per key (col, logp, w, powers) for each table
+    coefficient (p + q i) / ``scale`` of ``groups`` and ``log_rule``.  The
+    table is scaled once, so only int literals enter the source."""
     def times(name: str, k: int) -> list[str]:
         return [] if not k else [name if k == 1 else f"-{name}" if k == -1 else f"{name} * {k}"]
 
@@ -113,9 +115,9 @@ def _emitter(dim: int, groups: tuple, log_rule, scale: int):
 
     p, body = [f"p{v}" for v in range(dim)], []
     for vi, vj, same, i_exp, j_exp, i_conf, j_conf, entries in groups:
-        pad = " " * (12 if j_conf else 8)
+        pad = " " * (16 if j_conf else 12)
         if j_conf:
-            body.append("        if not logp:")
+            body.append("            if not logp:")
         elif i_conf:
             body.append(f"{pad}if logp and ({p[vj]}{' or w' * j_exp}): raise ClosureError(REFUSED)")
         outs = [(f"{p[vj]} * ({p[vi]} - 1)" if same else f"{p[vj]} * {p[vi]}", 0)]
@@ -128,13 +130,14 @@ def _emitter(dim: int, groups: tuple, log_rule, scale: int):
             for c, we, shifts in entries:
                 powers = "".join(plus(v, s) + ", " for v, s in zip(p, shifts[k]))
                 powers = f"({powers})" if any(shifts[k]) else "powers"
-                body += add(pad + "    ", f"(logp, {plus('w', we)}, {powers})", "am", "bm", c)
+                body += add(pad + "    ", f"(col, logp, {plus('w', we)}, {powers})", "am", "bm", c)
     if log_rule is not None:
-        body += ["        if logp:"] + add(" " * 12, "(0, w, powers)", "a", "b", log_rule.log_tension)
-    source = "\n".join(["def emit(terms, D):\n    out = {}\n    get = out.get",
-                        "    for coeff, powers, w, logp in terms:\n        s = floordiv(D, coeff.d)",
-                        f"        a, b = coeff.a * s, coeff.b * s\n        {', '.join(p)}, = powers",
-                        *body, "    return out\n"])
+        body += ["            if logp:"] + add(" " * 16, "(col, 0, w, powers)", "a", "b",
+                                               log_rule.log_tension)
+    source = "\n".join(["def emit(columns, D):\n    out = {}\n    get = out.get",
+                        "    for col, raw in columns:", "        for c, powers, w, logp in raw:",
+                        "            s = floordiv(D, c.d)\n            a, b = c.a * s, c.b * s",
+                        f"            {', '.join(p)}, = powers", *body, "    return out\n"])
     names = {"ClosureError": ClosureError, "REFUSED": _LOG_DERIVATIVE_REFUSED, "floordiv": floordiv}
     exec(_compiled(source), names)
     return names["emit"]
@@ -190,15 +193,16 @@ class Geometry:
         return kernel
 
     def tension(self, f: Expr) -> Expr:
-        """tau f: ``_tension_map`` sorted into terms."""
+        """tau f: ``_tension_map`` of the one column ``f.terms`` sorted into terms."""
         self._require(f)
-        tau = sorted(self._tension_map(f.atoms, f.terms).items(), reverse=True)
-        return Expr(f.atoms, tuple([Term(c, p, w, logp) for (logp, w, p), c in tau]))
+        tau = sorted(self._tension_map(f.atoms, ((0, f.terms),)).items(), reverse=True)
+        return Expr(f.atoms, tuple([Term(c, p, w, logp) for (_, logp, w, p), c in tau]))
 
-    def _tension_map(self, atoms: AtomSet, terms) -> dict:
-        """tau of the sum of ``terms`` as {signature: coefficient}, each nonzero,
-        in normal form and closure-checked.  For t = c v^a E(w) L^p, d_i d_j t
-        has at most three terms with integer multipliers m (k = 0..3):
+    def _tension_map(self, atoms: AtomSet, columns) -> dict:
+        """tau of the sum of the terms of each (col, terms) pair of ``columns``, as
+        one map {(col, logp, w, powers): coefficient}, each nonzero, in normal
+        form and closure-checked.  For t = c v^a E(w) L^p, d_i d_j t has at most
+        three terms with integer multipliers m (k = 0..3):
             0: a_j (a_i - [i = j]) t / (v_i v_j)
             1: (1 + [i = j]) a_i w t / v_i   when j is the exp variable
             2: a_j w t / v_j                 when only i is
@@ -207,17 +211,20 @@ class Geometry:
         weight.  Log terms skip groups with j in the conformal pair (those act
         on the log-free part) and leave the algebra through a conformal i when
         d_j of them is nonzero; the log rule adds ``log_tension`` A per A L.  With
-        ``terms`` over their common denominator D, ``_emitter``'s function sums
+        all terms over their common denominator D (the lcm over every column, so
+        ``columns`` is read twice: no iterator), ``_emitter``'s function sums
         Gaussian-integer numerators over D * scale; each sum is reduced once.
         Under a ``closed`` table only log-bearing outputs are closure-checked:
-        they may pick up powers of the conformal pair from an entry."""
+        they may pick up powers of the conformal pair from an entry.  Every
+        column is emitted before any output is checked, so a refusal inside the
+        emission (of any column) wins over a failed check; checks run in column order."""
         _, scale, emit, closed = self._kernel(atoms)
-        D = terms[0][0].d if len(terms) == 1 else math.lcm(*[t[0].d for t in terms])
+        D = math.lcm(*[t[0].d for _, terms in columns for t in terms])
         tau, DL = {}, D * scale
-        for key, (a, b) in emit(terms, D).items():
+        for key, (a, b) in emit(columns, D).items():
             if a or b:
-                if key[0] or not closed:
-                    _validated(atoms, (None, key[2], key[1], key[0]))
+                if key[1] or not closed:
+                    _validated(atoms, (None, key[3], key[2], key[1]))
                 tau[key] = _make(a, b, 1) if DL == 1 else _reduced(a, b, DL)
         return tau
 

@@ -60,6 +60,8 @@ def _line_element(gid: str, convention: str = "metric") -> tuple:
     charts["s2pxr"] = ((u, v, t), charts["s2p"][1] + dt**2)
     charts["product:nilxh2"] = ((x, y, t, u, v), charts["nil"][1] + charts["h2"][1])
     charts["product:linexline"] = ((s, t), ds**2 + dt**2)
+    charts["product:solxh2"] = ((x, y, t, u, v), charts["sol"][1] + charts["h2"][1])
+    charts["product:linexs2p"] = ((t, u, v), dt**2 + charts["s2p"][1])
     coords, element = charts[gid]
     return coords, [sp.Symbol(f"d{c}") for c in coords], element
 
@@ -93,8 +95,10 @@ def _from_printed(text: str) -> sp.Expr:
 
 # (chart, convention): the charts with a log rule under both conventions
 CASES = [(gid, "metric") for gid in ("nil", "sl2", "sol", "h2", "s2p", "h2xr", "s2pxr",
-                                     "product:nilxh2", "product:linexline")]
-CASES += [(gid, "paper") for gid in ("h2", "s2p", "h2xr", "s2pxr")]
+                                     "product:nilxh2", "product:linexline",
+                                     "product:solxh2", "product:linexs2p")]
+CASES += [(gid, "paper") for gid in ("h2", "s2p", "h2xr", "s2pxr",
+                                     "product:solxh2", "product:linexs2p")]
 
 
 def _inputs(gid: str, convention: str) -> list:
@@ -104,8 +108,10 @@ def _inputs(gid: str, convention: str) -> list:
     g = by_id(gid, convention)
     rng = random.Random(f"witness-{gid}" + ("" if convention == "metric" else f"-{convention}"))
     weights = (-2, 0, 1, 2) if g.atoms.exp_var else (0,)
-    # the conformal pair makes sympy's side slow: fewer and smaller inputs there
+    # the conformal pair makes sympy's side slow: fewer and smaller inputs there,
+    # and one draw where E meets it (each draw there costs sympy up to 2 s)
     count, max_power = (3, 3) if g.atoms.conformal is None else (2, 2)
+    count = 1 if g.atoms.conformal and g.atoms.exp_var else count
     inputs = [random_nonzero_expr(rng, g.atoms, max_terms=3, max_power=max_power,
                                   weights=weights, allow_log=g.atoms.log_kind is not None)
               for _ in range(count)]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -16,8 +17,10 @@ from polyharm.algebra import (
 from polyharm.errors import ClosureError, UsageError
 from polyharm.families import (
     AnsatzSystem,
+    generate_kernel,
     log_biharmonic,
     nil_biharmonic12,
+    sol_axis_basis,
     sol_axis_family,
     sol_h2h3,
     sol_tower,
@@ -35,7 +38,7 @@ from polyharm.geometries import (
     sol,
     _first_partials,
 )
-from polyharm.linalg import ExactMatrix
+from polyharm.linalg import ExactMatrix, nullspace
 from polyharm.parser import parse
 from polyharm.rationals import GaussianRational
 from polyharm.verify import random_expr, random_nonzero_scalar, random_scalar
@@ -505,6 +508,11 @@ def _reference_map(g, atoms, terms):
     return {t.signature(): t.coeff for t in canonical}
 
 
+def _one_column_map(g, atoms, terms):
+    """tau's map of the one column ``terms``, keyed by signature."""
+    return {key[1:]: c for key, c in g._tension_map(atoms, ((0, terms),)).items()}
+
+
 def _map_outcome(tau, g, atoms, terms):
     """The map with each coefficient's type, or the ClosureError text."""
     try:
@@ -528,7 +536,7 @@ def test_generated_emission_matches_the_generic_loop(case, rng):
     f = random_expr(rng, atoms, max_terms=6, max_power=4,
                     weights=(-2, -1, 0, 1, 2) if atoms.exp_var else (0,),
                     allow_log=atoms.log_kind is not None)
-    got = _map_outcome(type(g)._tension_map, g, atoms, f.terms)
+    got = _map_outcome(_one_column_map, g, atoms, f.terms)
     assert got == _map_outcome(_reference_map, g, atoms, f.terms)
 
 
@@ -548,10 +556,10 @@ def test_tension_map_is_in_normal_form_over_large_coprime_denominators(case, rng
     terms = [(c * GaussianRational(Fraction(rng.randint(-9, 9) or 1, rng.choice(_BIG_DENOMINATORS)),
                                    rng.choice((0, Fraction(1, rng.choice(_BIG_DENOMINATORS))))),
               p, w, logp) for c, p, w, logp in f.terms]
-    got = _map_outcome(type(g)._tension_map, g, atoms, terms)
+    got = _map_outcome(_one_column_map, g, atoms, terms)
     assert got == _map_outcome(_reference_map, g, atoms, terms)
     if type(got) is dict:
-        _assert_normal_form(g._tension_map(atoms, terms))
+        _assert_normal_form(_one_column_map(g, atoms, terms))
 
 
 @pytest.mark.parametrize("gid, convention, text, want", [
@@ -568,7 +576,7 @@ def test_tension_map_is_in_normal_form_over_large_coprime_denominators(case, rng
 def test_tension_map_reduces_cancelling_sums(gid, convention, text, want):
     g = by_id(gid, convention)
     f = parse(text, g.atoms)
-    tau = g._tension_map(g.atoms, f.terms)
+    tau = _one_column_map(g, g.atoms, f.terms)
     _assert_normal_form(tau)
     assert tau == _reference_map(g, g.atoms, f.terms)
     assert str(g.tension(f)) == want
@@ -585,7 +593,7 @@ def test_generated_emission_scales_a_user_table_to_integer_numerators(monkeypatc
                     ((half, {}, 0, "x", "x"), (gauss, {"x": 1}, -1, "y", "t"),
                      (2, {"y": 2}, 0, "t", "t")))
     f = parse("x^3*y^2*t^2*E(2) + (1/3+2i)*x*y*E(-1) + t^3", atoms)
-    tau = user._tension_map(atoms, f.terms)
+    tau = _one_column_map(user, atoms, f.terms)
     assert tau == _reference_map(user, atoms, f.terms)
     _assert_normal_form(tau)
     assert user._kernel(atoms)[1] == 6  # the table denominator: 1/2 and (2/3 - i)
@@ -645,6 +653,149 @@ def test_ansatz_rows_are_the_merged_rows_of_the_reference(gid, convention, order
     assert system.matrix.rows > 0
 
 
+# -- tau over columns: one map for many term lists ------------------------------------
+
+
+def _columns_outcome(g, atoms, columns):
+    """The column-tagged map with each coefficient's type, or the ClosureError text."""
+    try:
+        return {key: (type(c), c) for key, c in g._tension_map(atoms, columns).items()}
+    except ClosureError as exc:
+        return (ClosureError, str(exc))
+
+
+def _reference_columns(g, atoms, columns):
+    """``_reference_map`` of each column, tagged by its column, with the error
+    precedence of one emission over every column: a refusal inside the generic
+    loop of any column wins over a failed closure check, and among either kind
+    the first column in the order given wins."""
+    tagged, refused, failed = {}, None, None
+    for col, terms in columns:
+        try:
+            raw = _generic_raw_tension(g, atoms, terms)
+        except ClosureError as exc:
+            refused = refused or str(exc)
+            continue
+        try:
+            canonical = _canonical(atoms, raw, check=True)
+        except ClosureError as exc:
+            failed = failed or str(exc)
+            continue
+        tagged.update({(col, *t.signature()): (type(t.coeff), t.coeff) for t in canonical})
+    return (ClosureError, refused or failed) if refused or failed else tagged
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(_TENSION_CASES), st.randoms(use_true_random=False))
+def test_column_tagged_map_is_the_reference_map_of_each_column(case, rng):
+    gid, convention, atoms = case
+    g = by_id(gid, convention)
+    atoms = atoms or g.atoms
+    options = dict(max_terms=4, max_power=3, allow_log=atoms.log_kind is not None,
+                   weights=(-2, -1, 0, 1, 2) if atoms.exp_var else (0,))
+    shared, columns = random_expr(rng, atoms, **options), []
+    # distinct tags in any order; a column is empty, a multiple of one shared
+    # expression (so columns share output signatures) or its own draw
+    for col in rng.sample(range(12), rng.randint(1, 6)):
+        kind = rng.choice(("empty", "shared", "own"))
+        f = (Expr.zero(atoms) if kind == "empty" else random_scalar(rng) * shared
+             if kind == "shared" else random_expr(rng, atoms, **options))
+        scale = GaussianRational(Fraction(1, rng.choice((1, 3, *_BIG_DENOMINATORS))))
+        columns.append((col, [(c * scale, p, w, logp) for c, p, w, logp in f.terms]))
+    got = _columns_outcome(g, atoms, columns)
+    assert got == _reference_columns(g, atoms, columns)
+    if type(got) is dict:
+        _assert_normal_form(g._tension_map(atoms, columns))
+
+
+# atoms with a conformal pair and a log atom but no E; the table is not closed:
+# its x-t entry refuses t L inside the emission, and after it the check refuses
+# tau(t^2) = 2 t^-1 (the t^-1 t-t entry) and tau(y^2) = 2 E(1) (the E(1) y-y entry)
+_NO_E_LOG = AtomSet(("x", "y", "t"), log_kind=LOG_DISC, conformal=("x", "y"))
+_TWO_CHECKS = ((1, {}, 0, "x", "t"), (1, {"t": -1}, 0, "t", "t"), (1, {}, 1, "y", "y"))
+
+
+@pytest.mark.parametrize("texts, message", [
+    (("t^2",), "negative variable powers"),
+    (("y^2",), "no exponential atom"),
+    (("t*log1m",), "handled by the geometry operators"),
+    # checks run in the order the columns are given, whatever their tags
+    (("t^2", "y^2"), "negative variable powers"),
+    (("y^2", "t^2"), "no exponential atom"),
+    # a refusal inside the emission of a later column wins over an earlier check
+    (("t^2", "t*log1m"), "handled by the geometry operators"),
+    (("y^2", "x", "t^2", "t*log1m"), "handled by the geometry operators"),
+])
+def test_a_refusal_in_the_emission_wins_over_any_columns_failed_check(texts, message):
+    user = Geometry("user", _NO_E_LOG, ((-1.0, 1.0),) * 3, _TWO_CHECKS)
+    assert user._kernel(_NO_E_LOG)[3] is False
+    columns = [(len(texts) - k, parse(text, _NO_E_LOG).terms) for k, text in enumerate(texts)]
+    got = _columns_outcome(user, _NO_E_LOG, columns)
+    assert got == _reference_columns(user, _NO_E_LOG, columns)
+    assert got[0] is ClosureError and message in got[1]
+
+
+def _per_column_system(g, basis, order):
+    """(sorted basis, matrix, order_matrix) with one tension map per basis image
+    and its rows merged afterwards: the ansatz system as it was built before
+    one map took the whole basis."""
+    ordered = sorted(basis, key=lambda b: min(t.signature() for t in b.terms))
+    images, matrices = [b.terms for b in ordered], []
+    for _ in range(order):
+        taus = [_one_column_map(g, g.atoms, c) for c in images]
+        rows = {}
+        for j, tau in enumerate(taus):
+            for key, c in tau.items():
+                rows.setdefault(key, {})[j] = c
+        matrices.append(ExactMatrix(len(rows), len(taus), tuple(rows[k] for k in sorted(rows))))
+        images = [[(c, p, w, logp) for (logp, w, p), c in tau.items()] for tau in taus]
+    return tuple(ordered), matrices[0], matrices[-1]
+
+
+def _per_member_kernel(system):
+    """The kernel with each member re-verified alone, one tension map per
+    member and power: generate_kernel before its members shared a map."""
+    atoms, kernel = system.basis[0].atoms, []
+    for v in nullspace(system.order_matrix):
+        f = Expr(atoms, _canonical(atoms, [(t.coeff * c, t.powers, t.weight, t.logp)
+                                           for j, c in v.items() for t in system.basis[j].terms]))
+        image = f.terms
+        for _ in range(system.order):
+            tau = _one_column_map(system.geometry, atoms, image)
+            image = [(c, p, w, logp) for (logp, w, p), c in tau.items()]
+        if image:
+            raise AssertionError("kernel member failed exact re-verification")
+        kernel.append(f)
+    return kernel
+
+
+def _assert_system_is_the_per_column_reference(g, basis, order):
+    system = AnsatzSystem.build(g, basis, order)
+    ordered, matrix, power = _per_column_system(g, basis, order)
+    assert system.basis == ordered
+    for got, want in ((system.matrix, matrix), (system.order_matrix, power)):
+        assert (got.rows, got.cols, got.row_maps) == (want.rows, want.cols, want.row_maps)
+    assert generate_kernel(system) == _per_member_kernel(system)
+
+
+@pytest.mark.parametrize("gid", ["nil", "sl2", "h2xr"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_monomial_ansatz_systems_are_the_per_column_reference(gid, order):
+    g = by_id(gid)
+    for degree in range(7):
+        basis = [Expr.monomial(g.atoms, 1, dict(zip(g.atoms.variables, powers)))
+                 for powers in itertools.product(range(degree + 1), repeat=len(g.atoms.variables))
+                 if sum(powers) <= degree]
+        _assert_system_is_the_per_column_reference(g, basis, order)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_sol_axis_systems_are_the_per_column_reference(axis):
+    g = by_id("sol")
+    for n in range(2, 49):
+        _assert_system_is_the_per_column_reference(g, sol_axis_basis(n, axis, g), 1)
+
+
 def test_every_catalogue_table_is_proven_closed_on_its_test_atom_sets():
     for gid, convention, atoms in _TENSION_CASES:
         g = by_id(gid, convention)
@@ -665,7 +816,7 @@ def test_a_table_not_proven_closed_checks_every_output(table, atoms, text, messa
     user = Geometry("user", atoms, ((-1.0, 1.0),) * len(atoms.variables), table)
     assert user._kernel(atoms)[3] is False
     f = parse(text, atoms)
-    got = _map_outcome(type(user)._tension_map, user, atoms, f.terms)
+    got = _map_outcome(_one_column_map, user, atoms, f.terms)
     assert got == _map_outcome(_reference_map, user, atoms, f.terms)
     assert got[0] is ClosureError and message in got[1]
 
@@ -683,11 +834,11 @@ def test_log_outputs_of_a_closed_table_are_closure_checked(rng):
     user = Geometry("user", _XY_LOG, ((-1.0, 1.0),) * 3, _X_ON_TT)
     assert user._kernel(_XY_LOG)[3] is True
     f = random_expr(rng, _XY_LOG, max_terms=4, max_power=3, weights=(-1, 0, 1), allow_log=True)
-    got = _map_outcome(type(user)._tension_map, user, _XY_LOG, f.terms)
+    got = _map_outcome(_one_column_map, user, _XY_LOG, f.terms)
     assert got == _map_outcome(_reference_map, user, _XY_LOG, f.terms)
     f = parse("x^2 + t^2*log1m", _XY_LOG)
     with pytest.raises(ClosureError, match="log-bearing terms may not carry powers"):
-        user._tension_map(_XY_LOG, f.terms)
+        _one_column_map(user, _XY_LOG, f.terms)
 
 
 def test_rebuilt_charts_reuse_the_compiled_emission():
