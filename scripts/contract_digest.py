@@ -172,7 +172,13 @@ ORACLE_FLAGS = [["--levels", "1"], ["--levels", "3"], ["--samples", "300"]]
 # and a negative row, which pin how rows and kernels are scaled to primitive
 # integers; and the paper-convention `oracle` on two conformal product charts,
 # which pins when the factor-4 ratio is reported.
-ANSATZ_EDGES = ["(1+1i)*x, 2i*y - 1/3*x*y, -4*t", "-x^2, 3/2*E(-2), (1+1i)*x*E(-1)"]
+# The last basis puts a complex pivot and a non-unit denominator into the
+# elimination: its rows hold (8-4i), 2, 2/3, (4+8i) and (2+4i).
+ANSATZ_EDGES = [
+    "(1+1i)*x, 2i*y - 1/3*x*y, -4*t",
+    "-x^2, 3/2*E(-2), (1+1i)*x*E(-1)",
+    "x^2, (1+2i)*y^2*E(2), 1/3*t^2, (2-1i)*E(-2)",
+]
 PAPER_ORACLE_CHARTS = ["h2xr", "product:h2xline"]
 
 # `generate -r 3 --ansatz`, where the tau^3 matrix is built from the images of

@@ -2,34 +2,34 @@
 
 An :class:`ExactMatrix` stores only its nonzero entries, as one
 ``{column: value}`` map per row, and may have no rows at all (the map of a
-basis whose images all vanish).  Every reduction starts from copies of
-those maps and touches only nonzero entries.  Forward elimination takes
-pivot columns left to right: the shortest unchosen row holding the column
-(least fill-in) is its pivot row, and the column is cleared from the other
-unchosen rows.  Back-substitution, last pivot first, clears each pivot
-column from the rows above, with a pivot row that by then holds only later
-free columns; so a banded system costs O(n) row updates, not O(n^2).  The
-pivot row choice cannot change the result: the reduced row echelon form of
-a matrix is unique, so kernels are the same under any pivot row order.  The
-arithmetic is exact, so there is no numerical pivot selection.  Kernel
-basis vectors are ``{column: value}`` maps as well, normalized so that
-their first nonzero entry is 1, which makes hand comparisons "equal up to
-one declared scale factor".  For printing, :func:`primitive_scale` is the
-one rule that scales a vector to coprime integers with a positive lead (or
-to lead 1 when it is complex).
+basis whose images all vanish).  A reduction reads those maps once, into
+``(a, b, d)`` integer triples in the normal form of ``rationals``, and
+touches only nonzero entries: a product is subtracted with one gcd, and a
+pivot ``(c + e i)/f`` is divided out as ``f (c - e i)/(c^2 + e^2)``.
+Forward elimination takes pivot columns left to right: the shortest
+unchosen row holding the column (least fill-in, then the lowest index) is
+its pivot row, and the column is cleared from the other unchosen rows.
+Back-substitution, last pivot first, clears each pivot column from the rows
+above with its pivot row, which by then holds only later free columns; so
+a banded system costs O(n) row updates, not O(n^2).  The RREF is unique,
+so kernels do not depend on the pivot order.  Kernel basis vectors, the
+only GaussianRationals a reduction makes, are ``{column: value}`` maps led
+by 1.  :func:`primitive_scale` is the one rule that scales a vector for
+printing, to coprime integers with a positive lead (or to lead 1 when it
+is complex).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Collection, Iterable, Sequence
 
 from .errors import UsageError
-from .rationals import GaussianRational, ONE, ZERO, ScalarLike
+from .rationals import GaussianRational, ONE, ZERO, ScalarLike, _make
 
-Vector = tuple[GaussianRational, ...]
 RowMap = dict[int, GaussianRational]
+Triples = dict[int, tuple[int, int, int]]  # column -> (a, b, d) of the normal form
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,13 +52,11 @@ class ExactMatrix:
         if not rows:
             raise UsageError("matrix needs at least one row")
         ncols = len(rows[0])
-        maps = []
-        for row in rows:
-            if len(row) != ncols:
-                raise UsageError("ragged rows")
-            values = map(GaussianRational.coerce, row)
-            maps.append({j: v for j, v in enumerate(values) if v})
-        return ExactMatrix(len(rows), ncols, tuple(maps))
+        if any(len(row) != ncols for row in rows):
+            raise UsageError("ragged rows")
+        values = (map(GaussianRational.coerce, row) for row in rows)
+        maps = tuple({j: v for j, v in enumerate(row) if v} for row in values)
+        return ExactMatrix(len(rows), ncols, maps)
 
     # ``entries`` and ``at`` are dense reads for the benchmark (perfbench), which
     # counts nonzeros through ``entries`` and copies a matrix to floats with ``at``.
@@ -72,29 +70,27 @@ class ExactMatrix:
             raise IndexError("column index out of range")
         return self.row_maps[i].get(j, ZERO)
 
-    def row(self, i: int) -> Vector:
-        m = self.row_maps[i]
-        return tuple(m.get(j, ZERO) for j in range(self.cols))
+    def row(self, i: int) -> tuple[GaussianRational, ...]:
+        return tuple(self.row_maps[i].get(j, ZERO) for j in range(self.cols))
 
 
-def _eliminate(m: ExactMatrix) -> tuple[list[RowMap], tuple[int, ...]]:
-    """The nonzero rows of the RREF of m as column -> entry maps, in pivot
+def _eliminate(m: ExactMatrix) -> tuple[list[Triples], tuple[int, ...]]:
+    """The nonzero rows of the RREF of m as column -> triple maps, in pivot
     order, and the ascending pivot columns."""
-    rows = [dict(row) for row in m.row_maps]
+    rows = [{j: (v.a, v.b, v.d) for j, v in row.items()} for row in m.row_maps]
     holders: dict[int, set[int]] = {}  # column -> unchosen rows with a nonzero entry there
     for i, row in enumerate(rows):
         for j in row:
             holders.setdefault(j, set()).add(i)
     chosen: dict[int, int] = {}  # pivot row -> pivot column, in pivot order
     for col in range(m.cols):  # forward elimination
-        if not holders.get(col):
+        if not (h := holders.get(col)):
             continue
-        p = min(holders[col], key=lambda r: (len(rows[r]), r))  # shortest: least fill
-        inv = ONE / rows[p][col]
-        rows[p] = {j: v * inv for j, v in rows[p].items()}
+        p = next(iter(h)) if len(h) == 1 else min(h, key=lambda r: (len(rows[r]), r))
+        rows[p] = _divided(rows[p], *rows[p][col])
         for j in rows[p]:
             holders[j].discard(p)
-        _clear(rows, holders[col], col, rows[p], holders)
+        _clear(rows, h, col, rows[p], holders)
         chosen[p] = col
         if len(chosen) == m.rows:
             break
@@ -108,7 +104,20 @@ def _eliminate(m: ExactMatrix) -> tuple[list[RowMap], tuple[int, ...]]:
     return [rows[p] for p in chosen], tuple(chosen.values())
 
 
-def _clear(rows: list[RowMap], targets: Collection[int], col: int, pivot: RowMap, holders=None):
+def _divided(row: Triples, c: int, e: int, f: int) -> Triples:
+    """row / ((c + e i)/f) = row * f (c - e i)/(c^2 + e^2), each entry reduced by one gcd."""
+    if (c, e, f) == (1, 0, 1):
+        return row
+    p, q, r = f * c, -f * e, c * c + e * e
+    out = {}
+    for j, (a, b, d) in row.items():
+        x, y, z = a * p - b * q, a * q + b * p, d * r
+        g = gcd(x, y, z)
+        out[j] = (x // g, y // g, z // g)
+    return out
+
+
+def _clear(rows: list[Triples], targets: Collection[int], col: int, pivot: Triples, holders=None):
     """Subtract from each target row its entry at ``col`` times the pivot row,
     whose entry there is 1, and keep ``holders`` (column -> rows) current if given."""
     if not targets:
@@ -116,17 +125,21 @@ def _clear(rows: list[RowMap], targets: Collection[int], col: int, pivot: RowMap
     rest = [(j, v) for j, v in pivot.items() if j != col]
     for r in targets:
         row = rows[r]
-        factor = row.pop(col)
-        for j, v in rest:
-            new = row.get(j, ZERO) - factor * v
-            if new.is_zero():
+        fa, fb, fd = row.pop(col)
+        for j, (va, vb, vd) in rest:
+            a, b, d = row.get(j, (0, 0, 1))  # a/d - (fa + fb i)(va + vb i)/(fd vd), one gcd
+            pd = fd * vd
+            a, b = a * pd - (fa * va - fb * vb) * d, b * pd - (fa * vb + fb * va) * d
+            if a or b:
+                d *= pd
+                g = gcd(a, b, d)
+                row[j] = (a // g, b // g, d // g)
+                if holders is not None:
+                    holders[j].add(r)
+            else:
                 del row[j]
                 if holders is not None:
                     holders[j].discard(r)
-            else:
-                row[j] = new
-                if holders is not None:
-                    holders.setdefault(j, set()).add(r)
 
 
 def rank(m: ExactMatrix) -> int:
@@ -134,25 +147,18 @@ def rank(m: ExactMatrix) -> int:
 
 
 def nullspace(m: ExactMatrix) -> list[RowMap]:
-    """Exact kernel basis as ``{column: value}`` maps; empty list for a
-    trivial kernel.
-
-    One basis vector per free column, each normalized to leading entry 1.
-    """
+    """Exact kernel basis: one ``{column: value}`` map per free column, each
+    normalized to leading entry 1; an empty list for a trivial kernel."""
     reduced, pivots = _eliminate(m)
-    pivot_set = set(pivots)
     # free column -> nonzero entries of its kernel vector; an RREF row holds
     # its pivot and otherwise only free columns
-    kernel = {j: {j: ONE} for j in range(m.cols) if j not in pivot_set}
+    kernel = {j: {j: (1, 0, 1)} for j in sorted(set(range(m.cols)).difference(pivots))}
     for row, pc in zip(reduced, pivots):
-        for j, v in row.items():
+        for j, (a, b, d) in row.items():
             if j != pc:
-                kernel[j][pc] = -v
-    basis = []
-    for entries in kernel.values():
-        inv = ONE / entries[min(entries)]
-        basis.append(entries if inv == ONE else {j: v * inv for j, v in entries.items()})
-    return basis
+                kernel[j][pc] = (-a, -b, d)
+    return [{j: _make(a, b, d) for j, (a, b, d) in _divided(v, *v[min(v)]).items()}
+            for v in kernel.values()]
 
 
 def primitive_scale(values: Iterable[GaussianRational], lead: GaussianRational) -> GaussianRational:
@@ -165,8 +171,8 @@ def primitive_scale(values: Iterable[GaussianRational], lead: GaussianRational) 
         return ONE
     if any(v.b for v in values):
         return ONE / lead
-    d = math.lcm(*(v.d for v in values))
-    g = math.gcd(*(v.a * (d // v.d) for v in values))
+    d = lcm(*(v.d for v in values))
+    g = gcd(*(v.a * (d // v.d) for v in values))
     return GaussianRational.coerce(-d if lead.a < 0 else d) / g
 
 

@@ -70,18 +70,19 @@ class GaussianRational:
         return Fraction(self.b, self.d)
 
     def __add__(self, other: ScalarLike):
-        o = _operand(other)
-        if o is None:
+        if (o := _operand(other)) is None:
             return NotImplemented
         return _sum(self.a, self.b, self.d, o.a, o.b, o.d)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike):
-        o = _operand(other)
-        if o is None:
+        if (o := _operand(other)) is None:
             return NotImplemented
         return _sum(self.a, self.b, self.d, -o.a, -o.b, o.d)
+
+    def __rsub__(self, other: ScalarLike):
+        return (-self).__add__(other)
 
     def __neg__(self) -> "GaussianRational":
         return _make(-self.a, -self.b, self.d)
@@ -92,8 +93,7 @@ class GaussianRational:
             g = gcd(other, d)  # gcd(a*k, b*k, d) == gcd(k, d) in normal form
             k = other // g
             return _make(a * k, b * k, d // g)
-        o = _operand(other)
-        if o is None:
+        if (o := _operand(other)) is None:
             return NotImplemented
         c, e, f = o.a, o.b, o.d
         if e == 0:
@@ -108,8 +108,9 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.coerce(other)
+    def __truediv__(self, other: ScalarLike):
+        if (o := _operand(other)) is None:
+            return NotImplemented
         c, e, f = o.a, o.b, o.d
         if e == 0:
             if c == 0:
@@ -120,6 +121,9 @@ class GaussianRational:
         # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
         a, b = self.a * f, self.b * f
         return _reduced(a * c + b * e, b * c - a * e, self.d * (c * c + e * e))
+
+    def __rtruediv__(self, other: ScalarLike):
+        return NotImplemented if (o := _operand(other)) is None else o / self
 
     def is_zero(self) -> bool:
         return not (self.a or self.b)

@@ -25,7 +25,7 @@ from polyharm.linalg import (
     primitive_scale,
     rank,
 )
-from polyharm.rationals import ONE, ZERO, GaussianRational
+from polyharm.rationals import ONE, ZERO, GaussianRational, _make
 
 from conftest import fractions, gaussian_rationals
 
@@ -76,6 +76,13 @@ def row_maps(rows):
     return [{j: GaussianRational.coerce(v) for j, v in enumerate(row) if v} for row in rows]
 
 
+def as_values(result):
+    """An ``_eliminate`` result with its ``(a, b, d)`` triples turned back into
+    GaussianRationals, triple for triple, so that equality stays exact."""
+    rows, pivots = result
+    return [{j: _make(a, b, d) for j, (a, b, d) in row.items()} for row in rows], pivots
+
+
 def matvec(m, v):
     """m times the sparse vector v ({column: value})."""
     return tuple(sum((a * v.get(j, ZERO) for j, a in row.items()), ZERO) for row in m.row_maps)
@@ -83,12 +90,12 @@ def matvec(m, v):
 
 def test_rref_identity_is_fixed_point():
     m = identity(2)
-    assert _eliminate(m) == (list(m.row_maps), (0, 1))
+    assert as_values(_eliminate(m)) == (list(m.row_maps), (0, 1))
 
 
 def test_rref_printed_two_row_system():
     m = ExactMatrix.from_rows([[2, 0, 1], [0, 1, 0]])
-    assert _eliminate(m) == (row_maps([[1, 0, Fraction(1, 2)], [0, 1, 0]]), (0, 1))
+    assert as_values(_eliminate(m)) == (row_maps([[1, 0, Fraction(1, 2)], [0, 1, 0]]), (0, 1))
 
 
 def test_rref_of_recorded_invertible_matrix_is_identity():
@@ -108,18 +115,18 @@ def test_rref_of_recorded_invertible_matrix_is_identity():
             c = Fraction(rng.randint(-3, 3))
             rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
     m = ExactMatrix.from_rows(rows)
-    assert _eliminate(m) == (list(identity(4).row_maps), (0, 1, 2, 3))
+    assert as_values(_eliminate(m)) == (list(identity(4).row_maps), (0, 1, 2, 3))
 
 
 @settings(max_examples=60)
 @given(st.one_of(matrices(), sparse_matrices()))
 def test_rref_is_idempotent(m):
-    reduced, pivots = _eliminate(m)
+    reduced, pivots = as_values(_eliminate(m))
     assert len(reduced) == len(pivots) <= m.rows
     for row, pc in zip(reduced, pivots):  # pivot 1, the row's first nonzero entry
         assert min(row) == pc and row[pc] == ONE
         assert all(v for v in row.values())
-    again = _eliminate(ExactMatrix(len(reduced), m.cols, tuple(reduced)))
+    again = as_values(_eliminate(ExactMatrix(len(reduced), m.cols, tuple(reduced))))
     assert again == (reduced, pivots)
 
 
@@ -361,7 +368,7 @@ def test_sparse_matrix_matches_its_dense_rows(rows):
 def test_sparse_reductions_match_dense_gauss_jordan(rows):
     m = ExactMatrix.from_rows(rows)
     reduced, pivots = _dense_rref(rows)
-    assert _eliminate(m) == (row_maps(reduced[: len(pivots)]), pivots)
+    assert as_values(_eliminate(m)) == (row_maps(reduced[: len(pivots)]), pivots)
     assert rank(m) == len(pivots)
     assert nullspace(m) == row_maps(_dense_nullspace(rows))
 
@@ -433,14 +440,14 @@ def wide_sparse_matrices(draw):
 @settings(max_examples=200)
 @given(wide_sparse_matrices())
 def test_elimination_matches_gauss_jordan_on_sparse_matrices(m):
-    assert _eliminate(m) == _reference_eliminate(m)
+    assert as_values(_eliminate(m)) == _reference_eliminate(m)
 
 
 def test_elimination_matches_gauss_jordan_on_every_sol_axis_system():
     g = by_id("sol")
     for n, axis in itertools.product(range(2, 49), "xy"):
         m = AnsatzSystem.build(g, sol_axis_basis(n, axis, g)).matrix
-        assert _eliminate(m) == _reference_eliminate(m), (n, axis)
+        assert as_values(_eliminate(m)) == _reference_eliminate(m), (n, axis)
 
 
 @pytest.mark.parametrize("gid", ["nil", "sl2", "h2xr"])
@@ -453,7 +460,44 @@ def test_elimination_matches_gauss_jordan_on_monomial_ansatz_systems(gid, order)
                  if sum(powers) <= degree]
         system = AnsatzSystem.build(g, basis, order)
         for m in (system.matrix, system.order_matrix):
-            assert _eliminate(m) == _reference_eliminate(m), degree
+            assert as_values(_eliminate(m)) == _reference_eliminate(m), degree
+
+
+# -- every entry in normal form --------------------------------------------------
+
+
+def _is_normal(a, b, d):
+    """(a + b i)/d is a nonzero value in the normal form of ``rationals``."""
+    return (a, b) != (0, 0) and d > 0 and math.gcd(a, b, d) == 1
+
+
+@st.composite
+def normal_form_rows(draw, max_rows=5, max_cols=6):
+    """Dense rows whose entries exercise each reduction step: Gaussian-integer
+    pivots of norm > 1, negative integers, and parts with denominators up to
+    10^18, about a third of the entries zero."""
+    rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    gaussian_integer = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(
+        lambda t: t[0] ** 2 + t[1] ** 2 > 1).map(lambda t: GaussianRational(*t))
+    part = fractions(max_num=10**25, max_den=10**18)
+    value = st.one_of(
+        st.just(0), st.just(0), gaussian_integer, st.integers(-10**6, -1), part,
+        st.builds(GaussianRational, part, part),
+    )
+    return [[draw(value) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=150)
+@given(normal_form_rows())
+def test_every_reduced_and_kernel_entry_is_in_normal_form(rows):
+    m = ExactMatrix.from_rows(rows)
+    reduced, pivots = _eliminate(m)
+    assert all(_is_normal(*v) for row in reduced for v in row.values())
+    assert as_values((reduced, pivots)) == _reference_eliminate(m)
+    kernel = nullspace(m)
+    assert all(_is_normal(v.a, v.b, v.d) for v in itertools.chain.from_iterable(
+        k.values() for k in kernel))
+    assert kernel == row_maps(_dense_nullspace(rows))
 
 
 def test_wrong_entry_count_is_a_usage_error():

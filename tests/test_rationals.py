@@ -100,6 +100,10 @@ class RefGaussianRational:
             return NotImplemented
         return RefGaussianRational(self.re - o.re, self.im - o.im)
 
+    def __rsub__(self, other: ScalarLike):
+        o = RefGaussianRational._try_coerce(other)
+        return NotImplemented if o is None else o - self
+
     def __neg__(self) -> "RefGaussianRational":
         return RefGaussianRational(-self.re, -self.im)
 
@@ -120,6 +124,10 @@ class RefGaussianRational:
         if n == 0:
             raise ZeroDivisionError("division by zero RefGaussianRational")
         return self * o.conjugate() * RefGaussianRational(Fraction(1, 1) / n)
+
+    def __rtruediv__(self, other: ScalarLike):
+        o = RefGaussianRational._try_coerce(other)
+        return NotImplemented if o is None else o / self
 
     def conjugate(self) -> "RefGaussianRational":
         return RefGaussianRational(self.re, -self.im)
@@ -196,10 +204,23 @@ def test_int_and_fraction_operands_match_reference(p, k):
     x, rx = both(*p)
     for op in OPERATORS:
         assert_same(outcome(lambda: op(x, k)), outcome(lambda: op(rx, k)))
-    for op in (operator.add, operator.mul):  # the reflected operators
-        assert_same(op(k, x), op(k, rx))
+    for op in OPERATORS:  # the reflected operators
+        assert_same(outcome(lambda: op(k, x)), outcome(lambda: op(k, rx)))
     assert_same(GaussianRational.coerce(k), RefGaussianRational.coerce(k))
     assert (x == k) is (rx == k) is False
+
+
+@pytest.mark.parametrize("other", ["x", 0.5, None])
+def test_non_scalar_operands_are_not_implemented(other):
+    # Python then raises its own TypeError, never the "cannot coerce" of coerce
+    x = GaussianRational(Fraction(1, 2), 3)
+    for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv"):
+        assert getattr(x, f"__{name}__")(other) is NotImplemented
+    for op in OPERATORS:
+        for a, b in ((x, other), (other, x)):
+            with pytest.raises(TypeError) as exc:
+                op(a, b)
+            assert "cannot coerce" not in str(exc.value)
 
 
 def test_equal_values_built_differently_are_one_triple():
