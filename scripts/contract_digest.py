@@ -13,12 +13,10 @@ a lowered bound), `oracle --format json` on h2xr at `--levels 1`, `--levels 3`
 and `--samples 300`, and `scripts/family_gallery.py`, plus the edge
 cases of `ANSATZ_EDGES` and `PAPER_ORACLE_CHARTS`.  Each command runs
 in-process; its line reads `<sha256 of stdout and stderr>  <exit code>
-<command>`.  No command prints the conformality operator, so one more line
-per chart hashes `str(g.conformality(f, h))` over fixed pairs, log pairs
-included, one more hashes a point-function `fd_tension` value, and one more
-hashes every (chart, function, bound) that `verify-paper --skip-oracle` and
-`lemma-check -n 3 --trials 30` pass to `classify`, which pins the random
-draws even where a check's status would not change.  Two
+<command>`.  One more line hashes a point-function `fd_tension` value, and
+one more hashes every (chart, function, bound) that `verify-paper
+--skip-oracle` and `lemma-check -n 3 --trials 30` pass to `classify`, which
+pins the random draws even where a check's status would not change.  Two
 trees are compared by diffing the output of this script run against each:
 
     PYTHONPATH=src python scripts/contract_digest.py > after.txt
@@ -34,7 +32,6 @@ from pathlib import Path
 
 import polyharm.verify
 from polyharm.cli import main as cli_main
-from polyharm.errors import ClosureError
 from polyharm.geometries import by_id, classify
 from polyharm.oracle import OracleConfig, fd_tension
 from polyharm.parser import parse
@@ -52,32 +49,6 @@ CHARTS = {
     "s2pxr": "log1p*t^2 + z^2*zb*t",
     "product:nilxh2": "x*z*zb + 1/2*t^2*z",
 }
-
-# Conformality pairs per chart, on top of (f, f) for the CHARTS expression f:
-# mixed-variable and log-bearing inputs, including the log pairs of the
-# oracle tests.
-KAPPA_PAIRS = {
-    "sol": [("x*y*E(-1) + t^2", "y^2*E(2) - 3*x*t")],
-    "nil": [("x*t + y^2", "(1-1i)*x^2*y*t + t^3")],
-    "sl2": [("x*t - y^2", "x^2*y + 2i*t^2")],
-    "h2": [("log1m", "log1m"), ("log1m", "z^2*zb"), ("z*zb^2 + log1m", "z^3 - 2*log1m")],
-    "s2p": [("log1p", "log1p"), ("z^2 + 1/3*log1p", "zb*z^2 - log1p")],
-    "line": [("t^3", "t^2 - 1")],
-    "h2xr": [("t*log1m", "log1m"), ("t^2*log1m", "z^2*zb + t"), ("log1m", "z^2*zb")],
-    "s2pxr": [("t*log1p + z^2", "log1p + zb*z^2")],
-    "product:nilxh2": [("x*t*z + log1m", "y*zb^2 + t^2")],
-}
-
-
-def print_conformality(geometry_id: str) -> int:
-    g = by_id(geometry_id)
-    for f, h in [(CHARTS[geometry_id], CHARTS[geometry_id])] + KAPPA_PAIRS[geometry_id]:
-        try:
-            print(g.conformality(parse(f, g.atoms), parse(h, g.atoms)))
-        except ClosureError as exc:  # kappa(t L, t L) carries L^2
-            print(f"closure error: {exc}")
-    return 0
-
 
 def monomials(geometry_id: str, degree: int) -> str:
     names = by_id(geometry_id).atoms.variables
@@ -282,9 +253,6 @@ def main() -> int:
     finally:
         sys.argv = saved
     print(f"{sha}  {code}  scripts/family_gallery.py")
-    for gid in CHARTS:
-        sha, code = digest(lambda: print_conformality(gid))
-        print(f"{sha}  {code}  conformality -g {gid}")
     sha, code = digest(print_point_function_tension)
     print(f"{sha}  {code}  fd_tension -g h2xr (point function, levels 3)")
     sha, code = digest(print_classified_draws)

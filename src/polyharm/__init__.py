@@ -1,12 +1,12 @@
 """Exact polyharmonic function toolkit for the 3-dimensional model geometries.
 
-Symbolic tension (Laplace-Beltrami) and conformality operators over exact
-Gaussian-rational term algebras on sol, nil, sl2, the hyperbolic disc, the
-punctured sphere, the line and their products; generators for the explicit
-harmonic and polyharmonic families; and a metric-derived finite-difference
-oracle that cross-validates every symbolic operator rule.  The names below
-are the public Python API; the README's "Python API" section lists them.
-The oracle names load numpy, so they are imported on first access.
+Symbolic tension (Laplace-Beltrami) operators over exact Gaussian-rational
+term algebras on sol, nil, sl2, the hyperbolic disc, the punctured sphere,
+the line and their products; generators for the explicit harmonic and
+polyharmonic families; and a metric-derived finite-difference oracle that
+cross-validates every symbolic operator rule.  The names below are the
+public Python API; the README's "Python API" section lists them.  The oracle
+names load numpy, so they are imported on first access.
 """
 
 from .algebra import AtomSet, Expr, Term

@@ -258,23 +258,6 @@ class Expr:
             raw.extend(e.terms)
         return Expr(atoms, _canonical(atoms, raw))
 
-    @staticmethod
-    def combine(atoms: AtomSet, parts: Iterable[tuple]) -> "Expr":
-        """sum of c * m * terms over parts (c, powers, weight, terms) in one
-        canonicalisation pass, with m = prod v^p * E(weight), ``powers`` an
-        exponent tuple over ``atoms.variables`` and ``terms`` a sequence of
-        terms of ``atoms``, canonical or raw."""
-        # streamed, and c = 1 or a zero monomial reuses the term's coefficient or
-        # exponents: fewer live objects, so fewer garbage collections
-        raw = (
-            (t.coeff if c == 1 else t.coeff * c,
-             tuple(map(add, t.powers, powers)) if any(powers) else t.powers,
-             t.weight + weight, t.logp)
-            for c, powers, weight, terms in parts
-            for t in terms
-        )
-        return Expr(atoms, _canonical(atoms, raw, check=True))
-
     # -- ring operations ---------------------------------------------------
 
     def _require_same_atoms(self, other: "Expr") -> None:
@@ -326,7 +309,8 @@ class Expr:
 
     def differentiate(self, var: str) -> "Expr":
         """Exact partial derivative; z and zb are independent symbols.  A
-        log-bearing term differentiated in z or zb raises ClosureError."""
+        log-bearing term differentiated in z or zb raises ClosureError.
+        Only the tests and perfbench's ``algebra.differentiate`` span use it."""
         atoms = self.atoms
         idx = atoms.index(var)
         log_refused = atoms.conformal is not None and var in atoms.conformal
@@ -387,17 +371,6 @@ class Expr:
 
     def _has_log(self) -> bool:
         return any(t.logp for t in self.terms)
-
-    def split_log(self) -> tuple["Expr", "Expr | None"]:
-        """(log-free part P, stripped log coefficient A) with self = P + A*L;
-        A is None when no term carries L."""
-        if not self._has_log():
-            return self, None
-        # both parts keep the canonical order: stripping L maps the sorted
-        # signatures (1, w, p) onto the sorted (0, w, p)
-        poly = tuple(t for t in self.terms if not t.logp)
-        stripped = tuple(Term(t.coeff, t.powers, t.weight) for t in self.terms if t.logp)
-        return Expr(self.atoms, poly), Expr(self.atoms, stripped)
 
     # -- printing ----------------------------------------------------------
 

@@ -1,9 +1,8 @@
-"""Model geometries with exact tension and conformality operators.
+"""Model geometries with exact tension operators.
 
 Each geometry bundles a chart algebra (AtomSet), an operator table that
-drives both the symbolic tension field tau (the Laplace-Beltrami operator on
-complex-valued functions) and the symbolic conformality operator
-kappa(f, h) = g(grad f, grad h), a numeric metric evaluator for the
+drives the symbolic tension field tau (the Laplace-Beltrami operator on
+complex-valued functions), a numeric metric evaluator for the
 finite-difference oracle, and a domain predicate.
 
 Operator rules in chart coordinates (x, y, t):
@@ -28,13 +27,10 @@ multipliers per term.  tau runs on Gaussian-integer numerators over one
 common denominator and reduces each output to normal form once, closure-
 checked unless the table proves it (``Geometry._tension_map``, tau's one
 body, over columns of terms: one column is an Expr in ``tension``, a whole
-ansatz basis is one call per power in ``families``).
-kappa = sum g^ij f_i h_j reads the unscaled groups: it forms f_i h_j (and
-f_j h_i off the diagonal) once per group, and each entry adds c m f_i h_i on
-the diagonal and c m (f_i h_j + f_j h_i) / 2 off it.  Entries on the
+ansatz basis is one call per power in ``families``).  Entries on the
 conformal pair act on the log-free part of f; the log atom L follows the
-closed-form rule of its surface, tau(L) = s c, with its own kappa terms.
-Adding a chart means adding one table, one ``metric`` and one ``_CHARTS`` entry.
+closed-form rule of its surface, tau(L) = s c.  Adding a chart means adding
+one table, one ``metric`` and one ``_CHARTS`` entry.
 
 Two operator conventions exist for the conformal surfaces because the
 printed conformal factor of the operator (4(1 -+ u)^2) is four times the
@@ -43,10 +39,9 @@ default is the metric-derived factor, which is what the numerical oracle
 validates; the "paper" flag reproduces the printed operator.  Properness
 orders agree under both, which the test suite asserts.
 
-A product chart concatenates the factor tables, so tau = tau_1 + tau_2 and
-kappa = kappa_1 + kappa_2 on the disjoint union of the factor variables,
-and takes the log rule of its one log-bearing factor.  Cross-factor kappa
-of separable functions vanishes by construction.
+A product chart concatenates the factor tables, so tau = tau_1 + tau_2 on
+the disjoint union of the factor variables, and takes the log rule of its
+one log-bearing factor.
 """
 
 from __future__ import annotations
@@ -78,13 +73,6 @@ def _matrix(points: np.ndarray, rows) -> np.ndarray:
     for a, b in np.ndindex(g.shape[-2:]):
         g[..., a, b] = rows[a][b]
     return g
-
-
-def _first_partials(f: Expr, free: Expr):
-    """v -> d_v e, each taken once, with e = f, or the log-free part ``free``
-    of f for a partial in the conformal pair."""
-    conformal = f.atoms.conformal or ()
-    return functools.cache(lambda v: (free if v in conformal else f).differentiate(v))
 
 
 @functools.cache
@@ -228,25 +216,6 @@ class Geometry:
                 tau[key] = _make(a, b, 1) if DL == 1 else _reduced(a, b, DL)
         return tau
 
-    def conformality(self, f: Expr, h: Expr) -> Expr:
-        self._require(f)
-        self._require(h)
-        (fp, fa), (hp, ha) = f.split_log(), h.split_log()
-        df = _first_partials(f, fp)
-        dh = _first_partials(h, hp)
-        names = f.atoms.variables
-        parts = []
-        for vi, vj, same, *_, entries in self._kernel(f.atoms)[0]:
-            i, j = names[vi], names[vj]
-            pairs = ((i, j),) if same else ((i, j), (j, i))
-            products = [(df(a) * dh(b)).terms for a, b in pairs]
-            for c, w, shifts in entries:
-                scale = c if same else GaussianRational.coerce(c) / 2
-                parts.extend((scale, shifts[3], w, terms) for terms in products)
-        if self.log_rule is not None:
-            parts.extend(self.log_rule.log_conformality_parts(f.atoms, fa, ha, df, dh))
-        return Expr.combine(f.atoms, parts)
-
     def contains(self, point, slack: float = 0.0) -> np.ndarray:
         import numpy as np
         return np.ones(np.shape(point)[:-1], dtype=bool)
@@ -385,26 +354,6 @@ class ConformalSurface(Geometry):
         # a property, not an attribute holding self: that would make every
         # surface a reference cycle left to the cyclic garbage collector
         return self
-
-    def log_conformality_parts(self, atoms: AtomSet, fa, ha, df, dh) -> list:
-        """The L-bearing kappa terms of f = fp + fa L and h = hp + ha L:
-
-            (s c / 2) (1 + s u) sum_v v (fa hp_v + ha fp_v)  +  c u fa ha
-
-        over v in (z, zb); ``fa``/``ha`` are None when absent and ``df``/``dh``
-        give the partials of the log-free parts."""
-        s, half = self.sign, GaussianRational.coerce(self.factor) / 2
-        parts = []
-        for a, d in ((fa, dh), (ha, df)):
-            if a is None:
-                continue
-            for v, w in (("z", "zb"), ("zb", "z")):
-                a_dv = (a * d(v)).terms
-                parts.append((s * half, atoms.exponents({v: 1}), 0, a_dv))
-                parts.append((half, atoms.exponents({v: 2, w: 1}), 0, a_dv))
-        if fa is not None and ha is not None:
-            parts.append((self.factor, atoms.exponents({"z": 1, "zb": 1}), 0, (fa * ha).terms))
-        return parts
 
     def metric(self, point) -> np.ndarray:
         import numpy as np
