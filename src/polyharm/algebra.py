@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import add
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ClosureError, DomainError, UsageError
 from .rationals import GaussianRational, ScalarLike
@@ -195,10 +195,13 @@ def _validated(atoms: AtomSet, term: Term) -> Term:
     return term
 
 
-def _canonical(atoms: AtomSet, raw: Iterable[Term], check: bool = False) -> tuple[Term, ...]:
+def _canonical(atoms: AtomSet, raw: Sequence[Term], check: bool = False) -> tuple[Term, ...]:
     """Like terms merged, zeros dropped, sorted.  ``check`` validates the
     closure rules; operations whose output terms are valid by construction
-    (sums, derivatives, scaling) skip it."""
+    (sums, derivatives, scaling) skip it.  A single term skips the merge."""
+    if len(raw) == 1:
+        t = raw[0]
+        return (tuple.__new__(Term, _validated(atoms, t) if check else t),) if t[0] else ()
     merged: dict[tuple, GaussianRational] = {}
     for coeff, powers, weight, logp in raw:
         if coeff:

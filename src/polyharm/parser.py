@@ -19,14 +19,16 @@ is the binary operator.  Parse of the canonical printed form is the identity.
 After one search for unexpected characters, each factor is one regex match
 at the scan position: an atom or 'E(m)', a rational with its 'i', or a
 parenthesised complex literal, with its '^n' and the operator after it.  It
-folds straight into the raw Term of its product: an atom adds exponents, and
-a literal's (a, b, d) triple is built from its integers with one
-normalisation.  Any other '(' opens a sum, scanned by the same loop one
-level down.  A product becomes an Expr only once a sum in parentheses, or a
-power of one or of a literal, enters it, and a flat sum of products is
-canonicalised once, unchecked.  Errors keep the class, message and token
-position of the grammar.  A closure error is raised at the factor that
-breaks a product: ``log1m*log1m*0`` is refused, ``0*log1m*log1m`` is 0.
+folds straight into the raw Term of its product: a variable adds its exponent
+at its slot in a map made once per chart, and a literal's (a, b, d) triple is
+built from its integers with one normalisation, or by one int() when it has
+no '/' and under 300 digits, as is an exponent of at most 4 digits.  Any
+other '(' opens a sum, scanned by the same loop one level down.  A product
+becomes an Expr only once a sum in parentheses, or a power of one or of a
+literal, enters it, and a flat sum of products is canonicalised once,
+unchecked.  Errors keep the class, message and token position of the grammar.
+A closure error is raised at the factor that breaks a product:
+``log1m*log1m*0`` is refused, ``0*log1m*log1m`` is 0.
 
 Budgets keep every input to a clean error:
 
@@ -46,10 +48,11 @@ Budgets keep every input to a clean error:
 from __future__ import annotations
 
 import re
+from functools import cache
 
 from .algebra import AtomSet, Expr, LOG_DISC, LOG_SPHERE, Term, _canonical, _validated
 from .errors import ParseError, UsageError
-from .rationals import GaussianRational, ONE, ZERO, _reduced
+from .rationals import GaussianRational, ONE, ZERO, _make, _reduced
 
 MAX_DEPTH = 100
 MAX_POWER_TERM_PRODUCTS = 50_000
@@ -84,6 +87,12 @@ _SCALAR = re.compile(f"(?:{_NUMBER}|{_COMPLEX})\\s*")
 _RESERVED = ("E", "i", LOG_DISC, LOG_SPHERE)
 
 
+@cache
+def _slots(atoms: AtomSet) -> dict[str, int]:
+    """The slot of each chart variable that the grammar reads as one."""
+    return {name: k for k, name in enumerate(atoms.variables) if name not in _RESERVED}
+
+
 class _Scanner:
     """One parse of ``src``: its chart and the '*' budget of its products."""
 
@@ -95,7 +104,7 @@ class _Scanner:
     def sum(self, pos: int, depth: int) -> tuple[list[Term], int]:
         """The raw terms of the sum at pos, signs applied, and the position
         of the token after it."""
-        src, atoms, zeros, variables = self.src, self.atoms, self.zeros, self.atoms.variables
+        src, atoms, zeros, slots = self.src, self.atoms, self.zeros, _slots(self.atoms)
         raw = []
         m = _SIGN.match(src, pos)
         then, pos = m.group(1), m.end()
@@ -114,9 +123,10 @@ class _Scanner:
                 pos = m.end()
                 call, eneg, w, close, name, num, slash, den, i, paren, caret, exp, then = m.groups()
                 if name is not None:
-                    if name in variables and name not in _RESERVED:
-                        n = 1 if caret is None else _exponent(m, False, True)
-                        powers[variables.index(name)] += n
+                    k = slots.get(name)
+                    if k is not None:  # an exponent of 4 digits is within every budget
+                        powers[k] += (1 if caret is None else int(exp) if exp and len(exp) < 5
+                                      else _exponent(m, False, True))
                     elif name == atoms.log_kind:
                         logp += 1 if caret is None else _exponent(m, True, True)
                     elif name == "E" and atoms.exp_var is not None:
@@ -134,8 +144,10 @@ class _Scanner:
                     n = 1 if caret is None else _exponent(m, False, True)
                     weight += (-k if eneg else k) * n
                 else:
-                    if num is not None:
-                        value = _number(m, slash, i)
+                    if num is not None:  # under 300 digits converts at any digit limit
+                        a = int(num) if slash is None and len(num) < 300 else None
+                        value = (_number(m, slash, i) if a is None
+                                 else _make(a, 0, 1) if i is None else _make(0, a, 1))
                     else:
                         p = m.start("paren")
                         m = _COMPLEX_FACTOR.match(src, p)

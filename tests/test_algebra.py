@@ -18,10 +18,10 @@ from polyharm.errors import ClosureError, DomainError, UsageError
 from polyharm.geometries import by_id
 from polyharm.oracle import sample_points
 from polyharm.parser import parse
-from polyharm.rationals import ONE, GaussianRational
+from polyharm.rationals import ONE, ZERO, GaussianRational
 from polyharm.verify import random_expr
 
-from conftest import combine, gaussian_rationals, split_log, subprocess_env
+from conftest import gaussian_rationals, subprocess_env
 
 SOL = by_id("sol").atoms
 DISC = by_id("h2").atoms
@@ -146,15 +146,23 @@ def test_constructors_keep_the_closure_check():
     ):
         with pytest.raises(ClosureError):
             build()
-
-
-def test_combine_keeps_the_closure_check():
-    z = DISC_LINE.exponents({"z": 1})
-    with pytest.raises(ClosureError, match="conformal pair"):
-        combine(DISC_LINE, [(1, z, 0, Expr.log(DISC_LINE).terms)])
-    unchecked = Expr(DISC_LINE, (Term(ONE, (0, 0, 0), 0, 2),))  # built past every check
-    with pytest.raises(ClosureError, match="log atom squared"):
-        combine(DISC_LINE, [(1, (0, 0, 0), 0, unchecked.terms)])
+    # a one-term input skips the merge; a zero-coefficient twin sends it through it
+    for atoms, term in [(SOL, (ONE, (-1, 0, 0), 0, 0)), (nil, (ONE, (1, 0, 0), 1, 0)),
+                        (SOL, (ONE, (0, 0, 0), 0, 1)), (DISC_LINE, (ONE, (1, 0, 2), 0, 1)),
+                        (DISC, (ONE, (0, 0), 0, 2))]:
+        errors = []
+        for raw in ([term], [term, (ZERO, *term[1:])]):
+            with pytest.raises(ClosureError) as err:
+                _canonical(atoms, raw, check=True)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+    for atoms, term in [(SOL, (ZERO, (1, 0, 0), 0, 0)), (SOL, (-ONE / 3, (1, 0, 3), -2, 0)),
+                        (DISC_LINE, Term(ONE, (0, 0, 2), 0, 1)), (nil, (ONE, (0, 0, 0), 0, 0))]:
+        for check in (False, True):
+            got = _canonical(atoms, [term], check)
+            assert got == _canonical(atoms, [term, (ZERO, *term[1:])], check)
+            assert got == (() if not term[0] else (term,))
+            assert all(type(t) is Term for t in got)
 
 
 # -- atom set hashing ------------------------------------------------------------
@@ -255,11 +263,9 @@ GATED = {
     ),
     # in t where the chart has t (log terms included), else of the log-free part
     "differentiate": lambda atoms, a, b: _derivative_pair(
-        atoms, a if "t" in atoms.variables else split_log(a)[0], len(atoms.variables) - 1
-    ),
-    "split_log": lambda atoms, a, b: (
-        split_log(a)[1] or Expr.zero(atoms),
-        _checked(atoms, [t._replace(logp=0) for t in a.terms if t.logp]),
+        atoms,
+        a if "t" in atoms.variables else Expr(atoms, tuple(t for t in a.terms if not t.logp)),
+        len(atoms.variables) - 1,
     ),
 }
 
@@ -271,11 +277,6 @@ def test_unchecked_operations_match_the_checked_canonical_form(op):
             got, want = GATED[op](atoms, a, b)
             assert got == want
             assert all(_validated(atoms, t) for t in got.terms)
-
-
-def test_split_log_keeps_the_canonical_order():
-    f = parse("t^2*log1m - 2*t*log1m + z^2*zb - 3", DISC_LINE)
-    assert split_log(f) == (parse("z^2*zb - 3", DISC_LINE), parse("t^2 - 2*t", DISC_LINE))
 
 
 # -- differentiate ----------------------------------------------------------------

@@ -39,7 +39,7 @@ from polyharm.geometries import (
 )
 from polyharm.linalg import ExactMatrix, nullspace
 from polyharm.parser import parse
-from polyharm.rationals import GaussianRational
+from polyharm.rationals import ONE, GaussianRational
 from polyharm.verify import random_expr, random_nonzero_scalar, random_scalar
 
 from conftest import combine, conformality, first_partials, log_conformality_parts, split_log
@@ -915,6 +915,44 @@ def test_conformality_of_log_pairs_matches_the_per_entry_reference(gid, conventi
     if "t" in g.atoms.variables:  # kappa(t L, t L) carries L^2
         with pytest.raises(ClosureError, match="log atom squared"):
             conformality(g, parse(f"t*{log}", g.atoms), parse(f"t*{log}", g.atoms))
+
+
+# -- the reference kappa's building blocks: combine and split_log -------------------
+
+
+DISC_LINE = by_id("h2xr").atoms
+
+
+def test_combine_keeps_the_closure_check():
+    z = DISC_LINE.exponents({"z": 1})
+    with pytest.raises(ClosureError, match="conformal pair"):
+        combine(DISC_LINE, [(1, z, 0, Expr.log(DISC_LINE).terms)])
+    unchecked = Expr(DISC_LINE, (Term(ONE, (0, 0, 0), 0, 2),))  # built past every check
+    with pytest.raises(ClosureError, match="log atom squared"):
+        combine(DISC_LINE, [(1, (0, 0, 0), 0, unchecked.terms)])
+
+
+def test_split_log_matches_the_checked_canonical_form():
+    # split_log skips the closure check: its log part equals the checked one
+    for gid in ("sol", "nil", "h2", "h2xr", "s2pxr"):
+        atoms = by_id(gid).atoms
+        rng = random.Random(f"gated-{gid}")
+        weights = (-2, 0, 1) if atoms.exp_var else (0,)
+        for _ in range(15):  # pairs, as the gated operations of test_algebra.py draw them
+            a, _ = (random_expr(rng, atoms, max_terms=4, weights=weights,
+                                allow_log=atoms.log_kind is not None) for _ in range(2))
+            got, want = (
+                split_log(a)[1] or Expr.zero(atoms),
+                Expr(atoms, _canonical(atoms, [t._replace(logp=0) for t in a.terms if t.logp],
+                                       check=True)),
+            )
+            assert got == want
+            assert all(_validated(atoms, t) for t in got.terms)
+
+
+def test_split_log_keeps_the_canonical_order():
+    f = parse("t^2*log1m - 2*t*log1m + z^2*zb - 3", DISC_LINE)
+    assert split_log(f) == (parse("z^2*zb - 3", DISC_LINE), parse("t^2 - 2*t", DISC_LINE))
 
 
 def test_raw_partial_tension_raises_the_reference_closure_errors():

@@ -208,6 +208,19 @@ def test_overlong_integer_literal_is_parse_error():
         parse("1" * 5000 + "*x", SOL)
 
 
+def test_a_literal_over_a_lowered_digit_limit_is_too_long():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert parse("9" * 299 + "*x^9999", SOL) == Expr.monomial(SOL, 10**299 - 1, {"x": 9999})
+        for text, position in (("9" * 700, 0), ("x*" + "9" * 700 + "i", 2), ("x^" + "9" * 700, 2)):
+            with pytest.raises(ParseError) as err:
+                parse(text, SOL)
+            assert str(err.value) == f"integer literal too long (at position {position})"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_scalar_sign_chain_is_not_recursive():
     assert parse_scalar("-" * 3001 + "2") == GaussianRational.coerce(-2)
     assert parse_scalar("-" * 3000 + "(1+2i)") == GaussianRational(1, 2)
@@ -483,6 +496,11 @@ def _reference_cases(gid):
     texts += _benchmark_texts(rng, gid)
     texts += ["0/5", "007", "(0+0i)/3", "(-1/2-3/4i)/6", "1/0", "9" * 4301,
               "E( - 3 )*x", "( 1/2 - 3/4 i )/5", "E(\t-\n3\t)^ 2", "(\n1 /2-3/ 4\ti )\t/ 5*t"]
+    # the bounds of the one-int() reads: 4-digit atom exponents, literals under 300 digits
+    v = atoms.variables[0]
+    texts += [f"{v}^0", f"{v}^007", f"{v}^9999", f"{v}^10000", f"{v}^" + "9" * 4301,
+              "8" * 299, "7" * 300, "9" * (sys.get_int_max_str_digits() + 1),
+              "0", "0i", "007i", "E(-0)", f"-0*{v}"]
     cases = []
     for text in texts:
         cases += [text, _respaced(rng, text)]
