@@ -26,6 +26,14 @@ The conjugate pair (z, zb) consists of independent symbols for
 differentiation; reality is imposed only at evaluation time, where the two
 real coordinates in their slots are read as the real and imaginary parts.
 
+Printing writes the terms in that order, each as its coefficient (left out
+when it is 1) and its factors ``v^p`` (``v`` for p = 1), ``E(m)`` and L, joined
+by '*'; the text re-parses to the same Expr.  ``Expr.__str__`` stays the entry
+point (perfbench spans it as ``algebra.print``) and calls one function per atom
+set, generated at its first print by ``_printer`` with one ``if p_k:`` per
+chart variable.  A coefficient with more digits than
+``sys.get_int_max_str_digits()`` raises UsageError.
+
 Atom sets, terms and expressions are immutable values and every operation
 is a pure function, so they can be shared between threads freely.
 """
@@ -33,11 +41,12 @@ is a pure function, so they can be shared between threads freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from operator import add
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ClosureError, DomainError, UsageError
-from .rationals import GaussianRational, ScalarLike
+from .rationals import GaussianRational, ScalarLike, _ratio_text
 
 if TYPE_CHECKING:
     import numpy as np
@@ -378,32 +387,31 @@ class Expr:
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for i, t in enumerate(self.terms):
-            sign, body = _format_term(self.atoms, t)
-            if i == 0:
-                pieces.append(("-" if sign else "") + body)
-            else:
-                pieces.append((" - " if sign else " + ") + body)
-        return "".join(pieces)
+        return _printer(self.atoms)(self.terms) if self.terms else "0"
 
 
-def _format_term(atoms: AtomSet, t: Term) -> tuple[bool, str]:
-    factors = []
-    for name, p in zip(atoms.variables, t.powers):
-        if p == 1:
-            factors.append(name)
-        elif p > 1:
-            factors.append(f"{name}^{p}")
-    if t.weight:
-        factors.append(f"E({t.weight})")
-    if t.logp:
-        factors.append(atoms.log_kind)
-    negative, mag = t.coeff.signed_text()
-    if not factors:
-        return negative, mag
-    if mag == "1":
-        return negative, "*".join(factors)
-    return negative, mag + "*" + "*".join(factors)
+@cache
+def _printer(atoms: AtomSet):
+    """``show(terms)``, the text of a nonzero Expr over ``atoms``: one ``if p_k:``
+    per chart variable with its name as a literal, and a real coefficient
+    printed inline; the chart alone decides the function, never an input."""
+    p = [f"p{k}" for k in range(len(atoms.variables))]
+    factors = [f"if {pk}: f += {'*' + v!r} if {pk} == 1 else {'*' + v + '^'!r} + str({pk})"
+               for pk, v in zip(p, atoms.variables)] + ["if w: f += '*E(' + str(w) + ')'"]
+    if atoms.log_kind is not None:
+        factors.append(f"if logp: f += {'*' + atoms.log_kind!r}")
+    source = "\n".join([
+        "def show(terms):", "    out = []", "    append = out.append", "    try:",
+        "        for c, powers, w, logp in terms:", f"            {', '.join(p)}, = powers",
+        "            f = ''", *("            " + line for line in factors),
+        "            a, b, d = c.a, c.b, c.d", "            if b: negative, mag = c.signed_text()",
+        "            else:", "                negative = a < 0", "                if negative: a = -a",
+        "                mag = str(a) if d == 1 else _ratio_text(a, d)",
+        "            append(' - ' if negative else ' + ')",
+        "            append(f[1:] if f and mag == '1' else mag + f)",
+        "    except ValueError:  # more digits than sys.get_int_max_str_digits()",
+        "        raise UsageError('coefficient has too many digits to print') from None",
+        "    out[0] = '-' if out[0] == ' - ' else ''", "    return ''.join(out)\n"])
+    names = {"UsageError": UsageError, "_ratio_text": _ratio_text}
+    exec(compile(source, "<printer>", "exec"), names)
+    return names["show"]

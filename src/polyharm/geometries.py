@@ -181,10 +181,13 @@ class Geometry:
         return kernel
 
     def tension(self, f: Expr) -> Expr:
-        """tau f: ``_tension_map`` of the one column ``f.terms`` sorted into terms."""
+        """tau f: ``_tension_map`` of the one column ``f.terms``, its keys sorted and
+        each Term built by ``tuple.__new__``.  The entry point perfbench spans as
+        ``geometries.tension``."""
         self._require(f)
-        tau = sorted(self._tension_map(f.atoms, ((0, f.terms),)).items(), reverse=True)
-        return Expr(f.atoms, tuple([Term(c, p, w, logp) for (_, logp, w, p), c in tau]))
+        tau = self._tension_map(f.atoms, ((0, f.terms),))
+        return Expr(f.atoms, tuple([tuple.__new__(Term, (tau[k], k[3], k[2], k[1]))
+                                    for k in sorted(tau, reverse=True)]))
 
     def _tension_map(self, atoms: AtomSet, columns) -> dict:
         """tau of the sum of the terms of each (col, terms) pair of ``columns``, as

@@ -4,6 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,13 +16,13 @@ from polyharm.algebra import (
     LOG_DISC, AtomSet, Expr, Term, _canonical, _validated, merge_atom_sets,
 )
 from polyharm.errors import ClosureError, DomainError, UsageError
-from polyharm.geometries import by_id
+from polyharm.geometries import _CHARTS, by_id
 from polyharm.oracle import sample_points
 from polyharm.parser import parse
 from polyharm.rationals import ONE, ZERO, GaussianRational
 from polyharm.verify import random_expr
 
-from conftest import gaussian_rationals, subprocess_env
+from conftest import fractions, gaussian_rationals, subprocess_env
 
 SOL = by_id("sol").atoms
 DISC = by_id("h2").atoms
@@ -434,6 +435,73 @@ def test_evaluate_is_a_ring_homomorphism_up_to_rounding(a, b):
     lhs = (a * b).evaluate(p)
     rhs = a.evaluate(p) * b.evaluate(p)
     assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
+
+
+# -- printing ----------------------------------------------------------------------
+
+
+def _reference_str(e: Expr) -> str:
+    """``Expr.__str__`` as a loop over the variables, term by term: the reference
+    for the generated per-chart printer."""
+    if not e.terms:
+        return "0"
+    pieces = []
+    for i, t in enumerate(e.terms):
+        factors = []
+        for name, p in zip(e.atoms.variables, t.powers):
+            if p == 1:
+                factors.append(name)
+            elif p > 1:
+                factors.append(f"{name}^{p}")
+        if t.weight:
+            factors.append(f"E({t.weight})")
+        if t.logp:
+            factors.append(e.atoms.log_kind)
+        sign, body = t.coeff.signed_text()
+        if factors:
+            body = "*".join(factors) if body == "1" else body + "*" + "*".join(factors)
+        pieces.append(("-" if sign else "") + body if i == 0 else (" - " if sign else " + ") + body)
+    return "".join(pieces)
+
+
+_PRINT_CASES = [(gid, "metric") for gid in (*_CHARTS, "product:nilxh2", "product:solxs2p",
+                                              "product:linexline")]
+_PRINT_CASES += [(gid, "paper") for gid in ("h2", "s2p", "h2xr", "s2pxr")]
+_LONG = st.integers(10**300, 10**320)  # over 300 digits
+_COEFFICIENTS = st.one_of(
+    gaussian_rationals(),  # negative, fractional and complex values, and zero
+    st.builds(GaussianRational, st.just(0), fractions()),  # pure imaginary
+    st.builds(GaussianRational, st.one_of(_LONG, _LONG.map(lambda n: -n))),
+    st.builds(lambda n, d: GaussianRational(Fraction(n, d)), _LONG, st.integers(2, 10**40)),
+    st.builds(GaussianRational, _LONG, st.one_of(fractions(), _LONG)),
+)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(_PRINT_CASES), st.randoms(use_true_random=False), st.data())
+def test_generated_printer_matches_the_reference(case, rng, data):
+    atoms = by_id(*case).atoms
+    f = random_expr(rng, atoms, max_terms=6, max_power=3,
+                    weights=(-3, -1, 0, 1, 2) if atoms.exp_var else (0,),
+                    allow_log=atoms.log_kind is not None)
+    coeffs = data.draw(st.lists(_COEFFICIENTS, min_size=len(f.terms), max_size=len(f.terms)))
+    f = Expr(atoms, tuple(t._replace(coeff=c) for t, c in zip(f.terms, coeffs) if c))
+    assert str(f) == _reference_str(f)
+    assert str(Expr.zero(atoms)) == "0"
+
+
+def test_a_coefficient_over_the_digit_limit_is_refused_at_printing():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert str(Expr.monomial(SOL, 10**299 - 1, {"x": 1})) == "9" * 299 + "*x"
+        big = 10**699  # 700 digits
+        for coeff in (big, -big, Fraction(big + 1, 3), GaussianRational(big, 1)):
+            with pytest.raises(UsageError) as err:
+                str(Expr.monomial(SOL, coeff, {"x": 1}, weight=2))
+            assert str(err.value) == "coefficient has too many digits to print"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- is_zero -------------------------------------------------------------------------

@@ -471,6 +471,7 @@ def test_raw_partial_tension_matches_per_partial_reference(case, rng):
                     allow_log=atoms.log_kind is not None)
     got = _tension_outcome(type(g).tension, g, f)
     assert got == _tension_outcome(_reference_tension, g, f)
+    assert got[0] != "ok" or all(type(t) is Term for t in got[1].terms)
 
 
 def _generic_raw_tension(g, atoms, terms):
