@@ -40,7 +40,7 @@ is a pure function, so they can be shared between threads freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from operator import add
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -229,7 +229,7 @@ def _canonical(atoms: AtomSet, raw: Sequence[Term], check: bool = False) -> tupl
 @dataclass(frozen=True)
 class Expr:
     atoms: AtomSet
-    terms: tuple[Term, ...] = field(default_factory=tuple)
+    terms: tuple[Term, ...] = ()
 
     # -- constructors ------------------------------------------------------
 

@@ -116,11 +116,11 @@ class AnsatzSystem:
         if _dependent(ordered, [lead for lead, _ in keyed]):
             raise UsageError("ansatz basis is linearly dependent")
         geometry._require(ordered[0])
-        images, matrices = list(enumerate(b.terms for b in ordered)), []
-        for _ in range(order):
-            tau = geometry._tension_map(atoms, images)
+        tau = geometry._tension_map(atoms, list(enumerate(b.terms for b in ordered)))
+        matrices = [_rows(tau, len(ordered))]
+        for _ in range(order - 1):  # no images are formed after the last power
+            tau = geometry._tension_map(atoms, _images(tau))
             matrices.append(_rows(tau, len(ordered)))
-            images = _images(tau)
         return AnsatzSystem(geometry, ordered, matrices[0], order, matrices[-1])
 
 
@@ -143,7 +143,8 @@ def generate_kernel(system: AnsatzSystem) -> list[Expr]:
     image mixes with another's.  Not via ``classify``: its per-step Expr,
     _require and report cost 4 % of ansatz ops/s."""
     atoms, basis = system.basis[0].atoms, system.basis
-    kernel = [Expr(atoms, _canonical(atoms, [(c if t.coeff is ONE else t.coeff * c, *t[1:])
+    kernel = [basis[next(iter(v))] if len(v) == 1 else  # {j: 1} (leading entry 1) is basis[j]
+              Expr(atoms, _canonical(atoms, [(c if t.coeff is ONE else t.coeff * c, *t[1:])
                                              for j, c in v.items() for t in basis[j].terms]))
               for v in nullspace(system.order_matrix)]
     images = list(enumerate(f.terms for f in kernel))

@@ -16,19 +16,23 @@ multiplication.  The sign inside a plain rational literal is only accepted
 inside E(...) and inside the parenthesised complex form; everywhere else '-'
 is the binary operator.  Parse of the canonical printed form is the identity.
 
-After one search for unexpected characters, each factor is one regex match
-at the scan position: an atom or 'E(m)', a rational with its 'i', or a
-parenthesised complex literal, with its '^n' and the operator after it.  It
-folds straight into the raw Term of its product: a variable adds its exponent
-at its slot in a map made once per chart, and a literal's (a, b, d) triple is
-built from its integers with one normalisation, or by one int() when it has
-no '/' and under 300 digits, as is an exponent of at most 4 digits.  Any
-other '(' opens a sum, scanned by the same loop one level down.  A product
-becomes an Expr only once a sum in parentheses, or a power of one or of a
-literal, enters it, and a flat sum of products is canonicalised once,
-unchecked.  Errors keep the class, message and token position of the grammar.
-A closure error is raised at the factor that breaks a product:
-``log1m*log1m*0`` is refused, ``0*log1m*log1m`` is 0.
+An atom product, a text without spaces of chart variables in chart order,
+each at most once with an optional '^n' of 1-4 digits, joined by '*' and
+optionally ending in 'E(m)' (an optional '-' and 1-4 digits) on a chart with
+E, is one match of a per-chart pattern and becomes its one Term.  Any other
+text ('1', 'y*x', 'x*x', 'x^10000') is scanned.  After one search for
+unexpected characters, each factor is one regex match at the scan position: an
+atom or 'E(m)', a rational with its 'i', or a parenthesised complex literal,
+with its '^n' and the operator after it.  It folds into the raw term (a plain
+tuple) of its product: a variable adds its exponent at its slot in a map made
+once per chart; an exponent of at most 4 digits, or a literal without '/'
+under 300 digits, is one int(), any other literal one normalisation of its
+(a, b, d) triple.  Any other '(' opens a sum, scanned by the same loop one
+level down.  A product becomes an Expr only once a sum in parentheses, or a
+power of one or of a literal, enters it, and a flat sum of products is
+canonicalised once, unchecked.  Errors keep the class, message and token
+position of the grammar.  A closure error is raised at the factor that breaks
+a product: ``log1m*log1m*0`` is refused, ``0*log1m*log1m`` is 0.
 
 Budgets keep every input to a clean error:
 
@@ -93,6 +97,15 @@ def _slots(atoms: AtomSet) -> dict[str, int]:
     return {name: k for k, name in enumerate(atoms.variables) if name not in _RESERVED}
 
 
+@cache
+def _atom_product(atoms: AtomSet) -> re.Pattern:
+    """The chart's atom products, each factor then '*'; none on a chart with a reserved name."""
+    factors = [f"(?:{re.escape(v)}(\\^[0-9]{{1,4}}|)\\*)?" if v in _slots(atoms) else "(?!)"
+               for v in atoms.variables]
+    weight = r"(?:E\((-?[0-9]{1,4})\)\*)?" if atoms.exp_var is not None else "()"
+    return re.compile("".join(factors) + weight)
+
+
 class _Scanner:
     """One parse of ``src``: its chart and the '*' budget of its products."""
 
@@ -101,9 +114,9 @@ class _Scanner:
         self.zeros = (0,) * len(atoms.variables)
         self.spent = 0  # term products of the Expr '*' operators of the whole parse
 
-    def sum(self, pos: int, depth: int) -> tuple[list[Term], int]:
-        """The raw terms of the sum at pos, signs applied, and the position
-        of the token after it."""
+    def sum(self, pos: int, depth: int) -> tuple[list[tuple], int]:
+        """The raw (coeff, powers, weight, logp) terms of the sum at pos, signs
+        applied, and the position of the token after it."""
         src, atoms, zeros, slots = self.src, self.atoms, self.zeros, _slots(self.atoms)
         raw = []
         m = _SIGN.match(src, pos)
@@ -181,7 +194,7 @@ class _Scanner:
                 if then != "*":
                     break
             if expr is None:
-                raw.append(Term(-c if negate else c, tuple(powers), weight, logp))
+                raw.append((-c if negate else c, tuple(powers), weight, logp))
             else:
                 raw.extend((-expr if negate else expr).terms)
             if not then:
@@ -195,7 +208,8 @@ class _Scanner:
         raw, pos = self.sum(pos + 1, depth + 1)
         if not self.src.startswith(")", pos):
             raise ParseError("expected ')'", pos)
-        base = raw[0] if len(raw) == 1 else self.lean(Expr(self.atoms, _canonical(self.atoms, raw)))
+        base = (tuple.__new__(Term, raw[0]) if len(raw) == 1  # raw terms are plain tuples
+                else self.lean(Expr(self.atoms, _canonical(self.atoms, raw))))
         m = _AFTER_GROUP.match(self.src, pos + 1)
         return self.power(base, m), m.group("then"), m.end()
 
@@ -309,6 +323,11 @@ def _coefficient_bits(e: Expr) -> int:
 
 def parse(src: str, atoms: AtomSet) -> Expr:
     """Parse source text into a canonical Expr of the given chart algebra."""
+    m = _atom_product(atoms).fullmatch(src + "*")
+    if m:  # an atom product is its one Term, without a scan
+        *exps, w = m.groups()  # each variable's '^n', '' or None if absent; E(m)'s weight or ''
+        powers = tuple([0 if e is None else int(e[1:] or 1) for e in exps])
+        return Expr(atoms, (tuple.__new__(Term, (ONE, powers, int(w or 0), 0)),))
     _check_characters(src)
     raw, pos = _Scanner(src, atoms).sum(0, 0)
     _expect_end(src, pos)

@@ -262,6 +262,19 @@ def test_generate_unknown_family(capsys):
     assert "unknown family" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["nil.f2", "--params", "0,0"], "parameters must not all vanish"),
+    (["-g", "sol", "-r", "2", "--r-max", "0", "--ansatz", "t^2, t^3, t"],
+     "the properness bound must be at least 1"),
+    (["sol.axis"], "sol.axis needs -n"),
+    (["product.generic"], "product.generic needs --g1 --f1 --g2 --f2"),
+    ([], "generate needs a family id or --ansatz"),
+])
+def test_generate_usage_errors_exit_4_with_one_line(capsys, argv, message):
+    code, out, err = run(capsys, "generate", *argv)
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("flags", [
     ["sol.tower", "-r", "1", "--params", "1,,2"],
     ["sol.tower", "-r", "1", "--params", "1,2,"],

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyharm.parser as parser_module
-from polyharm.algebra import LOG_DISC, LOG_SPHERE, Expr, _validated
+from polyharm.algebra import LOG_DISC, LOG_SPHERE, AtomSet, Expr, Term, _validated
 from polyharm.errors import ClosureError, ParseError, UsageError
 from polyharm.families import FAMILIES
-from polyharm.geometries import by_id
+from polyharm.geometries import _CHARTS, by_id
 from polyharm.parser import MAX_DEPTH, MAX_POWER_TERM_PRODUCTS, _power, parse, parse_scalar
 from polyharm.rationals import GaussianRational, I
 from polyharm.verify import random_expr
@@ -519,6 +519,17 @@ def test_raw_term_parser_matches_expr_reference(gid):
     assert min(outcomes.values()) >= 20, outcomes
 
 
+def _is_atom_product(text, atoms):
+    """Whether parse takes its atom-product path for text."""
+    return parser_module._atom_product(atoms).fullmatch(text + "*") is not None
+
+
+def _scanned(text, atoms):
+    """parse with its atom-product path switched off: the factor scanner alone."""
+    with mock.patch.object(parser_module, "_atom_product", lambda atoms: re.compile("(?!)")):
+        return parse(text, atoms)
+
+
 def _unvalidated_final_terms(text, atoms):
     """The nonzero terms that parse hands to its final _canonical call and
     that fail the closure rules; parse's own check is left in place."""
@@ -533,13 +544,15 @@ def _unvalidated_final_terms(text, atoms):
     with mock.patch.object(parser_module, "_canonical", recording):
         try:
             parse(text, atoms)
-            assert len(handed) == 1, "parse must end with one _canonical call"
+            # an atom product is built straight away, with no _canonical call
+            assert len(handed) == (not _is_atom_product(text, atoms)), \
+                "a scanned parse must end with one _canonical call"
         except (ParseError, ClosureError, UsageError):
             pass
     bad = []
-    for term in (t for raw in handed for t in raw):
+    for term in (t for raw in handed for t in raw):  # raw terms are plain tuples
         try:
-            if term.coeff:
+            if term[0]:
                 _validated(atoms, term)
         except ClosureError:
             bad.append(term)
@@ -631,3 +644,75 @@ def test_parse_scans_nested_sums_without_reentering_parse(monkeypatch):
     assert calls == [text]
     x, y, t = (Expr.variable(SOL, v) for v in ("x", "y", "t"))
     assert f == (x + y) * (x + y) * GaussianRational(Fraction(1, 3), Fraction(2, 3)) - t
+
+
+# -- the atom-product path against the scanner ----------------------------------------
+
+ATOM_PATH_CHARTS = sorted(_CHARTS) + ["product:nilxh2", "product:linexline"]
+_NEAR_MISS_NAMES = ("E", "i", "q", "xy", LOG_DISC, LOG_SPHERE, "1", "0")
+
+
+@st.composite
+def _atom_products(draw):
+    """(chart id, text): an atom product of the chart in its order, or a near miss."""
+    gid = draw(st.sampled_from(ATOM_PATH_CHARTS))
+    atoms = by_id(gid).atoms
+    exponent = st.one_of(st.just(""), st.just("^0"), st.from_regex(r"\^[0-9]{1,2}", fullmatch=True),
+                         st.from_regex(r"\^[0-9]{3,4}", fullmatch=True),
+                         st.from_regex(r"\^[0-9]{5}", fullmatch=True))
+    factors = [v + draw(exponent) for v in atoms.variables if draw(st.booleans())]
+    if draw(st.integers(0, 1 if atoms.exp_var else 5)) == 0:  # E(m), also on a chart without E
+        factors.append(draw(st.from_regex(r"E\(-?[0-9]{1,5}\)", fullmatch=True)))
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(("shuffle", "repeat", "repeat", "insert", "power")))
+        if edit == "shuffle":
+            factors = draw(st.permutations(factors))
+        elif edit == "repeat" and factors:
+            factors.insert(draw(st.integers(0, len(factors))), draw(st.sampled_from(factors)))
+        elif edit == "insert":
+            name = draw(st.sampled_from(_NEAR_MISS_NAMES + atoms.variables))
+            factors.insert(draw(st.integers(0, len(factors))), name + draw(exponent))
+        elif edit == "power" and factors:
+            factors[-1] += draw(exponent)
+    text = "*".join(factors)
+    ending = draw(st.sampled_from(("",) * 8 + ("*", "space", "prefix")))
+    if ending == "space" and text:
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + " " + text[k:]
+    elif ending == "prefix":
+        text = "*" + text
+    elif ending != "space":
+        text += ending
+    return gid, text
+
+
+@given(_atom_products())
+@settings(max_examples=250)
+def test_atom_product_path_matches_the_scanner(case):
+    gid, text = case
+    atoms = by_id(gid).atoms
+    for src in (text, text.split("*", 1)[0] + "*" + text):  # and with its first factor twice
+        got, want = _outcome(parse, src, atoms), _outcome(_scanned, src, atoms)
+        assert got == want, src
+        if got[0] == "ok":
+            assert all(type(t) is Term for t in got[1].terms), src
+
+
+def test_atom_product_path_scope():
+    nil, sol, line2 = (by_id(g).atoms for g in ("nil", "sol", "product:linexline"))
+    taken = [(nil, "x"), (nil, "x^2*y*t^9999"), (nil, "y^0007*t"), (sol, "E(-3)"),
+             (sol, "x^2*t*E(12)"), (sol, "y*E(-0)"), (line2, "s^2*t")]
+    scanned = [(nil, ""), (nil, "1"), (nil, "x*x"), (nil, "y*x"), (nil, "x^10000"),
+               (nil, "x *y"), (nil, "x*"), (nil, "E(1)"), (sol, "E(1)*x"), (sol, "E(12345)"),
+               (sol, "E(+1)"), (DISC_LINE, "t*log1m"), (nil, "x*q"), (line2, "t*s"),
+               (AtomSet(("x", "i")), "x"), (AtomSet(("x", "i")), "x*i")]
+    for atoms, text in taken + scanned:
+        assert _is_atom_product(text, atoms) == ((atoms, text) in taken), text
+        assert _outcome(parse, text, atoms) == _outcome(_scanned, text, atoms)
+    # the benchmark's ansatz texts: the monomial bases and sol axis bases
+    for gid in ("nil", "sl2", "h2xr"):
+        atoms = by_id(gid).atoms
+        texts = workloads.monomial_basis(gid, 4)
+        assert [t for t in texts if not _is_atom_product(t, atoms)] == ["1"]
+    axis = workloads.sol_axis_basis(16, "x") + workloads.sol_axis_basis(17, "y")
+    assert all(_is_atom_product(t, sol) for t in axis)
