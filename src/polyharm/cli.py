@@ -29,7 +29,7 @@ from .families import (
     FAMILIES,
     AnsatzSystem,
     FamilyDescriptor,
-    generate_kernel,
+    _kernel_orders,
     primitive_normalized,
     product_r_harmonic,
 )
@@ -225,16 +225,15 @@ def _cmd_generate(args) -> int:
         pieces = args.ansatz.split(",") if args.ansatz else []
         basis = [parse(piece.strip(), geometry.atoms) for piece in pieces]
         system = AnsatzSystem.build(geometry, basis, order=args.r)
-        kernel = generate_kernel(system)
+        kernel, orders = _kernel_orders(system)
+        if kernel and args.r_max < 1:
+            raise UsageError("the properness bound must be at least 1")
         matrix_rows = [
             [str(v) for v in row] for row in primitive_rows(system.matrix)
         ]
         kernel_info = [
-            {
-                "expr": str(primitive_normalized(f)),
-                "order": classify(geometry, f, args.r_max).order,
-            }
-            for f in kernel
+            {"expr": str(primitive_normalized(f)), "order": order if order <= args.r_max else None}
+            for f, order in zip(kernel, orders)
         ]
         payload = _report(
             "generate",

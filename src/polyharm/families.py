@@ -4,8 +4,8 @@ Each family is a closed-form expression with exact scalar parameters whose
 properness order can be re-verified by :func:`polyharm.geometries.classify`.
 Nonzero parameters are necessary but not sufficient for the claimed order:
 some families contain measure-zero parameter sets where the first tension
-field cancels (their descriptors carry explicit admissibility predicates),
-so callers should always re-classify rather than trust the label.
+field cancels (descriptors carry admissibility predicates; nil.f2's and sl2.f2's
+read tau f != 0 from the tension map), so callers should re-classify anyway.
 ``product.generic`` is no descriptor: a descriptor names one ``by_id`` chart,
 but this family's chart is built from ``--g1``/``--g2`` at run time (by
 ``geometries.product``, as for a ``product:`` id), and a factor such as
@@ -62,12 +62,12 @@ def _rows(tagged: dict, cols: int) -> ExactMatrix:
     return ExactMatrix(len(rows), cols, tuple([rows[k] for k in sorted(rows)]))
 
 
-def _images(tagged: dict):
-    """The (column, terms) pairs of a column-tagged tension map."""
+def _images(tagged: dict) -> dict:
+    """The terms of each column of a column-tagged tension map, by column."""
     images: dict[int, list] = {}
     for (j, logp, w, p), c in tagged.items():
         images.setdefault(j, []).append((c, p, w, logp))
-    return images.items()
+    return images
 
 
 def _dependent(ordered: Sequence[Expr], leads: Sequence[tuple]) -> bool:
@@ -117,11 +117,11 @@ class AnsatzSystem:
             raise UsageError("ansatz basis is linearly dependent")
         geometry._require(ordered[0])
         tau = geometry._tension_map(atoms, list(enumerate(b.terms for b in ordered)))
-        matrices = [_rows(tau, len(ordered))]
+        matrix = _rows(tau, len(ordered))
         for _ in range(order - 1):  # no images are formed after the last power
-            tau = geometry._tension_map(atoms, _images(tau))
-            matrices.append(_rows(tau, len(ordered)))
-        return AnsatzSystem(geometry, ordered, matrices[0], order, matrices[-1])
+            tau = geometry._tension_map(atoms, _images(tau).items())
+        return AnsatzSystem(geometry, ordered, matrix, order,
+                            matrix if order == 1 else _rows(tau, len(ordered)))
 
 
 def primitive_normalized(f: Expr) -> Expr:
@@ -142,17 +142,26 @@ def generate_kernel(system: AnsatzSystem) -> list[Expr]:
     through one map per power, each under its own column tag, so no member's
     image mixes with another's.  Not via ``classify``: its per-step Expr,
     _require and report cost 4 % of ansatz ops/s."""
+    return _kernel_orders(system)[0]
+
+
+def _kernel_orders(system: AnsatzSystem) -> tuple[list[Expr], list[int]]:
+    """generate_kernel's members with their properness orders: the power at
+    which a member's column leaves the re-verification's map."""
     atoms, basis = system.basis[0].atoms, system.basis
     kernel = [basis[next(iter(v))] if len(v) == 1 else  # {j: 1} (leading entry 1) is basis[j]
               Expr(atoms, _canonical(atoms, [(c if t.coeff is ONE else t.coeff * c, *t[1:])
                                              for j, c in v.items() for t in basis[j].terms]))
               for v in nullspace(system.order_matrix)]
-    images = list(enumerate(f.terms for f in kernel))
-    for _ in range(system.order):
-        images = _images(system.geometry._tension_map(atoms, images))
+    images, orders = dict(enumerate(f.terms for f in kernel)), [0] * len(kernel)
+    for k in range(1, system.order + 1):
+        columns = images.keys()
+        images = _images(system.geometry._tension_map(atoms, images.items()))
+        for j in columns - images.keys():
+            orders[j] = k
     if images:
         raise AssertionError("kernel member failed exact re-verification")
-    return kernel
+    return kernel, orders
 
 
 # -- sol families ------------------------------------------------------------
@@ -335,20 +344,6 @@ def nil_biharmonic12(b: Params, geometry: Geometry | None = None) -> Expr:
     return _f2_polynomial("nil", NIL_F2_MONOMIALS, b, geometry)
 
 
-def nil_f2_proper(b: Params) -> bool:
-    """Exact predicate: the first tension field of nil_biharmonic12 is nonzero."""
-    b = _coerce_all(b)
-    conditions = [
-        b[0] + b[1],
-        b[2] + 3 * b[3] + b[6],
-        b[4] + 3 * b[7],
-        b[5] + b[10],
-        3 * b[8] + 3 * b[9] + 2 * b[10],
-        b[11],
-    ]
-    return any(not c.is_zero() for c in conditions)
-
-
 def sl2_harmonic(
     a: Params, hol: Params = (), antihol: Params = (), geometry: Geometry | None = None
 ) -> Expr:
@@ -369,13 +364,6 @@ SL2_F2_MONOMIALS: tuple[dict[str, int], ...] = (
 def sl2_biharmonic6(b: Params, geometry: Geometry | None = None) -> Expr:
     """The 6-parameter polynomial family with tau^2 = 0 on sl2."""
     return _f2_polynomial("sl2", SL2_F2_MONOMIALS, b, geometry)
-
-
-def sl2_f2_proper(b: Params) -> bool:
-    """Exact predicate: the first tension field of sl2_biharmonic6 is nonzero."""
-    b = _coerce_all(b)
-    conditions = [b[1], b[2], b[4], b[5], b[0] - 2 * b[3]]
-    return any(not c.is_zero() for c in conditions)
 
 
 # -- conformal product families ----------------------------------------------
@@ -585,8 +573,10 @@ def _admissible_f1(params: dict) -> bool:
     )
 
 
-def _f1_f2_families(chart, harmonic, polynomial, size, proper) -> list[FamilyDescriptor]:
-    """The harmonic f1 and the polynomial biharmonic f2 family of nil or sl2."""
+def _f1_f2_families(chart, harmonic, polynomial, size) -> list[FamilyDescriptor]:
+    """The harmonic f1 and the polynomial biharmonic f2 family of nil or sl2;
+    f2 is admissible when its first tension field, read from tau, is nonzero."""
+    g = by_id(chart)
     return [
         FamilyDescriptor(
             f"{chart}.f1",
@@ -606,7 +596,8 @@ def _f1_f2_families(chart, harmonic, polynomial, size, proper) -> list[FamilyDes
             ParamSchema(split=(("b", size),), defaults={"params": "1"}),
             lambda params: 2,
             lambda rng: {"b": _rand_vector(rng, size)},
-            lambda params: proper(params["b"]),
+            lambda params: not _all_zero(params["b"])
+            and not g.tension(polynomial(params["b"], g)).is_zero(),
         ),
     ]
 
@@ -696,8 +687,8 @@ def _descriptors() -> dict[str, FamilyDescriptor]:
             lambda params: not _all_zero([params["a2"], params["a3"]])
             and not _all_zero([params["b2"], params["b3"]]),
         ),
-        *_f1_f2_families("nil", nil_harmonic, nil_biharmonic12, 12, nil_f2_proper),
-        *_f1_f2_families("sl2", sl2_harmonic, sl2_biharmonic6, 6, sl2_f2_proper),
+        *_f1_f2_families("nil", nil_harmonic, nil_biharmonic12, 12),
+        *_f1_f2_families("sl2", sl2_harmonic, sl2_biharmonic6, 6),
         *_surface_families("h2r", "h2xr", "disc", "-log(1 - z zb)"),
         *_surface_families("s2r", "s2pxr", "punctured sphere", "log(1 + z zb)"),
     ]

@@ -2,9 +2,11 @@ import collections
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product as cartesian
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +14,14 @@ from hypothesis import strategies as st
 
 import polyharm.oracle  # the oracle tests patch it; the CLI loads it on demand
 from polyharm.cli import main
+from polyharm.algebra import Expr
 from polyharm.families import FAMILIES
-from polyharm.geometries import Geometry, by_id
+from polyharm.geometries import Geometry, by_id, classify
 from polyharm.parser import parse
 from polyharm.rationals import I
 
 from conftest import subprocess_env
+from test_contract_digest import _script as contract_digest_script
 
 
 def run(capsys, *argv):
@@ -137,6 +141,57 @@ def test_generate_ansatz_with_vanishing_images_prints_an_empty_matrix(capsys):
     assert payload["kernel"] == [
         {"expr": e, "order": 1} for e in ("t", "x*y - 6i*y", "x")
     ]
+
+
+def test_generate_ansatz_prints_none_for_an_order_above_the_bound(capsys):
+    # t^3 is proper biharmonic on sol: above --r-max 1 it has no order to print
+    ansatz = ("-g", "sol", "-r", "2", "--r-max", "1", "--ansatz", "t^2, t^3, t")
+    code, out, _ = run(capsys, "generate", *ansatz)
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        "kernel[0]: t  (order 1)", "kernel[1]: t^2  (order None)", "kernel[2]: t^3  (order None)"]
+    code, payload, _ = run_json(capsys, "generate", *ansatz)
+    assert (code, [k["order"] for k in payload["kernel"]]) == (0, [1, None, None])
+
+
+def _assert_printed_orders_are_classify_orders(gid, order, r_max, ansatz):
+    argv = ["generate", "-g", gid, "-r", str(order), "--r-max", str(r_max), "--format", "json",
+            "--ansatz", ansatz]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    g = by_id(gid)
+    kernel = json.loads(out.getvalue())["kernel"]
+    assert [k["order"] for k in kernel] == [
+        classify(g, parse(k["expr"], g.atoms), r_max).order for k in kernel]
+
+
+def test_generate_ansatz_orders_are_classify_orders_on_the_digest_levels():
+    for gid, ansatz in contract_digest_script().ANSATZ_LEVELS:  # the digest's -r 3 bases
+        for r_max in (1, 2, 8):
+            _assert_printed_orders_are_classify_orders(gid, 3, r_max, ansatz)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["sol", "nil", "sl2", "h2xr"]), st.integers(1, 3), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_generate_ansatz_orders_are_classify_orders_on_monomial_bases(gid, order, r_max, seed):
+    # r_max runs below and above the kernel's power, so some orders are cut to None
+    rng = random.Random(seed)
+    g = by_id(gid)
+    names = g.atoms.variables
+    weights = range(-2, 3) if g.atoms.exp_var else (0,)
+    pool = [(p, w) for p in cartesian(range(4), repeat=len(names)) if sum(p) <= 3 for w in weights]
+    basis = [Expr.monomial(g.atoms, 1, dict(zip(names, p)), weight=w)
+             for p, w in rng.sample(pool, rng.randint(1, 12))]
+    _assert_printed_orders_are_classify_orders(gid, order, r_max, ", ".join(map(str, basis)))
+
+
+def test_generate_ansatz_with_a_trivial_kernel_needs_no_properness_bound(capsys):
+    # the bound is checked only when there is a member to classify
+    code, out, err = run(capsys, "generate", "-g", "sol", "--r-max", "0", "--ansatz", "x^2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "kernel: trivial"
 
 
 @pytest.mark.parametrize("ansatz", ["x,2*x", "x,x,y^2"])
@@ -269,6 +324,8 @@ def test_generate_unknown_family(capsys):
     (["sol.axis"], "sol.axis needs -n"),
     (["product.generic"], "product.generic needs --g1 --f1 --g2 --f2"),
     ([], "generate needs a family id or --ansatz"),
+    (["-g", "sol", "--ansatz", "0, x"], "zero expression in ansatz basis"),
+    (["-g", "sol", "-r", "0", "--ansatz", "x"], "ansatz order must be at least 1"),
 ])
 def test_generate_usage_errors_exit_4_with_one_line(capsys, argv, message):
     code, out, err = run(capsys, "generate", *argv)

@@ -19,14 +19,12 @@ from polyharm.families import (
     generate_kernel,
     log_biharmonic,
     nil_biharmonic12,
-    nil_f2_proper,
     nil_harmonic,
     plane_harmonic_part,
     primitive_normalized,
     product_r_harmonic,
     separable_product,
     sl2_biharmonic6,
-    sl2_f2_proper,
     sl2_harmonic,
     sol_axis_basis,
     sol_axis_family,
@@ -41,11 +39,14 @@ from polyharm.geometries import (
     by_id,
     classify,
     iterated_tension,
+    product_tension_binomial,
 )
 from polyharm.linalg import ExactMatrix, nullspace, rank
 from polyharm.parser import parse
 from polyharm.rationals import GaussianRational
 from polyharm.verify import AXIS_FAMILY_TEXT, random_nonzero_expr, random_scalar
+
+from test_contract_digest import _script as contract_digest_script
 
 
 # -- ansatz kernels -----------------------------------------------------------
@@ -153,6 +154,26 @@ def test_golden_kernels_are_unchanged():
     assert dims["nil"] == 81 and dims["sol"] == 1
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_KERNEL_DIGEST
+
+
+# -- kernel orders from the re-verification --------------------------------------
+
+
+def test_kernel_orders_are_classify_orders_on_the_golden_and_digest_systems():
+    # the order printed under a bound is checked in test_cli, where it is cut
+    systems = [
+        AnsatzSystem.build(by_id(gid), _monomial_basis(by_id(gid), degree), order=2)
+        for gid, degree in (("nil", 8), ("sl2", 8), ("h2xr", 6))
+    ]
+    systems += [AnsatzSystem.build(by_id("sol"), sol_axis_basis(48, axis), order=1)
+                for axis in ("x", "y")]
+    for gid, text in contract_digest_script().ANSATZ_LEVELS:  # the digest's -r 3 bases
+        g = by_id(gid)
+        systems.append(AnsatzSystem.build(g, [parse(b, g.atoms) for b in text.split(",")], 3))
+    for system in systems:
+        kernel, orders = families._kernel_orders(system)
+        assert kernel == generate_kernel(system)
+        assert orders == [classify(system.geometry, f).order for f in kernel]
 
 
 # -- ansatz matrices against the per-image reference ----------------------------
@@ -339,6 +360,25 @@ def test_tower_index_shift_against_literal_variant():
     assert classify(g, sol_tower_literal(0, a, b)).order == 1
 
 
+_SOL, _LINE = by_id("sol"), by_id("line")
+_ONE_SOL, _ONE_LINE = Expr.constant(_SOL.atoms, 1), Expr.constant(_LINE.atoms, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: iterated_tension(_SOL, _ONE_SOL, 0), "iteration count must be at least 1"),
+    (lambda: product_tension_binomial(_LINE, _ONE_LINE, _LINE, _ONE_LINE, 0),
+     "n must be at least 1"),
+    (lambda: nil_biharmonic12([1, 2]), "the nil family takes 12 parameters"),
+    (lambda: sl2_biharmonic6([1] * 5), "the sl2 family takes 6 parameters"),
+    (lambda: sol_tower(0, [1, 0, 0, 0], [0] * 4), "tower order must be at least 1"),
+    (lambda: sol_tower_literal(-1, [1, 0, 0, 0], [0] * 4), "tower index must be non-negative"),
+], ids=["iterated_tension", "product_tension_binomial", "nil_biharmonic12",
+        "sl2_biharmonic6", "sol_tower", "sol_tower_literal"])
+def test_api_usage_guards_refuse_with_their_message(call, message):
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # -- sol mixed and product families -----------------------------------------------
 
 
@@ -455,7 +495,7 @@ def test_nil_biharmonic_cancellation_is_only_harmonic():
     g = by_id("nil")
     b = [1, -1] + [0] * 10
     f = nil_biharmonic12(b)
-    assert not nil_f2_proper(b)
+    assert not FAMILIES["nil.f2"].admissible({"b": b})
     assert classify(g, f).order == 1
 
 
@@ -483,8 +523,79 @@ def test_sl2_biharmonic_unit_vectors():
 def test_sl2_biharmonic_cancellation_is_only_harmonic():
     g = by_id("sl2")
     b = [2, 0, 0, 1, 0, 0]
-    assert not sl2_f2_proper(b)
+    assert not FAMILIES["sl2.f2"].admissible({"b": b})
     assert classify(g, sl2_biharmonic6(b)).order == 1
+
+
+# -- f2 admissibility against hand-written conditions -------------------------------
+# The two predicates below were worked out by hand from the nil and sl2 tables
+# (the conditions under which tau of the family vanishes).  The families read
+# admissibility from tau itself; these stay here as an independent reference.
+
+
+def _nil_f2_proper(b):
+    b = [GaussianRational.coerce(v) for v in b]
+    conditions = [
+        b[0] + b[1],
+        b[2] + 3 * b[3] + b[6],
+        b[4] + 3 * b[7],
+        b[5] + b[10],
+        3 * b[8] + 3 * b[9] + 2 * b[10],
+        b[11],
+    ]
+    return any(not c.is_zero() for c in conditions)
+
+
+def _onto_nil_cancellation(b):
+    """b moved onto the set where every condition of _nil_f2_proper vanishes."""
+    b = [GaussianRational.coerce(v) for v in b]
+    b[0], b[2], b[4], b[5] = -b[1], -3 * b[3] - b[6], -3 * b[7], -b[10]
+    b[8], b[11] = -b[9] - 2 * b[10] / 3, 0
+    return b
+
+
+def _sl2_f2_proper(b):
+    b = [GaussianRational.coerce(v) for v in b]
+    conditions = [b[1], b[2], b[4], b[5], b[0] - 2 * b[3]]
+    return any(not c.is_zero() for c in conditions)
+
+
+def _onto_sl2_cancellation(b):
+    """b moved onto the set where every condition of _sl2_f2_proper vanishes."""
+    b3 = GaussianRational.coerce(b[3])
+    return [2 * b3, 0, 0, b3, 0, 0]
+
+
+_F2_REFERENCES = {
+    "nil": (families.NIL_F2_MONOMIALS, _nil_f2_proper, _onto_nil_cancellation, 6),
+    "sl2": (families.SL2_F2_MONOMIALS, _sl2_f2_proper, _onto_sl2_cancellation, 1),
+}
+
+
+@pytest.mark.parametrize("chart", ["nil", "sl2"])
+def test_f2_admissibility_from_tau_equals_the_hand_written_conditions(chart):
+    monomials, proper, onto, kernel_dim = _F2_REFERENCES[chart]
+    admissible = FAMILIES[f"{chart}.f2"].admissible
+    g = by_id(chart)
+    basis = [Expr.monomial(g.atoms, 1, m) for m in monomials]
+    # every vector of tau's kernel on the f2 span is inadmissible under both
+    kernel = generate_kernel(AnsatzSystem.build(g, basis))
+    assert len(kernel) == kernel_dim
+    for f in kernel:
+        coeffs = {t.signature(): t.coeff for t in f.terms}
+        b = [coeffs.get(m.terms[0].signature(), 0) for m in basis]
+        assert not admissible({"b": b}) and not proper(b), b
+    assert not admissible({"b": [0] * len(monomials)})
+    # seeded draws, about half of them moved onto the cancellation set
+    rng = random.Random(20240)
+    inadmissible = 0
+    for _ in range(1000):
+        b = [random_scalar(rng) for _ in monomials]
+        if rng.random() < 0.5:
+            b = onto(b)
+        assert admissible({"b": b}) == proper(b), b
+        inadmissible += not proper(b)
+    assert inadmissible > 300
 
 
 # -- conformal product families ----------------------------------------------------------

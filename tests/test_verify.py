@@ -13,6 +13,7 @@ from polyharm.verify import (
     CheckResult,
     SuiteContext,
     _classification_check,
+    biharmonic_product_remark_check,
     binomial_lemma_check,
     lemma_report,
     run_suite,
@@ -114,6 +115,26 @@ def test_binomial_lemma_check_needs_a_trial():
     g = by_id("product:linexline")
     with pytest.raises(UsageError, match="at least one trial"):
         binomial_lemma_check(g, 2, 0, 1)
+
+
+class _DoubledTension(ProductGeometry):
+    """A product chart whose tau is twice the true operator: a test double for
+    a wrong product rule, while its factors keep their true tau."""
+
+    def tension(self, f):
+        return 2 * super().tension(f)
+
+
+@pytest.mark.parametrize("geometry_id", ["product:linexline", "h2xr"])
+def test_product_checks_fail_on_a_wrong_product_operator(geometry_id):
+    # neither check can pass vacuously: a doubled tau is caught at the first trial
+    true = by_id(geometry_id)
+    g = _DoubledTension(true.first, true.second, true.name)
+    binomial = binomial_lemma_check(g, 2, 5, 1, allow_log=g.atoms.log_kind is not None)
+    assert binomial.status == "fail"
+    assert binomial.detail.startswith("counterexample at trial 0, n=1: f1=")
+    remark = biharmonic_product_remark_check(g, 5, 1)
+    assert (remark.status, remark.detail) == ("fail", "counterexample at trial 0")
 
 
 def test_convention_sentinel_fails_on_a_nan_point(monkeypatch):
