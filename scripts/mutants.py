@@ -21,10 +21,9 @@ of tier-1 (like ``perfbench/tests``); the stdlib is all it needs.
     python3 scripts/mutants.py
 
 Still pending as rows (ROADMAP item 16): most mutants that ``CHANGES.md``
-describes in prose for earlier changes.  Among them are an unreduced fill-in,
-no gcd in ``_divided`` and a missing conjugate in the elimination; tau's
-emission multipliers (the ``(1 + [i = j]) a_i w`` and ``w^2`` kinds), whose
-code is now the generated ``geometries._emitter`` and needs re-stating there;
+describes in prose for earlier changes.  Among them are tau's emission
+multipliers (the ``(1 + [i = j]) a_i w`` and ``w^2`` kinds), whose code is
+now the generated ``geometries._emitter`` and needs re-stating there;
 nil's ``2 x d_y d_t`` entry set to ``3`` against the exact witness; the
 parser's unchecked fold; and an atom-product path that takes its factors in
 any order and repeats them, which needs a new pattern and a new consumer, not
@@ -58,6 +57,7 @@ class Mutant(NamedTuple):
 
 FAMILIES, GEOMETRIES, CLI = "src/polyharm/families.py", "src/polyharm/geometries.py", "src/polyharm/cli.py"
 ALGEBRA, PARSER, VERIFY = "src/polyharm/algebra.py", "src/polyharm/parser.py", "src/polyharm/verify.py"
+LINALG = "src/polyharm/linalg.py"
 PRINTED_ORDERS = ("tests/test_cli.py::test_generate_ansatz_orders_are_classify_orders_on_the_digest_levels",
                   "tests/test_cli.py::test_generate_ansatz_orders_are_classify_orders_on_monomial_bases")
 ORDERS = ("tests/test_families.py::test_kernel_orders_are_classify_orders_on_the_golden_and_digest_systems",
@@ -67,6 +67,7 @@ DIGEST = "tests/test_contract_digest.py::test_contract_digest_is_unchanged"
 PRINTER = "tests/test_algebra.py::test_generated_printer_matches_the_reference"
 TENSION = "tests/test_geometries.py::test_raw_partial_tension_matches_per_partial_reference"
 WRONG_PRODUCT = "tests/test_verify.py::test_product_checks_fail_on_a_wrong_product_operator"
+NORMAL_FORM = "tests/test_linalg.py::test_every_reduced_and_kernel_entry_is_in_normal_form"
 
 MUTANTS = (
     # kernel orders read from the re-verification, and the ansatz system build
@@ -129,6 +130,27 @@ MUTANTS = (
            "for j, c in v.items() for t in basis[j].terms]))",
            "for j, c in v.items() for t in basis[j].terms[1:]]))",
            (GOLDEN,)),
+    # chart data: the metric's own domain guard, the disc's slack, the product's log rule
+    Mutant("metric-without-its-domain-guard", GEOMETRIES,
+           "        if self.inside is not None:\n            self.check_point(P)\n", "",
+           ("tests/test_oracle.py::test_metric_itself_refuses_a_point_outside_its_chart",)),
+    Mutant("disc-slack-outside-the-boundary", GEOMETRIES,
+           "np.hypot(x, y) + slack < 1.0", "np.hypot(x, y) - slack < 1.0",
+           ("tests/test_oracle.py::test_sample_points_respect_domain_margin",
+            "tests/test_oracle.py::test_metric_positive_definite_everywhere_sampled")),
+    Mutant("product-log-rule-of-the-second-factor", GEOMETRIES,
+           "first.log_tension or second.log_tension,", "second.log_tension,",
+           ("tests/test_exact_witness.py::test_printed_tension_chain_is_the_metric_laplacian[h2xr]",
+            "tests/test_geometries.py::test_paper_convention_z_part_scaling_on_product")),
+    # the elimination's integer triples
+    Mutant("fill-in-stored-unreduced", LINALG,
+           "row[j] = (a // g, b // g, d // g)", "row[j] = (a // g, b // g, d // g) if j in row else (a, b, d)",
+           (NORMAL_FORM, "tests/test_linalg.py::test_elimination_matches_gauss_jordan_on_sparse_matrices")),
+    Mutant("divided-without-gcd", LINALG, "g = gcd(x, y, z)", "g = 1",
+           (NORMAL_FORM, "tests/test_linalg.py::test_rref_printed_two_row_system")),
+    Mutant("divided-without-conjugate", LINALG,
+           "p, q, r = f * c, -f * e, c * c + e * e", "p, q, r = f * c, f * e, c * c + e * e",
+           (NORMAL_FORM, "tests/test_linalg.py::test_nullspace_vectors_annihilate_and_rank_nullity")),
 )
 
 

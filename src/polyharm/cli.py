@@ -287,7 +287,7 @@ def _cmd_oracle(args) -> int:
     report = cross_validate(geometry, f, config)
     status = "ok" if report.within_tolerance else "tolerance-exceeded"
     sentinel = None
-    if args.convention == "paper" and geometry.log_rule is not None:
+    if args.convention == "paper" and geometry.log_tension is not None:
         if report.ratios:
             sentinel = sum(report.ratios) / len(report.ratios)
         if not report.within_tolerance and report.paper_sentinel_holds:

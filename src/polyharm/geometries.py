@@ -1,9 +1,9 @@
 """Model geometries with exact tension operators.
 
-Each geometry bundles a chart algebra (AtomSet), an operator table that
-drives the symbolic tension field tau (the Laplace-Beltrami operator on
-complex-valued functions), a numeric metric evaluator for the
-finite-difference oracle, and a domain predicate.
+Each geometry is one ``Geometry`` built from data: a chart algebra
+(AtomSet), an operator table that drives the symbolic tension field tau
+(the Laplace-Beltrami operator on complex-valued functions), the metric's
+rows for the finite-difference oracle, and a domain predicate.
 
 Operator rules in chart coordinates (x, y, t):
 
@@ -29,8 +29,10 @@ checked unless the table proves it (``Geometry._tension_map``, tau's one
 body, over columns of terms: one column is an Expr in ``tension``, a whole
 ansatz basis is one call per power in ``families``).  Entries on the
 conformal pair act on the log-free part of f; the log atom L follows the
-closed-form rule of its surface, tau(L) = s c.  Adding a chart means adding
-one table, one ``metric`` and one ``_CHARTS`` entry.
+closed-form rule of its surface, tau(L) = s c, stored as the number
+``log_tension``.  Adding a chart means adding one ``_CHARTS`` entry, which
+holds its algebra, sample box, table, metric rows and domain; the conformal
+surfaces and the line come from two small factories.
 
 Two operator conventions exist for the conformal surfaces because the
 printed conformal factor of the operator (4(1 -+ u)^2) is four times the
@@ -40,8 +42,9 @@ validates; the "paper" flag reproduces the printed operator.  Properness
 orders agree under both, which the test suite asserts.
 
 A product chart concatenates the factor tables, so tau = tau_1 + tau_2 on
-the disjoint union of the factor variables, and takes the log rule of its
-one log-bearing factor.
+the disjoint union of the factor variables, puts the factor metrics block
+by block, meets the factor domains, and takes the log rule of its one
+log-bearing factor.
 """
 
 from __future__ import annotations
@@ -65,28 +68,18 @@ Box = tuple[tuple[float, float], ...]
 CONVENTIONS = ("metric", "paper")
 
 
-def _matrix(points: np.ndarray, rows) -> np.ndarray:
-    """(..., n, n) metric array from n rows of per-point entries (arrays over
-    the points of shape (..., dim), or constants)."""
-    import numpy as np
-    g = np.empty(np.shape(points)[:-1] + (len(rows), len(rows)))
-    for a, b in np.ndindex(g.shape[-2:]):
-        g[..., a, b] = rows[a][b]
-    return g
-
-
 @functools.cache
 def _compiled(source: str):
     """An emitter's code object, shared by every chart that generates the same source."""
     return compile(source, "<tension>", "exec")
 
 
-def _emitter(dim: int, groups: tuple, log_rule, scale: int):
+def _emitter(dim: int, groups: tuple, log_tension, scale: int):
     """The numerators of ``Geometry._tension_map`` over ``dim`` variables as one
     generated function ``emit(columns, D)``: one pass over the terms (a + b i) / D
     of each (col, raw) pair of ``columns`` adds (a + b i) m (p + q i) into a
     [real, imaginary] slot per key (col, logp, w, powers) for each table
-    coefficient (p + q i) / ``scale`` of ``groups`` and ``log_rule``.  The
+    coefficient (p + q i) / ``scale`` of ``groups`` and ``log_tension``.  The
     table is scaled once, so only int literals enter the source."""
     def times(name: str, k: int) -> list[str]:
         return [] if not k else [name if k == 1 else f"-{name}" if k == -1 else f"{name} * {k}"]
@@ -119,9 +112,8 @@ def _emitter(dim: int, groups: tuple, log_rule, scale: int):
                 powers = "".join(plus(v, s) + ", " for v, s in zip(p, shifts[k]))
                 powers = f"({powers})" if any(shifts[k]) else "powers"
                 body += add(pad + "    ", f"(col, logp, {plus('w', we)}, {powers})", "am", "bm", c)
-    if log_rule is not None:
-        body += ["            if logp:"] + add(" " * 16, "(col, 0, w, powers)", "a", "b",
-                                               log_rule.log_tension)
+    if log_tension is not None:
+        body += ["            if logp:"] + add(" " * 16, "(col, 0, w, powers)", "a", "b", log_tension)
     source = "\n".join(["def emit(columns, D):\n    out = {}\n    get = out.get",
                         "    for col, raw in columns:", "        for c, powers, w, logp in raw:",
                         "            s = floordiv(D, c.d)\n            a, b = c.a * s, c.b * s",
@@ -132,23 +124,28 @@ def _emitter(dim: int, groups: tuple, log_rule, scale: int):
 
 
 class Geometry:
-    """A chart with an operator table and a numeric metric.
+    """A chart: an algebra, an operator table, a numeric metric and a domain.
 
     ``table`` holds the entries (c, powers, weight, i, j) of tau described in
-    the module docstring, with ``powers`` a name -> exponent mapping.
-    ``log_rule`` is the conformal surface whose log rule applies, or None.
-    ``metric`` and ``contains`` take one point or an array of points of
-    shape (..., dim) and answer per point: a (..., dim, dim) metric array
-    and a (...) boolean array.
+    the module docstring, with ``powers`` a name -> exponent mapping.  From
+    numpy and the coordinate arrays P[..., k] of the points P,
+    ``rows(np, *coords)`` gives the metric's rows (arrays or constants) and
+    ``inside(np, slack, *coords)`` whether each point lies ``slack`` inside
+    the chart; ``inside`` None is all of R^n.  ``log_tension`` is s c, the
+    value of tau(L), or None when the chart has no log atom.  ``metric`` and
+    ``contains`` take one point or an array of points of shape (..., dim) and
+    answer per point: a (..., dim, dim) metric array and a (...) boolean array.
     """
 
-    log_rule: "ConformalSurface | None" = None
-
-    def __init__(self, name: str, atoms: AtomSet, sample_box: Box, table: tuple):
+    def __init__(self, name: str, atoms: AtomSet, sample_box: Box, table: tuple,
+                 rows=None, inside=None, log_tension: int | None = None):
         self.name = name
         self.atoms = atoms
         self.sample_box = sample_box
         self.table = table
+        self.rows = rows
+        self.inside = inside
+        self.log_tension = log_tension
         self._kernels: dict[AtomSet, tuple] = {}
 
     def _kernel(self, atoms: AtomSet) -> tuple:
@@ -172,9 +169,9 @@ class Geometry:
                 group[-1].append((c, w, tuple(tuple(e - low.count(k) for k, e in enumerate(p))
                                               for low in ((vi, vj), (vi,), (vj,), ()))))
             groups = tuple(groups.values())
-            coeffs = [e[0] for e in self.table] + [r.log_tension for r in [self.log_rule] if r]
+            coeffs = [e[0] for e in self.table] + [self.log_tension or 0]
             scale = math.lcm(*(GaussianRational.coerce(c).d for c in coeffs))
-            emit = _emitter(len(atoms.variables), groups, self.log_rule, scale)
+            emit = _emitter(len(atoms.variables), groups, self.log_tension, scale)
             closed = all(min(e[2][3], default=0) >= 0 and (atoms.exp_var or not e[1])
                          for *_, entries in groups for e in entries)
             kernel = self._kernels[atoms] = (groups, scale, emit, closed)
@@ -219,9 +216,24 @@ class Geometry:
                 tau[key] = _make(a, b, 1) if DL == 1 else _reduced(a, b, DL)
         return tau
 
+    def metric(self, point) -> np.ndarray:
+        """The metric at each point; a point outside the chart is refused."""
+        import numpy as np
+        P = np.asarray(point, dtype=float)
+        if self.inside is not None:
+            self.check_point(P)
+        rows = self.rows(np, *[P[..., k] for k in range(P.shape[-1])])
+        g = np.empty(P.shape[:-1] + (len(rows), len(rows)))
+        for a, b in np.ndindex(g.shape[-2:]):
+            g[..., a, b] = rows[a][b]
+        return g
+
     def contains(self, point, slack: float = 0.0) -> np.ndarray:
         import numpy as np
-        return np.ones(np.shape(point)[:-1], dtype=bool)
+        P = np.asarray(point, dtype=float)
+        if self.inside is None:
+            return np.ones(P.shape[:-1], dtype=bool)
+        return self.inside(np, slack, *[P[..., k] for k in range(P.shape[-1])])
 
     def check_point(self, point, slack: float = 0.0) -> None:
         """Raise unless every point lies in the chart, ``slack`` inside its boundary."""
@@ -245,183 +257,32 @@ class Geometry:
         return f"<Geometry {self.name}>"
 
 
-class SolGeometry(Geometry):
-    def __init__(self):
-        super().__init__(
-            "sol",
-            AtomSet(("x", "y", "t"), exp_var="t"),
-            ((-1.0, 1.0),) * 3,
-            (
-                (1, {}, -2, "x", "x"),
-                (1, {}, 2, "y", "y"),
-                (1, {}, 0, "t", "t"),
-            ),
-        )
-
-    def metric(self, point) -> np.ndarray:
-        import numpy as np
-        P = np.asarray(point, dtype=float)
-        t = P[..., 2]
-        return _matrix(
-            P,
-            (
-                (np.exp(2 * t), 0.0, 0.0),
-                (0.0, np.exp(-2 * t), 0.0),
-                (0.0, 0.0, 1.0),
-            ),
-        )
-
-
-class NilGeometry(Geometry):
-    def __init__(self):
-        super().__init__(
-            "nil",
-            AtomSet(("x", "y", "t")),
-            ((-1.0, 1.0),) * 3,
-            (
-                (1, {}, 0, "x", "x"),
-                (1, {}, 0, "y", "y"),
-                (2, {"x": 1}, 0, "y", "t"),
-                (1, {}, 0, "t", "t"),
-                (1, {"x": 2}, 0, "t", "t"),
-            ),
-        )
-
-    def metric(self, point) -> np.ndarray:
-        import numpy as np
-        P = np.asarray(point, dtype=float)
-        x = P[..., 0]
-        return _matrix(P, ((1.0, 0.0, 0.0), (0.0, 1.0 + x * x, -x), (0.0, -x, 1.0)))
-
-
-class Sl2Geometry(Geometry):
-    def __init__(self):
-        super().__init__(
-            "sl2",
-            AtomSet(("x", "y", "t")),
-            ((-1.0, 1.0), (0.5, 2.0), (-1.0, 1.0)),
-            (
-                (1, {"y": 2}, 0, "x", "x"),
-                (1, {"y": 2}, 0, "y", "y"),
-                (2, {}, 0, "t", "t"),
-                (-2, {"y": 1}, 0, "x", "t"),
-            ),
-        )
-
-    def metric(self, point) -> np.ndarray:
-        import numpy as np
-        P = np.asarray(point, dtype=float)
-        y = P[..., 1]
-        if (y <= 0.0).any():
-            raise DomainError("sl2 chart needs y > 0")
-        return _matrix(
-            P,
-            (
-                (2.0 / y**2, 0.0, 1.0 / y),
-                (0.0, 1.0 / y**2, 0.0),
-                (1.0 / y, 0.0, 1.0),
-            ),
-        )
-
-    def contains(self, point, slack: float = 0.0) -> np.ndarray:
-        import numpy as np
-        return np.asarray(point, dtype=float)[..., 1] - slack > 0.0
-
-
-class ConformalSurface(Geometry):
-    """Hyperbolic disc (sign -1) or punctured sphere (sign +1) chart.
-
-    The numeric metric is always 4/(1 + sign*rho)^2 (dx^2 + dy^2); the
-    ``convention`` flag only scales the symbolic operator factor.
-    """
-
-    def __init__(self, sign: int, convention: str):
-        name, log_kind = ("h2", LOG_DISC) if sign == -1 else ("s2p", LOG_SPHERE)
-        self.sign = sign
-        self.factor = 4 if convention == "paper" else 1
-        self.log_tension = sign * self.factor  # tau(A L) = s c A for A free of z, zb
-        c = self.factor
-        super().__init__(
-            name,
-            AtomSet(("z", "zb"), log_kind=log_kind, conformal=("z", "zb")),
-            ((-0.9, 0.9), (-0.9, 0.9)),
-            (
-                (c, {}, 0, "z", "zb"),
-                (2 * sign * c, {"z": 1, "zb": 1}, 0, "z", "zb"),
-                (c, {"z": 2, "zb": 2}, 0, "z", "zb"),
-            ),
-        )
-
-    @property
-    def log_rule(self) -> "ConformalSurface":
-        # a property, not an attribute holding self: that would make every
-        # surface a reference cycle left to the cyclic garbage collector
-        return self
-
-    def metric(self, point) -> np.ndarray:
-        import numpy as np
-        P = np.asarray(point, dtype=float)
-        x, y = P[..., 0], P[..., 1]
-        denom = 1.0 + self.sign * (x * x + y * y)
-        if (denom <= 0.0).any():
-            raise DomainError("point outside the conformal chart")
-        lam = 4.0 / denom**2
-        return _matrix(P, ((lam, 0.0), (0.0, lam)))
-
-    def contains(self, point, slack: float = 0.0) -> np.ndarray:
-        if self.sign == 1:
-            return super().contains(point, slack)
-        import numpy as np
-        P = np.asarray(point, dtype=float)
-        return np.hypot(P[..., 0], P[..., 1]) + slack < 1.0
-
-
-class Line(Geometry):
-    """Flat line factor; the chart variable is configurable (default t)."""
-
-    def __init__(self, var: str = "t"):
-        super().__init__(
-            "line" if var == "t" else f"line[{var}]",
-            AtomSet((var,)),
-            ((-1.0, 1.0),),
-            ((1, {}, 0, var, var),),
-        )
-
-    def metric(self, point) -> np.ndarray:
-        return _matrix(point, ((1.0,),))
-
-
 class ProductGeometry(Geometry):
-    """Riemannian product: the factor tables side by side, and the log rule
-    of the log-bearing factor."""
+    """Riemannian product: the factor tables, metric rows and domains side by
+    side, and the log rule of the log-bearing factor."""
 
     def __init__(self, first: Geometry, second: Geometry, name: str | None = None):
+        n1, n2 = len(first.atoms.variables), len(second.atoms.variables)
+
+        def rows(np, *c):
+            return (*(r + (0.0,) * n2 for r in first.rows(np, *c[:n1])),
+                    *((0.0,) * n1 + r for r in second.rows(np, *c[n1:])))
+
+        def inside(np, slack, *c):
+            parts = [g.inside(np, slack, *p) for g, p in ((first, c[:n1]), (second, c[n1:])) if g.inside]
+            return parts[0] if len(parts) == 1 else parts[0] & parts[1]
+
         super().__init__(
             name or f"{first.name}x{second.name}",
             merge_atom_sets(first.atoms, second.atoms),
             first.sample_box + second.sample_box,
             first.table + second.table,
+            rows,
+            inside if first.inside or second.inside else None,
+            first.log_tension or second.log_tension,
         )
         self.first = first
         self.second = second
-        self.log_rule = first.log_rule or second.log_rule
-
-    def metric(self, point) -> np.ndarray:
-        import numpy as np
-        P = np.asarray(point, dtype=float)
-        n1 = len(self.first.atoms.variables)
-        n = len(self.atoms.variables)
-        g = np.zeros(P.shape[:-1] + (n, n))
-        g[..., :n1, :n1] = self.first.metric(P[..., :n1])
-        g[..., n1:, n1:] = self.second.metric(P[..., n1:])
-        return g
-
-    def contains(self, point, slack: float = 0.0) -> np.ndarray:
-        import numpy as np
-        P = np.asarray(point, dtype=float)
-        n1 = len(self.first.atoms.variables)
-        inside = self.first.contains(P[..., :n1], slack)
-        return inside & self.second.contains(P[..., n1:], slack)
 
 
 # -- iterated tension and properness classification -------------------------
@@ -494,34 +355,114 @@ def product_tension_binomial(
 
 # -- registry ----------------------------------------------------------------
 
-# sol() and nil() are by_id("sol") and by_id("nil"), kept for perfbench/tests
+
+def _surface(sign: int, convention: str) -> Geometry:
+    """Hyperbolic disc (sign -1) or punctured sphere (sign +1) chart.
+
+    The numeric metric is always 4/(1 + sign*rho)^2 (dx^2 + dy^2); the
+    ``convention`` flag only scales the symbolic operator factor c, and the
+    log rule is tau(A L) = s c A for A free of z, zb.
+    """
+    c = 4 if convention == "paper" else 1
+
+    def rows(np, x, y):
+        lam = 4.0 / (1.0 + sign * (x * x + y * y)) ** 2
+        return (lam, 0.0), (0.0, lam)
+
+    return Geometry(
+        "h2" if sign == -1 else "s2p",
+        AtomSet(("z", "zb"), log_kind=LOG_DISC if sign == -1 else LOG_SPHERE, conformal=("z", "zb")),
+        ((-0.9, 0.9), (-0.9, 0.9)),
+        (
+            (c, {}, 0, "z", "zb"),
+            (2 * sign * c, {"z": 1, "zb": 1}, 0, "z", "zb"),
+            (c, {"z": 2, "zb": 2}, 0, "z", "zb"),
+        ),
+        rows,
+        (lambda np, slack, x, y: np.hypot(x, y) + slack < 1.0) if sign == -1 else None,
+        sign * c,
+    )
 
 
-def sol() -> SolGeometry:
-    return SolGeometry()
+def _line(var: str = "t") -> Geometry:
+    """Flat line factor; the chart variable is configurable (default t)."""
+    return Geometry("line" if var == "t" else f"line[{var}]", AtomSet((var,)), ((-1.0, 1.0),),
+                    ((1, {}, 0, var, var),), lambda np, v: ((1.0,),))
 
 
-def nil() -> NilGeometry:
-    return NilGeometry()
-
-
-# id -> the chart under a convention; the only list of chart ids
+# id -> the chart under a convention; the only list of chart ids, and each
+# chart's one home: algebra, sample box, operator table, metric rows, domain
 _CHARTS = {
-    "sol": lambda convention: SolGeometry(),
-    "nil": lambda convention: NilGeometry(),
-    "sl2": lambda convention: Sl2Geometry(),
-    "h2": lambda convention: ConformalSurface(-1, convention),
-    "s2p": lambda convention: ConformalSurface(1, convention),
-    "h2xr": lambda convention: ProductGeometry(ConformalSurface(-1, convention), Line(), "h2xr"),
-    "s2pxr": lambda convention: ProductGeometry(ConformalSurface(1, convention), Line(), "s2pxr"),
-    "line": lambda convention: Line(),
+    "sol": lambda convention: Geometry(
+        "sol",
+        AtomSet(("x", "y", "t"), exp_var="t"),
+        ((-1.0, 1.0),) * 3,
+        (
+            (1, {}, -2, "x", "x"),
+            (1, {}, 2, "y", "y"),
+            (1, {}, 0, "t", "t"),
+        ),
+        lambda np, x, y, t: (
+            (np.exp(2 * t), 0.0, 0.0),
+            (0.0, np.exp(-2 * t), 0.0),
+            (0.0, 0.0, 1.0),
+        ),
+    ),
+    "nil": lambda convention: Geometry(
+        "nil",
+        AtomSet(("x", "y", "t")),
+        ((-1.0, 1.0),) * 3,
+        (
+            (1, {}, 0, "x", "x"),
+            (1, {}, 0, "y", "y"),
+            (2, {"x": 1}, 0, "y", "t"),
+            (1, {}, 0, "t", "t"),
+            (1, {"x": 2}, 0, "t", "t"),
+        ),
+        lambda np, x, y, t: (
+            (1.0, 0.0, 0.0),
+            (0.0, 1.0 + x * x, -x),
+            (0.0, -x, 1.0),
+        ),
+    ),
+    "sl2": lambda convention: Geometry(
+        "sl2",
+        AtomSet(("x", "y", "t")),
+        ((-1.0, 1.0), (0.5, 2.0), (-1.0, 1.0)),
+        (
+            (1, {"y": 2}, 0, "x", "x"),
+            (1, {"y": 2}, 0, "y", "y"),
+            (2, {}, 0, "t", "t"),
+            (-2, {"y": 1}, 0, "x", "t"),
+        ),
+        lambda np, x, y, t: (
+            (2.0 / y**2, 0.0, 1.0 / y),
+            (0.0, 1.0 / y**2, 0.0),
+            (1.0 / y, 0.0, 1.0),
+        ),
+        lambda np, slack, x, y, t: y - slack > 0.0,
+    ),
+    "h2": lambda convention: _surface(-1, convention),
+    "s2p": lambda convention: _surface(1, convention),
+    "h2xr": lambda convention: ProductGeometry(_surface(-1, convention), _line(), "h2xr"),
+    "s2pxr": lambda convention: ProductGeometry(_surface(1, convention), _line(), "s2pxr"),
+    "line": lambda convention: _line(),
 }
+
+
+# sol() and nil() are by_id("sol") and by_id("nil"), kept for perfbench/tests
+def sol() -> Geometry:
+    return by_id("sol")
+
+
+def nil() -> Geometry:
+    return by_id("nil")
 
 
 def product(first: Geometry, second: Geometry) -> ProductGeometry:
     """first x second, with the factors of line x line renamed to s and t."""
     if first.name == second.name == "line":
-        return ProductGeometry(Line("s"), Line("t"), name="linexline")
+        return ProductGeometry(_line("s"), _line("t"), name="linexline")
     return ProductGeometry(first, second)
 
 

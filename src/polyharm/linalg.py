@@ -63,15 +63,12 @@ class ExactMatrix:
     @property
     def entries(self) -> tuple[GaussianRational, ...]:
         """All rows * cols entries, row-major."""
-        return tuple(v for i in range(self.rows) for v in self.row(i))
+        return tuple(m.get(j, ZERO) for m in self.row_maps for j in range(self.cols))
 
     def at(self, i: int, j: int) -> GaussianRational:
         if not 0 <= j < self.cols:
             raise IndexError("column index out of range")
         return self.row_maps[i].get(j, ZERO)
-
-    def row(self, i: int) -> tuple[GaussianRational, ...]:
-        return tuple(self.row_maps[i].get(j, ZERO) for j in range(self.cols))
 
 
 def _eliminate(m: ExactMatrix) -> tuple[list[Triples], tuple[int, ...]]:
@@ -177,10 +174,13 @@ def primitive_scale(values: Iterable[GaussianRational], lead: GaussianRational) 
 
 
 def primitive_rows(m: ExactMatrix) -> list[list[GaussianRational]]:
-    """Rows scaled by :func:`primitive_scale`, each led by its first nonzero entry."""
+    """Rows scaled by :func:`primitive_scale`, each led by its first nonzero
+    entry; only the nonzero entries are scaled, every other one is ZERO."""
     out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        s = primitive_scale(row, next((x for x in row if x), ONE))
-        out.append([x * s for x in row])
+    for row in m.row_maps:
+        s = primitive_scale(row.values(), row[min(row)] if row else ONE)
+        dense = [ZERO] * m.cols
+        for j, v in row.items():
+            dense[j] = v * s
+        out.append(dense)
     return out

@@ -76,15 +76,16 @@ def first_partials(f: Expr, free: Expr):
     return functools.cache(lambda v: (free if v in conformal else f).differentiate(v))
 
 
-def log_conformality_parts(rule, atoms, fa, ha, df, dh) -> list:
-    """The L-bearing kappa terms of f = fp + fa L and h = hp + ha L on the
-    conformal surface ``rule`` (sign s, factor c, u = z*zb):
+def log_conformality_parts(log_tension, atoms, fa, ha, df, dh) -> list:
+    """The L-bearing kappa terms of f = fp + fa L and h = hp + ha L on a
+    conformal surface with ``log_tension`` s c (sign s, factor c, u = z*zb):
 
         (s c / 2) (1 + s u) sum_v v (fa hp_v + ha fp_v)  +  c u fa ha
 
     over v in (z, zb); ``fa``/``ha`` are None when absent and ``df``/``dh``
     give the partials of the log-free parts."""
-    s, half = rule.sign, GaussianRational.coerce(rule.factor) / 2
+    s, c = (1 if log_tension > 0 else -1), abs(log_tension)
+    half = GaussianRational.coerce(c) / 2
     parts = []
     for a, d in ((fa, dh), (ha, df)):
         if a is None:
@@ -94,7 +95,7 @@ def log_conformality_parts(rule, atoms, fa, ha, df, dh) -> list:
             parts.append((s * half, atoms.exponents({v: 1}), 0, a_dv))
             parts.append((half, atoms.exponents({v: 2, w: 1}), 0, a_dv))
     if fa is not None and ha is not None:
-        parts.append((rule.factor, atoms.exponents({"z": 1, "zb": 1}), 0, (fa * ha).terms))
+        parts.append((c, atoms.exponents({"z": 1, "zb": 1}), 0, (fa * ha).terms))
     return parts
 
 
@@ -123,6 +124,6 @@ def conformality(g, f: Expr, h: Expr) -> Expr:
         for c, w, shifts in entries:
             scale = c if same else GaussianRational.coerce(c) / 2
             parts.extend((scale, shifts[3], w, terms) for terms in products)
-    if g.log_rule is not None:
-        parts.extend(log_conformality_parts(g.log_rule, f.atoms, fa, ha, df, dh))
+    if g.log_tension is not None:
+        parts.extend(log_conformality_parts(g.log_tension, f.atoms, fa, ha, df, dh))
     return combine(f.atoms, parts)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyharm import families
-from polyharm.algebra import LOG_DISC, AtomSet, Expr
+from polyharm.algebra import LOG_DISC, AtomSet, Expr, merge_atom_sets
 from polyharm.errors import ClosureError, UsageError
 from polyharm.families import (
     FAMILIES,
@@ -372,8 +372,17 @@ _ONE_SOL, _ONE_LINE = Expr.constant(_SOL.atoms, 1), Expr.constant(_LINE.atoms, 1
     (lambda: sl2_biharmonic6([1] * 5), "the sl2 family takes 6 parameters"),
     (lambda: sol_tower(0, [1, 0, 0, 0], [0] * 4), "tower order must be at least 1"),
     (lambda: sol_tower_literal(-1, [1, 0, 0, 0], [0] * 4), "tower index must be non-negative"),
+    (lambda: ExactMatrix.from_rows([]), "matrix needs at least one row"),
+    (lambda: by_id("sl2").check_point((0.1, 0.5)), "sl2 expects 3 coordinates"),
+    (lambda: merge_atom_sets(_SOL.atoms, AtomSet(("s",), exp_var="s")),
+     "at most one exponential atom per product chart"),
+    (lambda: _SOL.tension(parse("x*y", by_id("nil").atoms)),
+     "expression does not live in the sol algebra"),
+    (lambda: by_id("s2p").tension(parse("log1m", by_id("h2").atoms)),
+     "expression does not live in the s2p algebra"),
 ], ids=["iterated_tension", "product_tension_binomial", "nil_biharmonic12",
-        "sl2_biharmonic6", "sol_tower", "sol_tower_literal"])
+        "sl2_biharmonic6", "sol_tower", "sol_tower_literal", "from_rows", "check_point",
+        "merge_atom_sets", "tension_without_E", "tension_with_another_log"])
 def test_api_usage_guards_refuse_with_their_message(call, message):
     with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
         call()

@@ -438,9 +438,8 @@ def _reference_tension(g, f):
                 first[j] = (free if j in conformal else f).differentiate(j)
             second[i, j] = first[j].differentiate(i)
         parts.append((c, powers, weight, second[i, j].terms))
-    if logc is not None and g.log_rule is not None:
-        rule = g.log_rule
-        parts.append((rule.sign * rule.factor, (0,) * len(f.atoms.variables), 0, logc.terms))
+    if logc is not None and g.log_tension is not None:
+        parts.append((g.log_tension, (0,) * len(f.atoms.variables), 0, logc.terms))
     return combine(f.atoms, parts)
 
 
@@ -497,8 +496,8 @@ def _generic_raw_tension(g, atoms, terms):
                     for c, we, shifts in entries:
                         raw.append((coeff * (m * c), tuple(map(add, powers, shifts[k])),
                                     w + we, logp))
-    if g.log_rule is not None:
-        s = g.log_rule.log_tension
+    if g.log_tension is not None:
+        s = g.log_tension
         raw.extend((coeff * s, powers, w, 0) for coeff, powers, w, logp in terms if logp)
     return raw
 
@@ -872,8 +871,8 @@ def _reference_conformality(g, f, h):
             half = GaussianRational.coerce(c) / 2
             parts.append((half, powers, weight, (df(i) * dh(j)).terms))
             parts.append((half, powers, weight, (df(j) * dh(i)).terms))
-    if g.log_rule is not None:
-        parts.extend(log_conformality_parts(g.log_rule, f.atoms, fa, ha, df, dh))
+    if g.log_tension is not None:
+        parts.extend(log_conformality_parts(g.log_tension, f.atoms, fa, ha, df, dh))
     return combine(f.atoms, parts)
 
 

@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 import runpy
 import statistics
 from pathlib import Path
@@ -81,6 +82,30 @@ def test_metric_domain_violation():
     # on an array of points the first point outside the chart is named
     with pytest.raises(DomainError, match=r"\(1\.1, 0\.0\)"):
         metric_at(by_id("h2"), [(0.1, 0.0), (1.1, 0.0), (0.0, 1.2)])
+
+
+@pytest.mark.parametrize("gid, outside", [
+    ("sl2", (0.3, 0.0, 0.1)), ("sl2", (0.3, -2.0, 0.1)), ("h2", (1.0, 0.0)),
+    ("h2", (0.8, -0.7)), ("h2xr", (0.0, -1.0, 0.5)), ("product:h2xsl2", (0.1, 0.2, 0.3, -1.0, 0.5)),
+])
+def test_metric_itself_refuses_a_point_outside_its_chart(gid, outside):
+    # Geometry.metric with no check_point before it: sl2 needs y > 0, the disc |z| < 1
+    g = by_id(gid)
+    with pytest.raises(DomainError, match=re.escape(f"point {tuple(map(float, outside))} is outside")):
+        g.metric(outside)
+    inside = sample_points(g, 3, np.random.default_rng(8))
+    with pytest.raises(DomainError):
+        g.metric(np.vstack([inside, outside]))
+    assert g.metric(inside).shape == inside.shape + inside.shape[-1:]
+
+
+@pytest.mark.parametrize("gid", ["s2p", "sol", "nil", "line", "s2pxr"])
+def test_metric_refuses_no_finite_point_of_an_unbounded_chart(gid):
+    g = by_id(gid)
+    dim = len(g.atoms.variables)
+    points = np.vstack([np.zeros(dim), np.eye(dim), -np.eye(dim),
+                        np.random.default_rng(9).uniform(-30.0, 30.0, (50, dim))])
+    assert np.isfinite(g.metric(points)).all()
 
 
 @pytest.mark.parametrize(
