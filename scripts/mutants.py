@@ -68,6 +68,7 @@ PRINTER = "tests/test_algebra.py::test_generated_printer_matches_the_reference"
 TENSION = "tests/test_geometries.py::test_raw_partial_tension_matches_per_partial_reference"
 WRONG_PRODUCT = "tests/test_verify.py::test_product_checks_fail_on_a_wrong_product_operator"
 NORMAL_FORM = "tests/test_linalg.py::test_every_reduced_and_kernel_entry_is_in_normal_form"
+EXIT_RULE = "tests/test_cli.py::test_exit_1_exactly_when_the_report_status_is_a_failure"
 
 MUTANTS = (
     # kernel orders read from the re-verification, and the ansatz system build
@@ -142,6 +143,16 @@ MUTANTS = (
            "first.log_tension or second.log_tension,", "second.log_tension,",
            ("tests/test_exact_witness.py::test_printed_tension_chain_is_the_metric_laplacian[h2xr]",
             "tests/test_geometries.py::test_paper_convention_z_part_scaling_on_product")),
+    # the CLI's one rule from a report's status to its exit code
+    Mutant("tolerance-exceeded-exits-0", CLI,
+           '("failed", "tolerance-exceeded")', '("failed",)',
+           (EXIT_RULE + "[oracle_tolerance_exceeded]",
+            "tests/test_cli.py::test_oracle_tolerance_failure_exits_1_under_both_conventions",
+            "tests/test_cli.py::test_json_report_is_strict_json")),
+    Mutant("exceeds-bound-exits-1", CLI,
+           '("failed", "tolerance-exceeded")', '("failed", "tolerance-exceeded", "exceeds-bound")',
+           (EXIT_RULE + "[classify_exceeds_bound]",
+            "tests/test_cli.py::test_classify_exceeds_bound_status")),
     # the elimination's integer triples
     Mutant("fill-in-stored-unreduced", LINALG,
            "row[j] = (a // g, b // g, d // g)", "row[j] = (a // g, b // g, d // g) if j in row else (a, b, d)",

@@ -104,9 +104,7 @@ class AtomSet:
             exps[self.index(name)] = p
         return tuple(exps)
 
-    def conformal_indices(self) -> tuple[int, int] | None:
-        if self.conformal is None:
-            return None
+    def conformal_indices(self) -> tuple[int, int]:
         return self.index(self.conformal[0]), self.index(self.conformal[1])
 
     def contains(self, other: "AtomSet") -> bool:

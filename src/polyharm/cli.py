@@ -4,6 +4,12 @@ Subcommands: tension, classify, generate, oracle, lemma-check, verify-paper.
 Exit codes are a stable contract: 0 success, 1 check failure, 2 expression
 parse error, 3 algebra closure error, 4 usage or domain error.  The default
 operator convention comes from POLYHARM_CONVENTION (metric when unset).
+
+Each subcommand maps its arguments to its JSON report and its text lines.
+``main`` alone prints one of the two and picks the exit code: 1 exactly when
+the report's status is ``failed`` or ``tolerance-exceeded`` (``exceeds-bound``
+and ``expected-mismatch`` exit 0), 0 otherwise; an error raised before the
+report is its class's exit code.
 """
 
 from __future__ import annotations
@@ -126,56 +132,48 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        # strict JSON: a non-finite float becomes the string float() reads back
-        strict = json.loads(json.dumps(payload), parse_constant=lambda c: str(float(c)))
-        print(json.dumps(strict, indent=2, allow_nan=False))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _report(command: str, **fields) -> dict:
+def _report(args, geometry=None, **fields) -> dict:
+    """The JSON report of args.command on geometry (None: no chart)."""
     # a given field replaces its default in place: every report keeps one key order
     unset = dict.fromkeys(("geometry", "convention", "input", "chain", "order", "residuals"))
-    return {"command": command, **unset, "status": "ok", **fields}
+    if geometry is not None:
+        unset.update(geometry=geometry.name, convention=args.convention)
+    return {"command": args.command, **unset, "status": "ok", **fields}
 
 
-def _cmd_tension(args) -> int:
+def _parsed(args):
+    """The chart of --geometry/--convention and the expression parsed on it."""
     geometry = by_id(args.geometry, args.convention)
-    f = parse(args.expression, geometry.atoms)
-    chain = iterated_tension(geometry, f, args.r)
-    printed = [str(e) for e in chain]
-    payload = _report(
-        "tension",
-        geometry=geometry.name,
-        convention=args.convention,
-        input=args.expression,
-        chain=printed,
-    )
-    _emit(args, payload, [f"tau^{k}: {text}" for k, text in enumerate(printed)])
-    return EXIT_OK
+    return geometry, parse(args.expression, geometry.atoms)
 
 
-def _cmd_classify(args) -> int:
-    geometry = by_id(args.geometry, args.convention)
-    f = parse(args.expression, geometry.atoms)
-    report = classify(geometry, f, args.r_max)
-    printed = [str(e) for e in report.chain]
-    payload = _report(
-        "classify",
-        geometry=geometry.name,
-        convention=args.convention,
-        input=args.expression,
-        chain=printed,
-        order=report.order,
-        status="ok" if report.order is not None else "exceeds-bound",
+def _cmd_tension(args) -> tuple[dict, list[str]]:
+    geometry, f = _parsed(args)
+    chain = [str(e) for e in iterated_tension(geometry, f, args.r)]
+    report = _report(args, geometry, input=args.expression, chain=chain)
+    return report, [f"tau^{k}: {text}" for k, text in enumerate(chain)]
+
+
+def _classified(args, geometry, f, **fields):
+    """classify's report of f at --r-max, with its result."""
+    result = classify(geometry, f, args.r_max)
+    report = _report(
+        args,
+        geometry,
+        chain=[str(e) for e in result.chain],
+        order=result.order,
+        status="ok" if result.order is not None else "exceeds-bound",
+        **fields,
     )
-    lines = [f"input: {printed[0]}", f"result: {report.describe()}"]
-    lines += [f"tau^{k}: {text}" for k, text in enumerate(printed)]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return report, result
+
+
+def _cmd_classify(args) -> tuple[dict, list[str]]:
+    geometry, f = _parsed(args)
+    report, result = _classified(args, geometry, f, input=args.expression)
+    chain = report["chain"]
+    lines = [f"input: {chain[0]}", f"result: {result.describe()}"]
+    return report, lines + [f"tau^{k}: {text}" for k, text in enumerate(chain)]
 
 
 def _split_scalars(text: str, width: int | None = None) -> list:
@@ -219,7 +217,7 @@ def _build_family(args):
     return descriptor.build(args.convention, **_family_params(descriptor, args))
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> tuple[dict, list[str]]:
     if args.ansatz is not None:
         geometry = by_id(args.geometry, args.convention)
         pieces = args.ansatz.split(",") if args.ansatz else []
@@ -235,10 +233,9 @@ def _cmd_generate(args) -> int:
             {"expr": str(primitive_normalized(f)), "order": order if order <= args.r_max else None}
             for f, order in zip(kernel, orders)
         ]
-        payload = _report(
-            "generate",
-            geometry=geometry.name,
-            convention=args.convention,
+        report = _report(
+            args,
+            geometry,
             input=args.ansatz,
             matrix=matrix_rows,
             kernel=kernel_info,
@@ -252,92 +249,73 @@ def _cmd_generate(args) -> int:
                 lines.append(f"kernel[{i}]: {info['expr']}  (order {info['order']})")
         else:
             lines.append("kernel: trivial")
-        _emit(args, payload, lines)
-        return EXIT_OK
+        return report, lines
 
     if not args.family:
         raise UsageError("generate needs a family id or --ansatz")
     geometry, f = _build_family(args)
-    report = classify(geometry, f, args.r_max)
-    payload = _report(
-        "generate",
-        geometry=geometry.name,
-        convention=args.convention,
-        input=args.family,
-        chain=[str(e) for e in report.chain],
-        order=report.order,
-        expr=str(f),
-        status="ok" if report.order is not None else "exceeds-bound",
-    )
+    report, result = _classified(args, geometry, f, input=args.family, expr=str(f))
     lines = [
         f"family: {args.family}",
         f"expr: {f}",
-        f"result: {report.describe()}",
+        f"result: {result.describe()}",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return report, lines
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[dict, list[str]]:
     from .oracle import OracleConfig, cross_validate  # loads numpy
-    geometry = by_id(args.geometry, args.convention)
-    f = parse(args.expression, geometry.atoms)
+    geometry, f = _parsed(args)
     given = {k: getattr(args, k) for k in ("step", "levels", "rel_tol", "samples", "seed")}
     config = OracleConfig(**{k: v for k, v in given.items() if v is not None})
-    report = cross_validate(geometry, f, config)
-    status = "ok" if report.within_tolerance else "tolerance-exceeded"
+    sweep = cross_validate(geometry, f, config)
+    status = "ok" if sweep.within_tolerance else "tolerance-exceeded"
     sentinel = None
     if args.convention == "paper" and geometry.log_tension is not None:
-        if report.ratios:
-            sentinel = sum(report.ratios) / len(report.ratios)
-        if not report.within_tolerance and report.paper_sentinel_holds:
+        if sweep.ratios:
+            sentinel = sum(sweep.ratios) / len(sweep.ratios)
+        if not sweep.within_tolerance and sweep.paper_sentinel_holds:
             status = "expected-mismatch"
-    payload = _report(
-        "oracle",
-        geometry=geometry.name,
-        convention=args.convention,
+    report = _report(
+        args,
+        geometry,
         input=args.expression,
-        residuals={"max_rel": report.max_rel, "points": report.points},
+        residuals={"max_rel": sweep.max_rel, "points": sweep.points},
         status=status,
         sentinel_ratio=sentinel,
     )
     lines = [
         f"geometry: {geometry.name} ({args.convention} convention)",
         f"expression: {f}",
-        f"points: {report.points}",
-        f"max abs residual: {report.max_abs:.3e}",
-        f"max rel residual: {report.max_rel:.3e}  (tolerance {report.rel_tol:.1e})",
+        f"points: {sweep.points}",
+        f"max abs residual: {sweep.max_abs:.3e}",
+        f"max rel residual: {sweep.max_rel:.3e}  (tolerance {sweep.rel_tol:.1e})",
         f"status: {status}",
     ]
     if sentinel is not None:
         lines.append(f"mean symbolic/oracle ratio: {sentinel:.6f}")
-    _emit(args, payload, lines)
-    if status == "tolerance-exceeded":
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return report, lines
 
 
-def _results_payload(command: str, results) -> tuple[dict, list[str], int]:
+def _results(args, results) -> tuple[dict, list[str]]:
+    """The report and text lines of a list of verify CheckResults."""
     checks = [
         {"id": r.check_id, "status": r.status, "detail": r.detail} for r in results
     ]
     ok = all(r.ok for r in results)
-    payload = _report(command, checks=checks, status="ok" if ok else "failed")
+    report = _report(args, checks=checks, status="ok" if ok else "failed")
     width = max(len(r.check_id) for r in results)
     lines = [f"{r.status:<18} {r.check_id:<{width}}  {r.detail}".rstrip() for r in results]
     passed = sum(1 for r in results if r.ok)
     lines.append(f"summary: {passed}/{len(results)} checks ok")
-    return payload, lines, EXIT_OK if ok else EXIT_CHECK_FAILED
+    return report, lines
 
 
-def _cmd_lemma_check(args) -> int:
-    results = lemma_report(args.n, args.trials, args.seed)
-    payload, lines, code = _results_payload("lemma-check", results)
-    _emit(args, payload, lines)
-    return code
+def _cmd_lemma_check(args) -> tuple[dict, list[str]]:
+    return _results(args, lemma_report(args.n, args.trials, args.seed))
 
 
-def _cmd_verify_paper(args) -> int:
+def _cmd_verify_paper(args) -> tuple[dict, list[str]]:
     conventions = CONVENTIONS if args.convention == "both" else (args.convention,)
     ctx = SuiteContext(
         conventions=conventions,
@@ -345,10 +323,7 @@ def _cmd_verify_paper(args) -> int:
         seed=args.seed,
         oracle=not args.skip_oracle,
     )
-    results = run_suite(ctx)
-    payload, lines, code = _results_payload("verify-paper", results)
-    _emit(args, payload, lines)
-    return code
+    return _results(args, run_suite(ctx))
 
 
 _DISPATCH = {
@@ -364,9 +339,15 @@ _DISPATCH = {
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        code = _DISPATCH[args.command](args)
+        report, lines = _DISPATCH[args.command](args)
+        if args.format == "json":
+            # strict JSON: a non-finite float becomes the string float() reads back
+            strict = json.loads(json.dumps(report), parse_constant=lambda c: str(float(c)))
+            lines = [json.dumps(strict, indent=2, allow_nan=False)]
+        for line in lines:
+            print(line)
         sys.stdout.flush()
-        return code
+        return EXIT_CHECK_FAILED if report["status"] in ("failed", "tolerance-exceeded") else EXIT_OK
     except BrokenPipeError:
         # The reader closed stdout early.  Point stdout at devnull so the
         # interpreter's final flush of the unsent rest stays quiet.

@@ -528,10 +528,7 @@ def _rand_vector(rng: random.Random, k: int, nonzero: bool = True) -> list[Gauss
 
 
 def random_nonzero_scalar(rng: random.Random) -> GaussianRational:
-    while True:
-        v = random_scalar(rng)
-        if not v.is_zero():
-            return v
+    return _rand_vector(rng, 1)[0]
 
 
 def _sample_f1(rng: random.Random) -> dict:

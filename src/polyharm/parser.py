@@ -137,11 +137,11 @@ class _Scanner:
                 call, eneg, w, close, name, num, slash, den, i, paren, caret, exp, then = m.groups()
                 if name is not None:
                     k = slots.get(name)
-                    if k is not None:  # an exponent of 4 digits is within every budget
+                    if k is not None:  # a power only adds (no budget); 4 digits convert at any limit
                         powers[k] += (1 if caret is None else int(exp) if exp and len(exp) < 5
-                                      else _exponent(m, False, True))
+                                      else _exponent(m, False))
                     elif name == atoms.log_kind:
-                        logp += 1 if caret is None else _exponent(m, True, True)
+                        logp += 1 if caret is None else _exponent(m, True)
                     elif name == "E" and atoms.exp_var is not None:
                         raise ParseError("expected '('", _WS.match(src, m.end("name")).end())
                     elif name == "i":
@@ -154,7 +154,7 @@ class _Scanner:
                     k = _uint(m, "w", "call")
                     if close is None:
                         raise ParseError("expected ')'", _WS.match(src, m.end("w")).end())
-                    n = 1 if caret is None else _exponent(m, False, True)
+                    n = 1 if caret is None else _exponent(m, False)
                     weight += (-k if eneg else k) * n
                 else:
                     if num is not None:  # under 300 digits converts at any digit limit
@@ -250,14 +250,11 @@ def _uint(m: re.Match, group: str, after: str = "", denominator: bool = False) -
     return n
 
 
-def _exponent(m: re.Match, has_log: bool, atom: bool = False) -> int:
+def _exponent(m: re.Match, has_log: bool) -> int:
     """The n of the '^n' of m, which holds a '^'."""
     n = _uint(m, "exp", "caret")
     if has_log and n >= 2:
         raise ParseError("log atom squared", m.start("exp"))
-    # an atom's power: what binary exponentiation of one term would spend
-    if atom and n.bit_count() + n.bit_length() - 1 > MAX_POWER_TERM_PRODUCTS:
-        raise UsageError(f"power needs more than {MAX_POWER_TERM_PRODUCTS} term products")
     return n
 
 

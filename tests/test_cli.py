@@ -596,6 +596,27 @@ def test_verify_paper_is_deterministic(capsys):
 # -- exit codes and report round trips ------------------------------------------------
 
 
+@pytest.mark.parametrize("argv, status", [
+    (("tension", "-g", "sol", "x^2*y"), "ok"),
+    (("classify", "-g", "nil", "y^2*t"), "ok"),
+    (("classify", "-g", "nil", "y^2*t", "--r-max", "1"), "exceeds-bound"),
+    (("generate", "sol.axis", "-n", "3"), "ok"),
+    (("generate", "-g", "sol", "--ansatz", "x^2, x*E(-1), E(-2)"), "ok"),
+    (("oracle", "-g", "line", "t^2", "--samples", "10"), "ok"),
+    (("oracle", "-g", "sol", "E(300)"), "tolerance-exceeded"),
+    (("oracle", "-g", "h2", "--convention", "paper", "z*zb"), "expected-mismatch"),
+    (("lemma-check", "-n", "2", "--trials", "8"), "ok"),
+    (("verify-paper",), "ok"),
+    (("verify-paper", "--r-max", "1", "--skip-oracle"), "failed"),
+], ids=["tension", "classify", "classify_exceeds_bound", "generate_family", "generate_ansatz",
+        "oracle_ok", "oracle_tolerance_exceeded", "oracle_expected_mismatch", "lemma_check",
+        "verify_paper", "verify_paper_failed"])
+def test_exit_1_exactly_when_the_report_status_is_a_failure(capsys, argv, status):
+    code, payload, err = run_json(capsys, *argv)
+    assert payload["status"] == status and err == ""
+    assert code == (1 if status in ("failed", "tolerance-exceeded") else 0)
+
+
 def test_exit_code_parse_error(capsys):
     code, _, err = run(capsys, "tension", "-g", "sol", "2*x^^2")
     assert code == 2

@@ -362,6 +362,7 @@ def test_tower_index_shift_against_literal_variant():
 
 _SOL, _LINE = by_id("sol"), by_id("line")
 _ONE_SOL, _ONE_LINE = Expr.constant(_SOL.atoms, 1), Expr.constant(_LINE.atoms, 1)
+_H2XR, _LINE_X_LINE = by_id("h2xr"), by_id("product:linexline")
 
 
 @pytest.mark.parametrize("call, message", [
@@ -380,9 +381,34 @@ _ONE_SOL, _ONE_LINE = Expr.constant(_SOL.atoms, 1), Expr.constant(_LINE.atoms, 1
      "expression does not live in the sol algebra"),
     (lambda: by_id("s2p").tension(parse("log1m", by_id("h2").atoms)),
      "expression does not live in the s2p algebra"),
+    (lambda: sol_mixed_harmonic(4, 1, 1, 1, 1, 1, 1),
+     "the mixed harmonic family is stated for n = 2 and 3"),
+    (lambda: sol_h2h3(0, 0, 1, 1), "each factor of the product family needs a nonzero pair"),
+    (lambda: separable_product(_H2XR, [], [], [1]), "the conformal factor must be nonzero"),
+    (lambda: separable_product(_H2XR, [1], [], [0, 0]), "the polynomial factor must be nonzero"),
+    (lambda: log_biharmonic(_SOL), "this geometry has no log atom"),
+    (lambda: log_biharmonic(_H2XR, [0, 0]), "the affine factor must be nonzero"),
+    (lambda: product_r_harmonic(_LINE_X_LINE, parse("s", _LINE_X_LINE.atoms),
+                                parse("t^20", _LINE_X_LINE.atoms)),
+     "second factor must have a finite properness order, got order exceeds bound 8"),
+    (lambda: classify(_SOL, _ONE_SOL, 0), "the properness bound must be at least 1"),
+    (lambda: AtomSet(("x", "x")), "duplicate chart variables"),
+    (lambda: AtomSet(("x", "y"), log_kind=LOG_DISC), "a log atom needs a conformal pair"),
+    (lambda: AtomSet(("x", "y"), conformal=("x", "z")),
+     "conformal pair must consist of chart variables"),
+    (lambda: merge_atom_sets(_H2XR.first.atoms, AtomSet(("u", "v"), log_kind=LOG_DISC,
+                                                        conformal=("u", "v"))),
+     "at most one log atom per product chart"),
+    (lambda: Expr.sum(_SOL.atoms, [_ONE_SOL, _ONE_LINE]),
+     "operands live in different chart algebras"),
 ], ids=["iterated_tension", "product_tension_binomial", "nil_biharmonic12",
         "sl2_biharmonic6", "sol_tower", "sol_tower_literal", "from_rows", "check_point",
-        "merge_atom_sets", "tension_without_E", "tension_with_another_log"])
+        "merge_atom_sets", "tension_without_E", "tension_with_another_log",
+        "sol_mixed_harmonic", "sol_h2h3", "separable_product_zero_conformal_part",
+        "separable_product_zero_polynomial", "log_biharmonic_without_a_log_atom",
+        "log_biharmonic_zero_affine_factor", "product_r_harmonic_unbounded_second_factor",
+        "classify_bound", "atom_set_duplicate_variables", "atom_set_log_without_conformal_pair",
+        "atom_set_conformal_pair_outside", "merge_atom_sets_two_logs", "expr_sum_two_algebras"])
 def test_api_usage_guards_refuse_with_their_message(call, message):
     with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
         call()
